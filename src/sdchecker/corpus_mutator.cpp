@@ -1,13 +1,19 @@
 #include "sdchecker/corpus_mutator.hpp"
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
+#include "sdchecker/follow.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -320,6 +326,117 @@ LogBundle mutate_interleave(const LogBundle& input, Rng& rng) {
   return out;
 }
 
+// --- follow leg ------------------------------------------------------------
+
+/// A fresh directory under the system temp dir, removed on scope exit
+/// (mkdtemp keeps concurrent fuzz runs apart).
+struct LiveDir {
+  std::filesystem::path path;
+  LiveDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "sdc_fuzz_follow_XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("cannot create a directory for the follow leg");
+    }
+    path = pattern;
+  }
+  ~LiveDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  LiveDir(const LiveDir&) = delete;
+  LiveDir& operator=(const LiveDir&) = delete;
+};
+
+void append_file(const std::filesystem::path& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("cannot write " + path.string());
+}
+
+/// Writes `mutant` into a fresh directory the way a live cluster does
+/// while a FollowService tails it, then compares the drained snapshot
+/// with batch analysis of the finished directory.  Each file arrives in
+/// three slices cut mid-line, with one poll per round of slices.  A
+/// rotated family `base.N ... base.1, base` is produced by logrotate
+/// renames: each segment is written as `base`, then `base.K` moves to
+/// `base.K+1` and `base` to `base.1` before the next one starts.
+/// Retirement stays off: eviction parity depends on the grace period,
+/// not on the corpus.
+bool follow_matches_batch(const LogBundle& mutant,
+                          const AnalyzeOptions& options) {
+  constexpr std::size_t kSlices = 3;
+  struct Family {
+    std::string base;
+    /// Segment texts and final names, oldest first.
+    std::vector<std::string> texts;
+    std::vector<std::string> names;
+    /// Names follow the logrotate pattern, so the segments are produced
+    /// by renames; otherwise each is written under its final name.
+    bool renamed = true;
+  };
+  const std::vector<std::string> names = mutant.stream_names();
+  const std::vector<std::string_view> name_views(names.begin(), names.end());
+  std::vector<Family> families;
+  std::size_t rounds = 0;
+  for (const RotationFamily& rotation : rotation_families(name_views)) {
+    Family family;
+    family.base = rotation.base;
+    const std::size_t n = rotation.members.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string& name = names[rotation.members[i]];
+      std::string text;
+      for (const std::string& line : mutant.lines(name)) {
+        text += line;
+        text += '\n';
+      }
+      family.texts.push_back(std::move(text));
+      family.names.push_back(name);
+      const std::size_t suffix = n - 1 - i;
+      family.renamed = family.renamed &&
+                       name == (suffix == 0 ? family.base
+                                            : family.base + "." +
+                                                  std::to_string(suffix));
+    }
+    rounds = std::max(rounds, kSlices * n);
+    families.push_back(std::move(family));
+  }
+
+  const LiveDir live;
+  FollowOptions follow_options;
+  follow_options.analyze_shards = options.analyze_shards;
+  follow_options.retire = false;
+  FollowService service(live.path, follow_options);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    const std::size_t segment = round / kSlices;
+    const std::size_t slice = round % kSlices;
+    for (const Family& family : families) {
+      if (segment >= family.texts.size()) continue;
+      if (family.renamed && slice == 0 && segment > 0) {
+        for (std::size_t k = segment - 1; k >= 1; --k) {
+          std::filesystem::rename(
+              live.path / (family.base + "." + std::to_string(k)),
+              live.path / (family.base + "." + std::to_string(k + 1)));
+        }
+        std::filesystem::rename(live.path / family.base,
+                                live.path / (family.base + ".1"));
+      }
+      const std::string& text = family.texts[segment];
+      const std::size_t begin = text.size() * slice / kSlices;
+      const std::size_t end = text.size() * (slice + 1) / kSlices;
+      append_file(live.path / (family.renamed ? family.base
+                                              : family.names[segment]),
+                  std::string_view(text).substr(begin, end - begin));
+    }
+    service.poll_once();
+  }
+  while (!service.quiescent()) service.poll_once();
+  service.finish();
+  return analysis_json(service.snapshot()) ==
+         analysis_json(SdChecker(options).analyze_directory(live.path));
+}
+
 }  // namespace
 
 std::string_view mutation_class_name(MutationClass cls) {
@@ -381,9 +498,11 @@ std::optional<std::string_view> runtime_only_reason(
       return "filesystem permission/open failure; mutations rewrite bytes "
              "of readable bundles";
     case logging::DiagnosticKind::kUnparsableBurst:
-      return "emitted when the per-stream unparsable-line ratio trips the "
-             "analyzer threshold, a derived signal exercised directly by "
-             "miner tests";
+      return "emitted once per run of at least kUnparsableBurstMin (4) "
+             "consecutive unparsable lines; no class is keyed to it "
+             "(garbage-bytes' injected run also trips it, but that class "
+             "asserts binary-garbage), so miner and follow tests exercise "
+             "it directly";
     case logging::DiagnosticKind::kUnboundStream:
       return "requires a stream whose app binding never resolves; mutator "
              "inputs are generated from bound scenario logs";
@@ -455,6 +574,8 @@ std::vector<FuzzCaseResult> fuzz_corpus(const logging::LogBundle& base,
                     events_csv(analysis) == *baseline_events &&
                     delays_csv(analysis) == *baseline_delays;
       }
+      result.follow_matches = follow_matches_batch(mutated, options);
+      result.ok = result.ok && result.follow_matches;
     } catch (const std::exception& e) {
       result.crashed = true;
       result.error = e.what();
@@ -484,6 +605,7 @@ std::string render_fuzz_report(const std::vector<FuzzCaseResult>& results) {
       out += " diagnostics=" + std::to_string(result.diag_counts.total());
       out += " events=" + std::to_string(result.events_total);
       out += " anomalies=" + std::to_string(result.anomalies);
+      out += result.follow_matches ? " follow=batch" : " follow!=batch";
     }
     out += '\n';
   }

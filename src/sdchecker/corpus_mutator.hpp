@@ -8,7 +8,9 @@
 // of (input bundle, class, seed), so every failure is replayable.  The
 // self-check (`fuzz_corpus`) asserts the analyzer never throws, that the
 // identity mutation reproduces the baseline analysis event for event,
-// and that each destructive class surfaces its expected diagnostic kind.
+// that each destructive class surfaces its expected diagnostic kind, and
+// that follow mode, tailing the mutant while it is written, drains to
+// the batch analysis byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -87,14 +89,21 @@ struct FuzzCaseResult {
   std::size_t events_total = 0;
   std::size_t anomalies = 0;
   logging::DiagnosticCounts diag_counts;
-  /// Verdict: no crash, and the class-correct signal is present (for
-  /// kIdentity: the analysis matches the baseline event for event).
+  /// Follow leg: the mutant written live into a fresh directory (every
+  /// file in slices cut mid-line, rotated families by logrotate renames)
+  /// and tailed by a FollowService drained to an `analysis_json`
+  /// byte-identical to batch analysis of the same directory.
+  bool follow_matches = false;
+  /// Verdict: no crash, the class-correct signal is present (for
+  /// kIdentity: the analysis matches the baseline event for event), and
+  /// the follow leg matches.
   bool ok = false;
 };
 
-/// Mutates + analyzes `base` once per class; `options` configures the
-/// analyzer under test.  Never throws — analyzer exceptions are captured
-/// in the per-case result.
+/// Mutates + analyzes `base` once per class, in batch and through the
+/// follow leg (see `FuzzCaseResult::follow_matches`); `options`
+/// configures the analyzer under test.  Never throws — analyzer
+/// exceptions are captured in the per-case result.
 std::vector<FuzzCaseResult> fuzz_corpus(
     const logging::LogBundle& base, std::uint64_t seed,
     const std::vector<MutationClass>& classes,

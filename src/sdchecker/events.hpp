@@ -65,46 +65,35 @@ std::span<const EventKind> all_event_kinds();
 /// annotations on transition tables and milestone specs.
 std::optional<EventKind> event_from_name(std::string_view name);
 
-/// One extracted scheduling event.
-struct SchedEvent {
-  EventKind kind = EventKind::kAppSubmitted;
-  std::int64_t ts_ms = 0;
-  /// Owning application (always known once grouping resolves it; may be
-  /// unset straight out of the extractor for container events).
-  std::optional<ApplicationId> app;
-  /// Owning container, for container-scoped events.
-  std::optional<ContainerId> container;
-  /// Which log stream produced the event (file name).
-  std::string stream;
-  /// 1-based line number within the stream.
-  std::size_t line_no = 0;
-};
-
 /// True for events scoped to a container rather than the application.
 bool is_container_event(EventKind kind);
 
-/// Columnar (structure-of-arrays) event storage — the miner's working
-/// representation.  One parallel array per field; the stream name is an
-/// id into a shared `StringInterner` pool instead of a per-event
-/// `std::string`, so pushing an event allocates nothing and the sort and
-/// k-way-merge keys (ts, stream, line, kind) are read from contiguous
-/// arrays.  `operator[]` materializes a `View` with the same field names
-/// as `SchedEvent`, which keeps consumer code (`events[i].kind`,
-/// range-for) unchanged.
+/// Columnar (structure-of-arrays) storage of extracted scheduling
+/// events — the one event representation of the pipeline.  One parallel
+/// array per field; the stream name is an id into a shared
+/// `StringInterner` pool instead of a per-event `std::string`, so
+/// pushing an event allocates nothing and the sort and k-way-merge keys
+/// (ts, stream, line, kind) are read from contiguous arrays.
+/// `operator[]` materializes a row `View` (`events[i].kind`, range-for).
 class EventBatch {
  public:
   EventBatch() = default;
   explicit EventBatch(std::shared_ptr<const StringInterner> pool)
       : pool_(std::move(pool)) {}
 
-  /// Row view; field names mirror SchedEvent (`stream` resolves through
-  /// the pool and stays valid for the pool's lifetime).
+  /// One event.  `stream` resolves through the pool and stays valid for
+  /// the pool's lifetime.
   struct View {
     EventKind kind = EventKind::kAppSubmitted;
     std::int64_t ts_ms = 0;
+    /// Owning application (unset straight out of the extractor for
+    /// stream-scoped events until the stream binds).
     std::optional<ApplicationId> app;
+    /// Owning container, for container-scoped events.
     std::optional<ContainerId> container;
+    /// Which log stream produced the event (file name).
     std::string_view stream;
+    /// 1-based line number within the stream.
     std::size_t line_no = 0;
   };
 
@@ -158,9 +147,11 @@ class EventBatch {
     flags_[i] |= kHasContainer;
   }
 
-  /// Strict weak order on rows: (ts, stream, line, kind) — the same
-  /// total order as `event_order_less` on SchedEvent.  Stream order is
-  /// by *name*; equal ids short-circuit the string compare.
+  /// Strict weak order on rows: (ts, stream, line, kind) — the
+  /// deterministic total order of `MineResult::events`; the final kind
+  /// tiebreak places a synthesized FIRST_LOG ahead of a real event
+  /// extracted from the same line.  Stream order is by *name*; equal ids
+  /// short-circuit the string compare.
   [[nodiscard]] static bool row_less(const EventBatch& a, std::size_t i,
                                      const EventBatch& b, std::size_t j);
 

@@ -11,19 +11,32 @@ bool contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
 }
 
-std::optional<SchedEvent> make_event(EventKind kind, const ParsedLine& line,
-                                     std::string_view stream,
-                                     std::size_t line_no,
-                                     std::optional<ApplicationId> app,
-                                     std::optional<ContainerId> container) {
-  SchedEvent event;
-  event.kind = kind;
-  event.ts_ms = line.epoch_ms;
-  event.app = app;
-  event.container = container;
-  event.stream = std::string(stream);
-  event.line_no = line_no;
-  return event;
+/// A matched rule with its extracted ids.
+struct RuleHit {
+  const ExtractorRule* rule = nullptr;
+  std::optional<ApplicationId> app;
+  std::optional<ContainerId> container;
+};
+
+/// The ids a rule whose match predicate fired carries; nullopt when its
+/// required id is absent from the message.
+std::optional<RuleHit> hit_with_ids(const ExtractorRule& rule,
+                                    std::string_view message) {
+  switch (rule.id) {
+    case RuleId::kNone:
+      return RuleHit{&rule, std::nullopt, std::nullopt};
+    case RuleId::kApp: {
+      const auto app = find_application_id(message);
+      if (!app) return std::nullopt;
+      return RuleHit{&rule, app, std::nullopt};
+    }
+    case RuleId::kContainer: {
+      const auto container = find_container_id(message);
+      if (!container) return std::nullopt;
+      return RuleHit{&rule, container->app, container};
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -207,28 +220,15 @@ bool rule_matches(const ExtractorRule& rule, std::string_view message) {
   return rule.also.empty() || contains(message, rule.also);
 }
 
-std::optional<SchedEvent> apply_rule(const ExtractorRule& rule,
-                                     const ParsedLine& line,
-                                     std::string_view stream,
-                                     std::size_t line_no) {
-  if (!rule_matches(rule, line.message)) return std::nullopt;
-  switch (rule.id) {
-    case RuleId::kNone:
-      return make_event(rule.emits, line, stream, line_no, std::nullopt,
-                        std::nullopt);
-    case RuleId::kApp: {
-      const auto app = find_application_id(line.message);
-      if (!app) return std::nullopt;
-      return make_event(rule.emits, line, stream, line_no, app, std::nullopt);
-    }
-    case RuleId::kContainer: {
-      const auto container = find_container_id(line.message);
-      if (!container) return std::nullopt;
-      return make_event(rule.emits, line, stream, line_no, container->app,
-                        container);
-    }
-  }
-  return std::nullopt;
+bool apply_rule(const ExtractorRule& rule, const ParsedLine& line,
+                std::uint32_t stream_id, std::size_t line_no,
+                EventBatch& batch) {
+  if (!rule_matches(rule, line.message)) return false;
+  const auto hit = hit_with_ids(rule, line.message);
+  if (!hit) return false;
+  batch.push(rule.emits, line.epoch_ms, stream_id, line_no, hit->app,
+             hit->container);
+  return true;
 }
 
 namespace {
@@ -321,20 +321,13 @@ const ClassDispatch* find_class(std::string_view name) {
   return name == entry.name ? &entry : nullptr;
 }
 
-/// A matched rule with its extracted ids.
-struct RuleHit {
-  const ExtractorRule* rule = nullptr;
-  std::optional<ApplicationId> app;
-  std::optional<ContainerId> container;
-};
-
 /// The shared first-match-wins walk over one class's rules.  Decision
 /// for decision this is `for rule: apply_rule(...)`, with one hot-path
 /// refinement: `parse_transition` runs at most once per message (the
 /// transition classes carry up to five transition rules, which used to
 /// re-parse the same "from A to B" phrase per rule).  A rule whose match
 /// fires but whose required id is absent does not stop the walk, same
-/// as apply_rule returning nullopt.
+/// as apply_rule returning false.
 std::optional<RuleHit> match_class_rules(const ClassDispatch& entry,
                                          std::string_view message) {
   bool transition_cached = false;
@@ -350,20 +343,7 @@ std::optional<RuleHit> match_class_rules(const ClassDispatch& entry,
       if (!contains(message, rule.token)) continue;
     }
     if (!rule.also.empty() && !contains(message, rule.also)) continue;
-    switch (rule.id) {
-      case RuleId::kNone:
-        return RuleHit{&rule, std::nullopt, std::nullopt};
-      case RuleId::kApp: {
-        const auto app = find_application_id(message);
-        if (!app) continue;
-        return RuleHit{&rule, app, std::nullopt};
-      }
-      case RuleId::kContainer: {
-        const auto container = find_container_id(message);
-        if (!container) continue;
-        return RuleHit{&rule, container->app, container};
-      }
-    }
+    if (auto hit = hit_with_ids(rule, message)) return hit;
   }
   return std::nullopt;
 }
@@ -400,17 +380,6 @@ std::vector<const ExtractorRule*> matching_rules(std::string_view klass,
 StreamKind classify_line(const ParsedLine& line) {
   const ClassDispatch* entry = find_class(short_class_name(line.logger));
   return entry == nullptr ? StreamKind::kUnknown : entry->kind;
-}
-
-std::optional<SchedEvent> extract_event(const ParsedLine& line,
-                                        std::string_view stream,
-                                        std::size_t line_no) {
-  const ClassDispatch* entry = dispatchable_class(line);
-  if (entry == nullptr) return std::nullopt;
-  const auto hit = match_class_rules(*entry, line.message);
-  if (!hit) return std::nullopt;
-  return make_event(hit->rule->emits, line, stream, line_no, hit->app,
-                    hit->container);
 }
 
 bool extract_event_into(const ParsedLine& line, std::uint32_t stream_id,

@@ -303,9 +303,7 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
     auto state = std::make_unique<CorpusState>();
     state->dir = dir;
     state->mine_options = MinerOptions{.threads = threads,
-                                       .shard_grain = options.shard_grain,
-                                       .skew_budget_ms =
-                                           options.skew_budget_ms};
+                                       .shard_grain = options.shard_grain};
     state->shard_count = shard_count;
     state->out.name = dir.filename().string();
     state->out.dir = dir;

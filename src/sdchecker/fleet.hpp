@@ -43,7 +43,6 @@ struct FleetOptions {
   std::size_t shards_per_corpus = 0;
   /// Forwarded to MinerOptions (see miner.hpp).
   std::size_t shard_grain = 8192;
-  std::int64_t skew_budget_ms = 1000;
 };
 
 /// One corpus's outcome.  `error` is empty on success; on failure every

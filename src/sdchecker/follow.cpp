@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <fstream>
 #include <set>
 #include <utility>
@@ -43,20 +42,6 @@ struct FollowCounters {
 std::uint64_t inode_key(const struct ::stat& st) {
   return (static_cast<std::uint64_t>(st.st_dev) << 32) ^
          static_cast<std::uint64_t>(st.st_ino);
-}
-
-/// Rotation-order rank of a physical name within its family: oldest
-/// (highest suffix) first, the unsuffixed base — the live segment —
-/// last.  Mirrors the sort in the batch reader's `group_rotations`.
-struct FamilyRank {
-  bool is_base = true;
-  unsigned long index = 0;
-};
-FamilyRank family_rank(const std::string& name) {
-  if (const auto rotation = split_rotation_suffix(name)) {
-    return FamilyRank{false, rotation->index};
-  }
-  return FamilyRank{true, 0};
 }
 
 }  // namespace
@@ -154,7 +139,7 @@ PollStats FollowService::poll_once() {
       Tail tail;
       tail.physical = name;
       const auto rotation = split_rotation_suffix(name);
-      tail.logical = rotation ? rotation->base : name;
+      tail.logical = rotation ? std::string(rotation->base) : name;
       tail.is_base = !rotation;
       tails_.emplace(key, std::move(tail));
       ++stats.new_streams;
@@ -191,21 +176,22 @@ PollStats FollowService::poll_once() {
     }
   }
 
-  // Pass 2: drain in rotation order — within a family the older
-  // (suffixed) segments flush before the live base, so a handoff poll
-  // feeds the rotated remainder ahead of the fresh segment's bytes,
-  // exactly the batch reassembly order.
-  std::vector<Tail*> order;
-  order.reserve(tails_.size());
-  for (auto& [key, tail] : tails_) order.push_back(&tail);
-  std::sort(order.begin(), order.end(), [](const Tail* a, const Tail* b) {
-    if (a->logical != b->logical) return a->logical < b->logical;
-    const FamilyRank ra = family_rank(a->physical);
-    const FamilyRank rb = family_rank(b->physical);
-    if (ra.is_base != rb.is_base) return rb.is_base;
-    return ra.index > rb.index;
-  });
-  for (Tail* tail : order) drain_tail(*tail, stats);
+  // Pass 2: drain in the batch reassembly order — within a family the
+  // older (suffixed) segments flush before the live base, so a handoff
+  // poll feeds the rotated remainder ahead of the fresh segment's bytes.
+  std::vector<Tail*> tails;
+  std::vector<std::string_view> names;
+  tails.reserve(tails_.size());
+  names.reserve(tails_.size());
+  for (auto& [key, tail] : tails_) {
+    tails.push_back(&tail);
+    names.push_back(tail.physical);
+  }
+  for (const RotationFamily& family : rotation_families(names)) {
+    for (const std::size_t member : family.members) {
+      drain_tail(*tails[member], stats);
+    }
+  }
 
   if (options_.retire) {
     stats.apps_retired = analyzer_.retire_terminal(options_.retire_quiet_polls);
@@ -233,36 +219,20 @@ AnalysisResult FollowService::snapshot() const {
   AnalysisResult result = analyzer_.snapshot(options_.analyze_shards);
 
   // Synthesize the diagnostics the batch directory reader would emit on
-  // the directory as it stands now.  Rotated families reassembled by the
-  // tailer correspond 1:1 to batch `group_rotations` reassemblies.
-  std::map<std::string, std::vector<std::string>> families;
+  // the directory as it stands now: its rotation records come from the
+  // same `rotation_families` the batch reader reassembles with.
+  std::vector<std::string> names;
   std::error_code ec;
   for (const auto& entry :
        std::filesystem::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
+    std::string name = entry.path().filename().string();
     if (unreadable_.contains(name)) continue;  // excluded from the view
-    const auto rotation = split_rotation_suffix(name);
-    families[rotation ? rotation->base : name].push_back(name);
+    names.push_back(std::move(name));
   }
-  for (auto& [base, members] : families) {
-    if (members.size() == 1 && members.front() == base) continue;
-    std::sort(members.begin(), members.end(),
-              [&base](const std::string& a, const std::string& b) {
-                const bool a_base = a == base;
-                const bool b_base = b == base;
-                if (a_base != b_base) return b_base;
-                return family_rank(a).index > family_rank(b).index;
-              });
-    std::string segment_list;
-    for (const std::string& member : members) {
-      if (!segment_list.empty()) segment_list += ", ";
-      segment_list += member;
-    }
-    result.diagnostics.push_back(
-        Diagnostic{DiagnosticKind::kRotationGap, base, 0, members.size(),
-                   "reassembled " + std::to_string(members.size()) +
-                       " rotated segments: " + segment_list});
+  const std::vector<std::string_view> name_views(names.begin(), names.end());
+  for (RotationFamily& family : rotation_families(name_views)) {
+    if (family.gap) result.diagnostics.push_back(std::move(*family.gap));
   }
   for (const auto& [name, diagnostic] : unreadable_) {
     result.diagnostics.push_back(diagnostic);

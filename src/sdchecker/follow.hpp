@@ -33,8 +33,8 @@
 namespace sdc::checker {
 
 struct FollowOptions {
-  /// Per-line analysis knobs (skew budget, burst threshold, parked-event
-  /// cap); threads/shard_grain are ignored — tailing is serial.
+  /// Only the parked-event cap applies; threads/shard_grain are ignored
+  /// — tailing is serial.
   MinerOptions miner = {};
   /// Shards for the snapshot finalize stage (same meaning as
   /// `AnalyzeOptions::analyze_shards`; snapshots are byte-identical

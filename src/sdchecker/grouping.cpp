@@ -8,8 +8,8 @@
 namespace sdc::checker {
 namespace {
 
-/// Shared event-application body for the ordered (serial `group_events`,
-/// incremental) and flat (sharded) application tables.  `container` is
+/// Shared event-application body for the ordered (serial `group_events`)
+/// and flat (sharded, incremental) application tables.  `container` is
 /// nullptr for application-scoped events.
 template <class Apps>
 void apply_event_parts(Apps& apps, const ApplicationId& app_id,
@@ -26,15 +26,6 @@ void apply_event_parts(Apps& apps, const ApplicationId& app_id,
     app.first_ts.record(kind, ts_ms);
     ++app.counts[kind];
   }
-}
-
-template <class Apps>
-bool apply_event_impl(Apps& apps, const SchedEvent& event) {
-  if (!event.app) return false;
-  apply_event_parts(apps, *event.app,
-                    event.container ? &*event.container : nullptr, event.kind,
-                    event.ts_ms);
-  return true;
 }
 
 }  // namespace
@@ -94,21 +85,12 @@ std::optional<std::int64_t> AppTimeline::max_worker_ts(EventKind kind) const {
   return best;
 }
 
-bool apply_event(std::map<ApplicationId, AppTimeline>& apps,
-                 const SchedEvent& event) {
-  return apply_event_impl(apps, event);
-}
-
-bool apply_event(AppTable& apps, const SchedEvent& event) {
-  return apply_event_impl(apps, event);
-}
-
-GroupResult group_events(const std::vector<SchedEvent>& events) {
-  GroupResult result;
-  for (const SchedEvent& event : events) {
-    if (!apply_event(result.apps, event)) ++result.unattributed;
-  }
-  return result;
+bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i) {
+  if (!events.has_app(i)) return false;
+  apply_event_parts(apps, events.app_at(i),
+                    events.has_container(i) ? &events.container_at(i) : nullptr,
+                    events.kind_at(i), events.ts_at(i));
+  return true;
 }
 
 GroupResult group_events(const EventBatch& events) {
@@ -131,7 +113,7 @@ std::size_t timeline_shard(const ApplicationId& app, std::size_t shards) {
   return ApplicationIdHash{}(app) % shards;
 }
 
-ShardedGroupResult group_events_sharded(const std::vector<SchedEvent>& events,
+ShardedGroupResult group_events_sharded(const EventBatch& events,
                                         std::size_t shards, ThreadPool& pool) {
   ShardedGroupResult result;
   result.shards.resize(std::max<std::size_t>(1, shards));
@@ -141,44 +123,9 @@ ShardedGroupResult group_events_sharded(const std::vector<SchedEvent>& events,
   std::size_t unattributed = 0;
   parallel_for(pool, shard_count, [&](std::size_t s) {
     const auto span = obs::Tracer::global().span("analyze.shard");
-    AppTable& apps = result.shards[s];
-    for (const SchedEvent& event : events) {
-      if (!event.app) {
-        // Unattributable events belong to no shard; have exactly one
-        // shard count them so the total matches the serial pass.
-        if (s == 0) ++unattributed;
-        continue;
-      }
-      if (timeline_shard(*event.app, shard_count) != s) continue;
-      apply_event(apps, event);
-    }
-  });
-  result.unattributed = unattributed;
-  return result;
-}
-
-ShardedGroupResult group_events_sharded(const EventBatch& events,
-                                        std::size_t shards, ThreadPool& pool) {
-  ShardedGroupResult result;
-  result.shards.resize(std::max<std::size_t>(1, shards));
-  const std::size_t shard_count = result.shards.size();
-  std::size_t unattributed = 0;
-  const std::size_t n = events.size();
-  parallel_for(pool, shard_count, [&](std::size_t s) {
-    const auto span = obs::Tracer::global().span("analyze.shard");
-    AppTable& apps = result.shards[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!events.has_app(i)) {
-        if (s == 0) ++unattributed;
-        continue;
-      }
-      const ApplicationId& app = events.app_at(i);
-      if (timeline_shard(app, shard_count) != s) continue;
-      apply_event_parts(
-          apps, app,
-          events.has_container(i) ? &events.container_at(i) : nullptr,
-          events.kind_at(i), events.ts_at(i));
-    }
+    const std::size_t missing =
+        apply_batch_to_shard(events, result.shards[s], s, shard_count);
+    if (s == 0) unattributed = missing;
   });
   result.unattributed = unattributed;
   return result;

@@ -205,17 +205,14 @@ struct GroupResult {
   std::size_t unattributed = 0;
 };
 
-[[nodiscard]] GroupResult group_events(const std::vector<SchedEvent>& events);
-/// Columnar variant: reads the batch's kind/ts/id arrays directly — no
-/// View materialization, no optional construction on the hot loop.
+/// Reads the batch's kind/ts/id arrays directly — no View
+/// materialization, no optional construction on the hot loop.
 [[nodiscard]] GroupResult group_events(const EventBatch& events);
 
-/// Applies a single event to the timelines (the incremental counterpart
-/// of group_events).  Returns false when the event carries no application
-/// id and cannot be attributed.
-bool apply_event(std::map<ApplicationId, AppTimeline>& apps,
-                 const SchedEvent& event);
-bool apply_event(AppTable& apps, const SchedEvent& event);
+/// Applies row `i` of `events` to the timelines (the incremental
+/// counterpart of group_events).  Returns false when the row carries no
+/// application id and cannot be attributed.
+bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i);
 
 /// Which analysis shard owns `app` when grouping into `shards` tables.
 /// Container events follow their owning application, so one shard sees
@@ -232,15 +229,10 @@ struct ShardedGroupResult {
 };
 
 /// Groups `events` into `shards` per-shard tables on `pool`, one task
-/// per shard (each task scans the event vector and applies only its own
-/// applications' events — no cross-shard synchronization).  Equivalent
-/// to `group_events` state-wise; `finalize_analysis` restores the
-/// deterministic ordering.
-[[nodiscard]] ShardedGroupResult group_events_sharded(
-    const std::vector<SchedEvent>& events, std::size_t shards,
-    ThreadPool& pool);
-/// Columnar variant; each shard's scan walks the contiguous app-id and
-/// flag columns instead of striding over whole event structs.
+/// per shard (each task walks the contiguous app-id and flag columns and
+/// applies only its own applications' events — no cross-shard
+/// synchronization).  Equivalent to `group_events` state-wise;
+/// `finalize_analysis` restores the deterministic ordering.
 [[nodiscard]] ShardedGroupResult group_events_sharded(const EventBatch& events,
                                                       std::size_t shards,
                                                       ThreadPool& pool);

@@ -20,96 +20,37 @@ void IncrementalAnalyzer::feed(const std::string& stream,
   // CRLF-terminated logs at read time; a tail delivers the raw line.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   StreamState& state = streams_[stream];
-  ++state.line_no;
   ++lines_total_;
-
-  const auto parsed = parse_line(line);
+  const StreamKind kind_before = state.cursor.kind();
+  const auto parsed = state.cursor.feed(line);
   if (!parsed) {
     ++lines_unparsed_;
-    switch (classify_unparsed_line(line)) {
-      case UnparsedClass::kBinaryGarbage:
-        ++state.garbage_count;
-        if (state.garbage_first_line == 0) {
-          state.garbage_first_line = state.line_no;
-        }
-        break;
-      case UnparsedClass::kTruncated:
-        ++state.truncated_count;
-        if (state.truncated_first_line == 0) {
-          state.truncated_first_line = state.line_no;
-        }
-        break;
-      case UnparsedClass::kPlain:
-        break;
-    }
-    if (state.open_run_len == 0) state.open_run_start = state.line_no;
-    ++state.open_run_len;
     return;
   }
-  // A parsed line closes any unparsable run; long runs are bursts.
-  if (state.open_run_len >= options_.unparsable_burst_min) {
-    ++state.burst_count;
-    state.burst_lines += state.open_run_len;
-    if (state.burst_first_line == 0) {
-      state.burst_first_line = state.open_run_start;
-    }
-  }
-  state.open_run_len = 0;
-  if (state.last_parsed_ts &&
-      *state.last_parsed_ts - parsed->epoch_ms > options_.skew_budget_ms) {
-    ++state.regression_count;
-    if (state.regression_first_line == 0) {
-      state.regression_first_line = state.line_no;
-    }
-    state.regression_max_ms = std::max(
-        state.regression_max_ms, *state.last_parsed_ts - parsed->epoch_ms);
-  }
-  state.last_parsed_ts = parsed->epoch_ms;
-  if (state.kind == StreamKind::kUnknown) {
-    state.kind = classify_line(*parsed);
-    // Instance logs synthesize FIRST_LOG from their first *parsed* line;
-    // the timestamp was captured whenever that line arrived.
-    if ((state.kind == StreamKind::kDriver ||
-         state.kind == StreamKind::kExecutor) &&
-        !state.first_log_done) {
-      state.first_log_pending = true;
-      if (state.first_parsed_ts == 0) state.first_parsed_ts = parsed->epoch_ms;
-    }
-  }
-  if (state.first_parsed_ts == 0) state.first_parsed_ts = parsed->epoch_ms;
-
-  // Binding: the first application/container id seen anywhere binds the
-  // stream and releases any parked events.
+  // Binding: the first line that reveals an id binds the stream and
+  // releases any parked events.
   const bool was_bound = state.bound_app.has_value();
-  if (!state.bound_container) {
-    if (auto container = find_container_id(parsed->message)) {
-      state.bound_container = container;
-      if (!state.bound_app) state.bound_app = container->app;
+  if (!was_bound) state.bound_app = state.cursor.bound_app();
+
+  extracted_.clear();
+  // Instance logs synthesize FIRST_LOG from their first parsed line once
+  // the line that reveals the daemon kind arrives.
+  if (kind_before == StreamKind::kUnknown) {
+    const std::optional<EventKind> first_log = state.cursor.first_log_kind();
+    const std::optional<std::int64_t> first_ts =
+        state.cursor.first_parsed_ts();
+    if (first_log && first_ts) {
+      extracted_.push(*first_log, *first_ts, 0, 1, std::nullopt,
+                      std::nullopt);
     }
   }
-  if (!state.bound_app) {
-    if (auto app = find_application_id(parsed->message)) {
-      state.bound_app = app;
-    }
-  }
-
-  if (state.first_log_pending &&
-      (state.kind == StreamKind::kDriver ||
-       state.kind == StreamKind::kExecutor)) {
-    state.first_log_pending = false;
-    state.first_log_done = true;
-    SchedEvent first;
-    first.kind = state.kind == StreamKind::kDriver
-                     ? EventKind::kDriverFirstLog
-                     : EventKind::kExecutorFirstLog;
-    first.ts_ms = state.first_parsed_ts;
-    first.stream = stream;
-    first.line_no = 1;
-    dispatch(state, std::move(first));
-  }
-
-  if (auto event = extract_event(*parsed, stream, state.line_no)) {
-    dispatch(state, std::move(*event));
+  extract_event_into(*parsed, 0, state.cursor.line_no(), extracted_);
+  // Counted here — once per extracted event, bound or not — so
+  // `events_total` matches the batch miner, which counts every mined
+  // event whether or not it ever attributes.
+  events_total_ += extracted_.size();
+  for (std::size_t i = 0; i < extracted_.size(); ++i) {
+    resolve_or_park(state, extracted_, i);
   }
   if (!was_bound && state.bound_app) flush_parked(state);
 }
@@ -124,53 +65,50 @@ void IncrementalAnalyzer::feed_all(const std::string& stream,
   for (const std::string_view line : lines) feed(stream, line);
 }
 
-void IncrementalAnalyzer::dispatch(StreamState& state, SchedEvent event) {
-  // Counted here — once per extracted event, bound or not — so
-  // `events_total` matches the batch miner, which counts every mined
-  // event whether or not it ever attributes.
-  ++events_total_;
-  resolve_or_park(state, std::move(event));
-}
-
 void IncrementalAnalyzer::resolve_or_park(StreamState& state,
-                                          SchedEvent event) {
-  if (!event.app) event.app = state.bound_app;
-  if (!event.container && state.kind == StreamKind::kExecutor) {
-    event.container = state.bound_container;
+                                          EventBatch& events, std::size_t i) {
+  if (!events.has_app(i) && state.bound_app) {
+    events.set_app(i, *state.bound_app);
   }
-  if (!event.app) {
+  const auto& container = state.cursor.first_container();
+  if (!events.has_container(i) && container &&
+      state.cursor.kind() == StreamKind::kExecutor) {
+    events.set_container(i, *container);
+  }
+  if (!events.has_app(i)) {
     // Stream not bound yet: park for later — up to the cap.  A stream
     // that never binds must not grow without bound in a long-running
     // service; past the cap events are dropped, counted, and surfaced as
     // one kUnboundStream diagnostic.
+    if (!state.parked) state.parked = std::make_unique<EventBatch>();
     if (options_.parked_events_cap > 0 &&
-        state.parked.size() >= options_.parked_events_cap) {
-      ++state.parked_dropped;
-      if (state.parked_dropped_first_line == 0) {
-        state.parked_dropped_first_line = event.line_no;
+        state.parked->size() >= options_.parked_events_cap) {
+      if (state.parked_dropped++ == 0) {
+        state.parked_dropped_first_line = events.line_at(i);
       }
       return;
     }
-    state.parked.push_back(std::move(event));
+    state.parked->append_row(events, i);
     return;
   }
-  if (!retired_.empty() && retired_.contains(*event.app)) {
+  const ApplicationId& app = events.app_at(i);
+  if (!retired_.empty() && retired_.contains(app)) {
     // The application's timeline is gone; re-materializing a partial one
     // would diverge from the cached decomposition.
     ++events_late_dropped_;
     return;
   }
-  apply_event(timelines_, event);
-  AppActivity& activity = activity_[*event.app];
+  apply_event(timelines_, events, i);
+  AppActivity& activity = activity_[app];
   activity.last_tick = tick_;
-  if (event.kind == EventKind::kAppFinished) activity.terminal = true;
+  if (events.kind_at(i) == EventKind::kAppFinished) activity.terminal = true;
 }
 
 void IncrementalAnalyzer::flush_parked(StreamState& state) {
-  std::vector<SchedEvent> parked = std::move(state.parked);
-  state.parked.clear();
-  for (SchedEvent& event : parked) {
-    resolve_or_park(state, std::move(event));
+  if (!state.parked) return;
+  const std::unique_ptr<EventBatch> parked = std::move(state.parked);
+  for (std::size_t i = 0; i < parked->size(); ++i) {
+    resolve_or_park(state, *parked, i);
   }
 }
 
@@ -248,9 +186,7 @@ AnalysisResult IncrementalAnalyzer::snapshot(
 }
 
 std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
-  using logging::Diagnostic;
-  using logging::DiagnosticKind;
-  std::vector<Diagnostic> out;
+  std::vector<logging::Diagnostic> out;
   // The stream table is unordered; reports are per-stream in name order,
   // so sort the (few) stream pointers at snapshot time.
   std::vector<const std::pair<std::string, StreamState>*> ordered;
@@ -261,45 +197,10 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   for (const auto* entry : ordered) {
     const std::string& name = entry->first;
     const StreamState& state = entry->second;
-    if (state.garbage_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kBinaryGarbage, name,
-                               state.garbage_first_line, state.garbage_count,
-                               "line(s) contain NUL or mostly non-printable "
-                               "bytes"});
-    }
-    if (state.truncated_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, name,
-                               state.truncated_first_line,
-                               state.truncated_count,
-                               "line(s) cut mid-write: timestamp intact, "
-                               "remainder malformed"});
-    }
-    std::size_t burst_count = state.burst_count;
-    std::size_t burst_lines = state.burst_lines;
-    std::size_t burst_first = state.burst_first_line;
-    if (state.open_run_len >= options_.unparsable_burst_min) {
-      ++burst_count;
-      burst_lines += state.open_run_len;
-      if (burst_first == 0) burst_first = state.open_run_start;
-    }
-    if (burst_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kUnparsableBurst, name,
-                               burst_first, burst_lines,
-                               std::to_string(burst_count) +
-                                   " burst(s) of consecutive unparsable "
-                                   "lines"});
-    }
-    if (state.regression_count > 0) {
-      out.push_back(Diagnostic{
-          DiagnosticKind::kTimestampRegression, name,
-          state.regression_first_line, state.regression_count,
-          "timestamp jumped backwards by up to " +
-              std::to_string(state.regression_max_ms) + " ms (budget " +
-              std::to_string(options_.skew_budget_ms) + " ms)"});
-    }
+    state.cursor.render(name, out);
     if (state.parked_dropped > 0) {
-      out.push_back(Diagnostic{
-          DiagnosticKind::kUnboundStream, name,
+      out.push_back(logging::Diagnostic{
+          logging::DiagnosticKind::kUnboundStream, name,
           state.parked_dropped_first_line, state.parked_dropped,
           "stream never bound to an application id; parked-event cap (" +
               std::to_string(options_.parked_events_cap) +
@@ -309,14 +210,10 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   return out;
 }
 
-logging::DiagnosticCounts IncrementalAnalyzer::diag_counts() const {
-  return logging::count_diagnostics(diagnostics());
-}
-
 std::size_t IncrementalAnalyzer::events_pending() const {
   std::size_t n = 0;
   for (const auto& [name, state] : streams_) {
-    n += state.parked.size() + state.parked_dropped;
+    n += (state.parked ? state.parked->size() : 0) + state.parked_dropped;
   }
   return n;
 }

@@ -7,10 +7,14 @@
 // stream's FIRST_LOG event and its milestone events arrive *before* the
 // line that reveals which application/container the stream belongs to,
 // so unbound events are parked per stream and flushed the moment the
-// stream binds to an id.
+// stream binds to an id.  Everything else a stream's lines say — its
+// daemon kind, first timestamp, ids and health tallies — lives in one
+// `StreamCursor` per stream, the same state the batch miner builds, so
+// the drained analyzer reports exactly what batch mining reports.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -21,14 +25,14 @@
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/grouping.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "sdchecker/stream_cursor.hpp"
 
 namespace sdc::checker {
 
 class IncrementalAnalyzer {
  public:
-  /// Only `skew_budget_ms`, `unparsable_burst_min` and
-  /// `parked_events_cap` of the options are meaningful here (feeding is
-  /// inherently serial).
+  /// Only `parked_events_cap` of the options is meaningful here (feeding
+  /// is inherently serial).
   explicit IncrementalAnalyzer(MinerOptions options = {})
       : options_(options) {}
 
@@ -120,44 +124,26 @@ class IncrementalAnalyzer {
   /// parked buffer overflowed `MinerOptions::parked_events_cap`.
   [[nodiscard]] std::size_t events_pending() const;
 
-  /// Typed corpus-health findings accumulated so far, one summary record
-  /// per (stream, kind) in stream order — the streaming analogue of
-  /// `MineResult::diagnostics`.  A burst still open at call time (the
-  /// stream currently ends in unparsable lines) is included.
+  /// Typed corpus-health findings so far, in stream order — each
+  /// stream's cursor rendered as the stream stands now (its last fed
+  /// line is its last line), plus the unbound-stream record of a stream
+  /// whose parked events overflowed.  Once every line is fed this equals
+  /// `MineResult::diagnostics` of the same streams.
   [[nodiscard]] std::vector<logging::Diagnostic> diagnostics() const;
-  [[nodiscard]] logging::DiagnosticCounts diag_counts() const;
 
  private:
   struct StreamState {
-    StreamKind kind = StreamKind::kUnknown;
-    std::size_t line_no = 0;
-    bool first_log_pending = false;
-    bool first_log_done = false;
-    std::int64_t first_parsed_ts = 0;
+    StreamCursor cursor;
+    /// Set on the first line that reveals an id (the cursor's binding
+    /// rule over the lines seen so far) and never changed after.
     std::optional<ApplicationId> bound_app;
-    std::optional<ContainerId> bound_container;
     /// Stream-scoped events waiting for the stream to bind, capped at
-    /// `MinerOptions::parked_events_cap`.
-    std::vector<SchedEvent> parked;
+    /// `MinerOptions::parked_events_cap`; allocated on first use.
+    std::unique_ptr<EventBatch> parked;
     /// Events dropped past the cap (reported as one kUnboundStream
     /// diagnostic per stream).
     std::size_t parked_dropped = 0;
     std::size_t parked_dropped_first_line = 0;
-
-    // Diagnostics bookkeeping (line numbers 1-based).
-    std::size_t garbage_count = 0;
-    std::size_t garbage_first_line = 0;
-    std::size_t truncated_count = 0;
-    std::size_t truncated_first_line = 0;
-    std::size_t burst_count = 0;
-    std::size_t burst_lines = 0;
-    std::size_t burst_first_line = 0;
-    std::size_t open_run_start = 0;
-    std::size_t open_run_len = 0;
-    std::optional<std::int64_t> last_parsed_ts;
-    std::size_t regression_count = 0;
-    std::size_t regression_first_line = 0;
-    std::int64_t regression_max_ms = 0;
   };
 
   /// Per-application eviction bookkeeping, erased on retirement.
@@ -166,12 +152,10 @@ class IncrementalAnalyzer {
     bool terminal = false;
   };
 
-  /// Counts one newly extracted event, then resolves or parks it.
-  void dispatch(StreamState& state, SchedEvent event);
-  /// Applies a (new or previously parked) event, or parks/drops it when
-  /// the stream has no application id yet.  Does not touch
-  /// `events_total_` — events are counted exactly once, in `dispatch`.
-  void resolve_or_park(StreamState& state, SchedEvent event);
+  /// Applies row `i` of `events` (new or previously parked), or parks or
+  /// drops it while the stream has no application id yet.  Binds the
+  /// row's missing ids in place.
+  void resolve_or_park(StreamState& state, EventBatch& events, std::size_t i);
   /// Called when a stream just bound; flushes parked events.
   void flush_parked(StreamState& state);
 
@@ -182,6 +166,10 @@ class IncrementalAnalyzer {
   AppTable timelines_;
   FlatHashMap<ApplicationId, AppActivity, ApplicationIdHash> activity_;
   RetiredTable retired_;
+  /// One line's extracted events.  These batches and the parked ones
+  /// carry no name pool: their rows are only ever applied to timelines,
+  /// which never read the stream column.
+  EventBatch extracted_;
   std::uint64_t tick_ = 0;
   std::size_t lines_total_ = 0;
   std::size_t lines_unparsed_ = 0;

@@ -1,7 +1,6 @@
 #include "sdchecker/miner.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
@@ -9,22 +8,9 @@
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sdchecker/stream_cursor.hpp"
 
 namespace sdc::checker {
-
-bool event_order_less(const SchedEvent& a, const SchedEvent& b) {
-  if (a.ts_ms != b.ts_ms) return a.ts_ms < b.ts_ms;
-  if (a.stream != b.stream) return a.stream < b.stream;
-  if (a.line_no != b.line_no) return a.line_no < b.line_no;
-  return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-}
-
-bool event_order_less(const EventBatch::View& a, const EventBatch::View& b) {
-  if (a.ts_ms != b.ts_ms) return a.ts_ms < b.ts_ms;
-  if (a.stream != b.stream) return a.stream < b.stream;
-  if (a.line_no != b.line_no) return a.line_no < b.line_no;
-  return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-}
 
 std::optional<RotationSuffix> split_rotation_suffix(std::string_view name) {
   const std::size_t dot = name.rfind('.');
@@ -37,7 +23,53 @@ std::optional<RotationSuffix> split_rotation_suffix(std::string_view name) {
     if (c < '0' || c > '9') return std::nullopt;
     index = index * 10 + static_cast<unsigned long>(c - '0');
   }
-  return RotationSuffix{std::string(name.substr(0, dot)), index};
+  return RotationSuffix{name.substr(0, dot), index};
+}
+
+std::vector<RotationFamily> rotation_families(
+    std::span<const std::string_view> names) {
+  struct Key {
+    std::string_view base;
+    bool live;
+    unsigned long index;
+    std::size_t member;
+  };
+  std::vector<Key> keys;
+  keys.reserve(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto rotation = split_rotation_suffix(names[i]);
+    keys.push_back(rotation ? Key{rotation->base, false, rotation->index, i}
+                            : Key{names[i], true, 0, i});
+  }
+  std::sort(keys.begin(), keys.end(), [names](const Key& a, const Key& b) {
+    if (a.base != b.base) return a.base < b.base;
+    if (a.live != b.live) return b.live;
+    if (a.index != b.index) return a.index > b.index;
+    return names[a.member] < names[b.member];
+  });
+  std::vector<RotationFamily> out;
+  for (std::size_t k = 0; k < keys.size();) {
+    RotationFamily family;
+    family.base = std::string(keys[k].base);
+    const std::size_t first = k;
+    for (; k < keys.size() && keys[k].base == keys[first].base; ++k) {
+      family.members.push_back(keys[k].member);
+    }
+    if (family.members.size() > 1 || !keys[first].live) {
+      std::string segment_list;
+      for (const std::size_t member : family.members) {
+        if (!segment_list.empty()) segment_list += ", ";
+        segment_list += names[member];
+      }
+      family.gap = logging::Diagnostic{
+          logging::DiagnosticKind::kRotationGap, family.base, 0,
+          family.members.size(),
+          "reassembled " + std::to_string(family.members.size()) +
+              " rotated segments: " + segment_list};
+    }
+    out.push_back(std::move(family));
+  }
+  return out;
 }
 
 namespace {
@@ -45,44 +77,15 @@ namespace {
 using logging::Diagnostic;
 using logging::DiagnosticKind;
 
-/// A maximal run of consecutive unparsable lines (absolute 1-based
-/// `start`).  `first_plain` / `last_plain` record whether the run's
-/// boundary lines were plain failures (not garbage, not timestamp-cut) —
-/// the head/tail-truncation rules only fire on plain boundaries so one
-/// phenomenon is not reported twice.
-struct UnparsedRun {
-  std::size_t start = 0;
-  std::size_t len = 0;
-  bool first_plain = false;
-  bool last_plain = false;
-};
-
-/// What one chunk of a stream learned on its own: its events (sorted),
-/// the *first-seen* candidates the stitch pass resolves stream-wide, and
-/// provisional diagnostic state whose boundary cases (runs and timestamp
-/// jumps spanning a chunk edge) the stitch pass closes.
+/// What one chunk of a stream learned on its own: its events (sorted)
+/// and the cursor over its lines, which the stitch pass joins in chunk
+/// order.
 struct ChunkOut {
   EventBatch events;
-  std::size_t lines_unparsed = 0;
   /// Parsed lines whose message was too short for any extractor rule —
   /// dispatch skipped entirely (aggregated into mine.scan.prefilter_skipped).
   std::size_t prefilter_skipped = 0;
-  std::optional<std::int64_t> first_parsed_ts;
-  StreamKind kind = StreamKind::kUnknown;
-  std::optional<ApplicationId> first_app;
-  std::optional<ContainerId> first_container;
-
-  // Diagnostic bookkeeping (all line numbers absolute, 1-based).
-  std::size_t garbage_count = 0;
-  std::size_t garbage_first_line = 0;
-  std::size_t tscut_count = 0;
-  std::size_t tscut_first_line = 0;
-  std::vector<UnparsedRun> unparsed_runs;
-  std::size_t regression_count = 0;
-  std::size_t regression_first_line = 0;
-  std::int64_t regression_max_ms = 0;
-  std::size_t first_parsed_line = 0;
-  std::optional<std::int64_t> last_parsed_ts;
+  StreamCursor cursor;
 };
 
 /// Mines lines [base_line, base_line + lines.size()) of one stream.
@@ -92,69 +95,15 @@ struct ChunkOut {
 ChunkOut mine_chunk(std::uint32_t stream_id,
                     const std::shared_ptr<const StringInterner>& pool,
                     std::span<const std::string_view> lines,
-                    std::size_t base_line, const MinerOptions& options) {
-  ChunkOut out;
-  out.events = EventBatch(pool);
+                    std::size_t base_line) {
+  ChunkOut out{EventBatch(pool), 0, StreamCursor(base_line)};
   const std::size_t shortest_rule_len = min_rule_message_len();
-  UnparsedRun run;  // run.len == 0 <=> no open run
-  const auto close_run = [&out, &run] {
-    if (run.len > 0) out.unparsed_runs.push_back(run);
-    run = UnparsedRun{};
-  };
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::size_t line_no = base_line + i + 1;
-    const auto parsed = parse_line(lines[i]);
-    if (!parsed) {
-      ++out.lines_unparsed;
-      const UnparsedClass fail = classify_unparsed_line(lines[i]);
-      if (fail == UnparsedClass::kBinaryGarbage) {
-        ++out.garbage_count;
-        if (out.garbage_first_line == 0) out.garbage_first_line = line_no;
-      } else if (fail == UnparsedClass::kTruncated) {
-        ++out.tscut_count;
-        if (out.tscut_first_line == 0) out.tscut_first_line = line_no;
-      }
-      if (run.len == 0) {
-        run.start = line_no;
-        run.first_plain = fail == UnparsedClass::kPlain;
-      }
-      ++run.len;
-      run.last_plain = fail == UnparsedClass::kPlain;
-      continue;
-    }
-    close_run();
-    if (!out.first_parsed_ts) {
-      out.first_parsed_ts = parsed->epoch_ms;
-      out.first_parsed_line = line_no;
-    }
-    if (out.last_parsed_ts &&
-        *out.last_parsed_ts - parsed->epoch_ms > options.skew_budget_ms) {
-      ++out.regression_count;
-      if (out.regression_first_line == 0) out.regression_first_line = line_no;
-      out.regression_max_ms =
-          std::max(out.regression_max_ms, *out.last_parsed_ts - parsed->epoch_ms);
-    }
-    out.last_parsed_ts = parsed->epoch_ms;
-    if (out.kind == StreamKind::kUnknown) {
-      out.kind = classify_line(*parsed);
-    }
-    // Record the first application/container id seen in this chunk; the
-    // stitch pass binds the stream to the first across chunks (driver
-    // and executor logs do not carry ids on every line — Fig. 2).
-    if (!out.first_container) {
-      if (auto container = find_container_id(parsed->message)) {
-        out.first_container = container;
-      }
-    }
-    if (!out.first_app) {
-      if (auto app = find_application_id(parsed->message)) {
-        out.first_app = app;
-      }
-    }
+  for (const std::string_view line : lines) {
+    const auto parsed = out.cursor.feed(line);
+    if (!parsed) continue;
     if (parsed->message.size() < shortest_rule_len) ++out.prefilter_skipped;
-    extract_event_into(*parsed, stream_id, line_no, out.events);
+    extract_event_into(*parsed, stream_id, out.cursor.line_no(), out.events);
   }
-  close_run();
   // Chunks emit sorted runs; within one stream the order reduces to
   // (ts, line, kind).  Columnar index sort — the keys are contiguous
   // arrays.
@@ -162,143 +111,42 @@ ChunkOut mine_chunk(std::uint32_t stream_id,
   return out;
 }
 
-/// Derives the stream's diagnostics from the merged per-chunk state, in a
-/// fixed order: (rotation pre-diagnostics,) garbage summary, cut-line
-/// summary, head tear, bursts by position, tail tear, regression summary.
-/// Everything here is computed from chunk-order-merged data, so sharded
-/// and serial mining produce identical records.
-void emit_stream_diagnostics(MinedStream& out,
-                             const std::vector<ChunkOut>& chunks,
-                             const MinerOptions& options) {
-  // Fold per-line summaries and merge boundary state across chunks.
-  std::size_t garbage_count = 0, garbage_first = 0;
-  std::size_t tscut_count = 0, tscut_first = 0;
-  std::size_t reg_count = 0, reg_first = 0;
-  std::int64_t reg_max = 0;
-  std::optional<std::int64_t> prev_last_ts;
-  std::vector<UnparsedRun> runs;
-  for (const ChunkOut& chunk : chunks) {
-    garbage_count += chunk.garbage_count;
-    if (garbage_first == 0) garbage_first = chunk.garbage_first_line;
-    tscut_count += chunk.tscut_count;
-    if (tscut_first == 0) tscut_first = chunk.tscut_first_line;
-    // A jump backwards across the chunk boundary is a regression the
-    // chunks could not see on their own.
-    if (chunk.first_parsed_ts && prev_last_ts &&
-        *prev_last_ts - *chunk.first_parsed_ts > options.skew_budget_ms) {
-      ++reg_count;
-      if (reg_first == 0) reg_first = chunk.first_parsed_line;
-      reg_max = std::max(reg_max, *prev_last_ts - *chunk.first_parsed_ts);
-    }
-    if (chunk.regression_count > 0) {
-      reg_count += chunk.regression_count;
-      if (reg_first == 0) reg_first = chunk.regression_first_line;
-      reg_max = std::max(reg_max, chunk.regression_max_ms);
-    }
-    if (chunk.last_parsed_ts) prev_last_ts = chunk.last_parsed_ts;
-    // Unparsable runs touching the chunk edge continue into the next
-    // chunk's leading run; merge adjacent runs.
-    for (const UnparsedRun& run : chunk.unparsed_runs) {
-      if (!runs.empty() && runs.back().start + runs.back().len == run.start) {
-        runs.back().len += run.len;
-        runs.back().last_plain = run.last_plain;
-      } else {
-        runs.push_back(run);
-      }
-    }
-  }
-
-  auto& diags = out.diagnostics;
-  if (garbage_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kBinaryGarbage, out.name,
-                               garbage_first, garbage_count,
-                               "line(s) contain NUL or mostly non-printable "
-                               "bytes"});
-  }
-  if (tscut_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name,
-                               tscut_first, tscut_count,
-                               "line(s) cut mid-write: timestamp intact, "
-                               "remainder malformed"});
-  }
-  for (const UnparsedRun& run : runs) {
-    if (run.start == 1 && run.first_plain) {
-      diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name, 1,
-                                 1,
-                                 "stream begins mid-line (head truncation or "
-                                 "rotation tear)"});
-    }
-  }
-  for (const UnparsedRun& run : runs) {
-    if (run.len >= options.unparsable_burst_min) {
-      diags.push_back(Diagnostic{DiagnosticKind::kUnparsableBurst, out.name,
-                                 run.start, run.len,
-                                 std::to_string(run.len) +
-                                     " consecutive unparsable lines"});
-    }
-  }
-  for (const UnparsedRun& run : runs) {
-    const bool is_tail = run.start + run.len - 1 == out.lines_total;
-    const bool head_already = run.start == 1 && run.len == 1 && run.first_plain;
-    if (is_tail && run.last_plain && !head_already) {
-      diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name,
-                                 out.lines_total, 1,
-                                 "stream ends mid-line (tail truncation)"});
-    }
-  }
-  if (reg_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kTimestampRegression, out.name,
-                               reg_first, reg_count,
-                               "timestamp jumped backwards by up to " +
-                                   std::to_string(reg_max) +
-                                   " ms (budget " +
-                                   std::to_string(options.skew_budget_ms) +
-                                   " ms)"});
-  }
-  out.diag_counts = logging::count_diagnostics(diags);
-}
-
-/// Resolves the stream-wide values from per-chunk candidates (in chunk
-/// order, i.e. file order), synthesizes FIRST_LOG, merges the chunk
-/// runs, binds stream-scoped events, and derives the stream's
-/// diagnostics — semantically identical to a serial pass over the whole
-/// stream.
+/// Joins the chunk cursors in chunk order (file order), renders the
+/// stream's diagnostics, synthesizes FIRST_LOG, merges the chunk runs
+/// and binds stream-scoped events — semantically identical to a serial
+/// pass over the whole stream.
 MinedStream stitch_stream(const std::string& name, std::uint32_t stream_id,
                           const std::shared_ptr<const StringInterner>& pool,
-                          std::size_t lines_total, std::vector<ChunkOut> chunks,
-                          const MinerOptions& options,
+                          std::vector<ChunkOut> chunks,
                           std::vector<Diagnostic> pre_diagnostics = {}) {
-  MinedStream out;
-  out.name = name;
-  out.lines_total = lines_total;
-  out.diagnostics = std::move(pre_diagnostics);
-  std::optional<std::int64_t> first_parsed_ts;
-  for (const ChunkOut& chunk : chunks) {
-    out.lines_unparsed += chunk.lines_unparsed;
-    if (!first_parsed_ts) first_parsed_ts = chunk.first_parsed_ts;
-    if (out.kind == StreamKind::kUnknown) out.kind = chunk.kind;
-    if (!out.bound_container) out.bound_container = chunk.first_container;
-    if (!out.bound_app) out.bound_app = chunk.first_app;
-  }
-  if (!out.bound_app && out.bound_container) {
-    out.bound_app = out.bound_container->app;
-  }
-  emit_stream_diagnostics(out, chunks, options);
-
+  StreamCursor cursor;
   std::vector<EventBatch> runs;
   runs.reserve(chunks.size() + 1);
-  for (ChunkOut& chunk : chunks) runs.push_back(std::move(chunk.events));
+  for (ChunkOut& chunk : chunks) {
+    cursor.join(chunk.cursor);
+    runs.push_back(std::move(chunk.events));
+  }
+  MinedStream out;
+  out.name = name;
+  out.kind = cursor.kind();
+  out.lines_total = cursor.line_no();
+  out.lines_unparsed = cursor.lines_unparsed();
+  out.bound_app = cursor.bound_app();
+  out.bound_container = cursor.first_container();
+  out.diagnostics = std::move(pre_diagnostics);
+  cursor.render(name, out.diagnostics);
+  out.diag_counts = logging::count_diagnostics(out.diagnostics);
+
   // Synthesize FIRST_LOG (messages 9/13) from the first parseable line
   // of instance logs — appended as its own single-event run and placed
   // by the merge (it sorts ahead of any same-line real event via the
   // kind tiebreak), not front-inserted.
-  if (first_parsed_ts &&
-      (out.kind == StreamKind::kDriver || out.kind == StreamKind::kExecutor)) {
+  const std::optional<EventKind> first_log = cursor.first_log_kind();
+  const std::optional<std::int64_t> first_ts = cursor.first_parsed_ts();
+  if (first_log && first_ts) {
     EventBatch first_run(pool);
-    first_run.push(out.kind == StreamKind::kDriver
-                       ? EventKind::kDriverFirstLog
-                       : EventKind::kExecutorFirstLog,
-                   *first_parsed_ts, stream_id, 1, std::nullopt, std::nullopt);
+    first_run.push(*first_log, *first_ts, stream_id, 1, std::nullopt,
+                   std::nullopt);
     runs.push_back(std::move(first_run));
   }
   out.events = merge_event_batches(std::move(runs));
@@ -328,60 +176,30 @@ struct LogicalStream {
 };
 
 /// Groups `view`'s streams into logical streams, reassembling rotated
-/// families (`base`, `base.1`, `base.2`, ... — higher suffix = older,
-/// logrotate order: oldest first, base last).
+/// families (see `rotation_families`).
 std::vector<LogicalStream> group_rotations(const logging::BundleView& view) {
-  struct Member {
-    // Sort key: base members (no suffix) carry index 0 and rank 1 (they
-    // are the newest); suffixed members rank 0 ordered by descending
-    // index.
-    unsigned long index;
-    std::string name;
-  };
-  std::map<std::string, std::vector<Member>> families;
-  for (const std::string& name : view.stream_names()) {
-    if (const auto rotation = split_rotation_suffix(name)) {
-      families[rotation->base].push_back(Member{rotation->index, name});
-    } else {
-      families[name].push_back(Member{0, name});
-    }
-  }
+  const std::vector<std::string> names = view.stream_names();
+  const std::vector<std::string_view> name_views(names.begin(), names.end());
   std::vector<LogicalStream> out;
-  out.reserve(families.size());
-  for (auto& [base, members] : families) {
+  for (RotationFamily& family : rotation_families(name_views)) {
     LogicalStream logical;
-    logical.name = base;
-    if (members.size() == 1 && members.front().name == base) {
-      logical.lines = view.stream(base).lines();
+    logical.name = std::move(family.base);
+    if (!family.gap) {
+      logical.lines = view.stream(names[family.members.front()]).lines();
       out.push_back(std::move(logical));
       continue;
     }
-    // Oldest (highest suffix) first; the unsuffixed base — the live,
-    // newest segment — last.
-    std::sort(members.begin(), members.end(),
-              [&base](const Member& a, const Member& b) {
-                const bool a_base = a.name == base;
-                const bool b_base = b.name == base;
-                if (a_base != b_base) return b_base;
-                return a.index > b.index;
-              });
     std::size_t total = 0;
-    std::string segment_list;
-    for (const Member& member : members) {
-      total += view.stream(member.name).line_count();
-      if (!segment_list.empty()) segment_list += ", ";
-      segment_list += member.name;
+    for (const std::size_t member : family.members) {
+      total += view.stream(names[member]).line_count();
     }
     logical.owned.reserve(total);
-    for (const Member& member : members) {
-      const auto& lines = view.stream(member.name).lines();
+    for (const std::size_t member : family.members) {
+      const auto& lines = view.stream(names[member]).lines();
       logical.owned.insert(logical.owned.end(), lines.begin(), lines.end());
     }
     logical.lines = logical.owned;
-    logical.pre_diagnostics.push_back(
-        Diagnostic{DiagnosticKind::kRotationGap, base, 0, members.size(),
-                   "reassembled " + std::to_string(members.size()) +
-                       " rotated segments: " + segment_list});
+    logical.pre_diagnostics.push_back(std::move(*family.gap));
     out.push_back(std::move(logical));
   }
   return out;
@@ -415,7 +233,6 @@ struct MinePlan::Impl {
     std::size_t end;
   };
 
-  MinerOptions options;
   std::vector<LogicalStream> logicals;
   std::shared_ptr<const StringInterner> pool;
   std::vector<ChunkRef> refs;
@@ -434,7 +251,6 @@ struct MinePlan::Impl {
 MinePlan::MinePlan(const logging::BundleView& view,
                    const MinerOptions& options)
     : impl_(std::make_unique<Impl>()) {
-  impl_->options = options;
   static obs::Gauge& lines_expected =
       obs::catalog_gauge(obs::metric::kMineLinesExpected);
   // Which scan backend this mine runs with (one count per plan — the
@@ -526,8 +342,7 @@ void MinePlan::run_chunk(std::size_t chunk) {
   const LogicalStream& logical = impl_->logicals[ref.stream];
   impl_->outs[chunk] = mine_chunk(
       impl_->pool->find(logical.name), impl_->pool,
-      logical.lines.subspan(ref.begin, ref.end - ref.begin), ref.begin,
-      impl_->options);
+      logical.lines.subspan(ref.begin, ref.end - ref.begin), ref.begin);
   impl_->lines_counter.add(ref.end - ref.begin);
   impl_->prefilter_counter.add(impl_->outs[chunk].prefilter_skipped);
 }
@@ -542,8 +357,8 @@ MinedStream MinePlan::stitch(std::size_t stream) {
                               static_cast<std::ptrdiff_t>(
                                   impl_->first_chunk[stream + 1])));
   return stitch_stream(logical.name, impl_->pool->find(logical.name),
-                       impl_->pool, logical.lines.size(), std::move(chunks),
-                       impl_->options, std::move(logical.pre_diagnostics));
+                       impl_->pool, std::move(chunks),
+                       std::move(logical.pre_diagnostics));
 }
 
 MinedStream LogMiner::mine_stream(
@@ -552,9 +367,8 @@ MinedStream LogMiner::mine_stream(
   const std::uint32_t stream_id = pool->intern(name);
   const std::shared_ptr<const StringInterner> frozen = std::move(pool);
   std::vector<ChunkOut> chunks;
-  chunks.push_back(mine_chunk(stream_id, frozen, lines, 0, options_));
-  return stitch_stream(name, stream_id, frozen, lines.size(),
-                       std::move(chunks), options_);
+  chunks.push_back(mine_chunk(stream_id, frozen, lines, 0));
+  return stitch_stream(name, stream_id, frozen, std::move(chunks));
 }
 
 MinedStream LogMiner::mine_stream(const std::string& name,

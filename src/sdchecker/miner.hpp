@@ -18,10 +18,9 @@
 // Parallelism is two-level: streams are mined concurrently, and each
 // stream is itself split into chunks at line boundaries so one dominant
 // stream (the RM log — every application's state machine logs there)
-// cannot serialize the run.  Chunks record their first-seen candidates
-// (timestamp, kind, ids) and provisional boundary state (open unparsable
-// runs, last parsed timestamp); a stitch pass resolves the stream-wide
-// values in chunk order, which makes the sharded result — events *and*
+// cannot serialize the run.  Each chunk drives a `StreamCursor`
+// (stream_cursor.hpp) over its lines; a stitch pass joins the chunk
+// cursors in chunk order, which makes the sharded result — events *and*
 // diagnostics — identical to a serial pass.  Each chunk emits a sorted
 // event run; runs are combined by k-way merge instead of a global sort.
 #pragma once
@@ -51,15 +50,6 @@ struct MinerOptions {
   /// cannot dominate short streams.  0 disables intra-stream sharding
   /// (one chunk per stream — the pre-sharding behaviour).
   std::size_t shard_grain = 8192;
-  /// A within-stream timestamp going backwards by more than this budget
-  /// is reported as a kTimestampRegression diagnostic (NTP step,
-  /// interleaved foreign lines).  Smaller jitter is normal (buffered
-  /// appenders) and ignored.
-  std::int64_t skew_budget_ms = 1000;
-  /// Minimum length of a consecutive unparsable-line run reported as a
-  /// kUnparsableBurst (stack traces are a few lines; long runs mean a
-  /// corrupt or foreign section).
-  std::size_t unparsable_burst_min = 4;
   /// Streaming ingestion only (IncrementalAnalyzer/follow mode): maximum
   /// events parked per stream while the stream has not bound to an
   /// application id.  A stream that never binds would otherwise grow its
@@ -171,20 +161,34 @@ class LogMiner {
   MinerOptions options_;
 };
 
-/// The deterministic total order of `MineResult::events`: (ts, stream,
-/// line, kind) — the final kind tiebreak places a synthesized FIRST_LOG
-/// ahead of a real event extracted from the same line.
-[[nodiscard]] bool event_order_less(const SchedEvent& a, const SchedEvent& b);
-[[nodiscard]] bool event_order_less(const EventBatch::View& a,
-                                    const EventBatch::View& b);
-
-/// Splits a rotated-segment file name: "rm.log.3" -> {"rm.log", 3}.
-/// Returns nullopt for names without an all-digit final component.
+/// Splits a rotated-segment file name: "rm.log.3" -> {"rm.log", 3}
+/// (`base` aliases `name`).  Returns nullopt for names without an
+/// all-digit final component.
 struct RotationSuffix {
-  std::string base;
+  std::string_view base;
   unsigned long index = 0;
 };
 [[nodiscard]] std::optional<RotationSuffix> split_rotation_suffix(
     std::string_view name);
+
+/// One logical stream of a log directory: a rotated family (`rm.log`,
+/// `rm.log.1`, `rm.log.2`, ...) or a lone file.
+struct RotationFamily {
+  std::string base;
+  /// Indices into the names given to `rotation_families`, in logrotate
+  /// order: oldest (highest suffix) first, the unsuffixed live file
+  /// last — the order the family's lines are reassembled in.
+  std::vector<std::size_t> members;
+  /// The kRotationGap record batch analysis reports for a family that
+  /// is more than a lone base file.
+  std::optional<logging::Diagnostic> gap;
+};
+
+/// Groups file names into logical streams, in base-name order.  The
+/// batch reader reassembles rotated families with it, and follow mode
+/// uses it for its drain order and its snapshot's rotation records, so
+/// both agree on the rule.
+[[nodiscard]] std::vector<RotationFamily> rotation_families(
+    std::span<const std::string_view> names);
 
 }  // namespace sdc::checker

@@ -29,9 +29,6 @@ struct AnalyzeOptions {
   /// Minimum lines per intra-stream mining chunk (see MinerOptions);
   /// 0 disables intra-stream sharding.
   std::size_t shard_grain = 8192;
-  /// Within-stream backwards timestamp jumps beyond this budget become
-  /// kTimestampRegression diagnostics (see MinerOptions).
-  std::int64_t skew_budget_ms = 1000;
   /// Shards (and worker threads) for the post-mining analysis stage:
   /// grouping is partitioned by application, decomposition and anomaly
   /// detection run per app on a pool.  1 = the serial stage; 0 = one
@@ -46,7 +43,6 @@ struct AnalyzeOptions {
     MinerOptions options;
     options.threads = threads;
     options.shard_grain = shard_grain;
-    options.skew_budget_ms = skew_budget_ms;
     return options;
   }
 };

@@ -217,19 +217,19 @@ std::vector<Finding> check_contract(
     parsed.level = "INFO";
     parsed.logger = line.logger;
     parsed.message = line.message;
-    const auto event = checker::apply_rule(rule, parsed, "sdlint", 1);
-    if (!event) {
+    checker::EventBatch extracted;
+    if (!checker::apply_rule(rule, parsed, 0, 1, extracted)) {
       findings.push_back(make_finding(
           "contract.no-id", line.name,
           "rule " + std::string(rule.klass) + "/" + std::string(rule.token) +
               " matches but fails to extract its required id from \"" +
               line.message + "\""));
-    } else if (event->kind != *expected) {
+    } else if (extracted.kind_at(0) != *expected) {
       findings.push_back(make_finding(
           "contract.wrong-event", line.name,
           "extraction produced " +
-              std::string(checker::event_name(event->kind)) + " instead of " +
-              line.emits));
+              std::string(checker::event_name(extracted.kind_at(0))) +
+              " instead of " + line.emits));
     }
   }
 

@@ -23,7 +23,7 @@ std::string edge_label(const yarn::MachineDescriptor& machine,
   const auto name = [&](std::size_t state) {
     return state < machine.state_names.size()
                ? std::string(machine.state_names[state])
-               : "#" + std::to_string(state);
+               : std::string("#").append(std::to_string(state));
   };
   return std::string(machine.name) + " " + name(edge.from) + " -> " +
          name(edge.to);

@@ -1,7 +1,8 @@
 // Tests for the seeded corpus mutator and its self-check harness: the
 // analyzer never crashes on any mutant, the identity mutation is
-// event-for-event identical to the baseline, and every destructive
-// class surfaces a nonzero count of its expected diagnostic kind.
+// event-for-event identical to the baseline, every destructive class
+// surfaces a nonzero count of its expected diagnostic kind, and follow
+// mode tailing each mutant drains to the batch analysis.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -68,7 +69,8 @@ TEST(CorpusMutator, IdentityIsByteIdentical) {
 
 TEST(CorpusMutator, NeverCrashesAcrossSeedsAndClasses) {
   // The never-crash contract, over several seeds.  fuzz_corpus captures
-  // any analyzer exception as a per-case failure; none may occur.
+  // any analyzer exception as a per-case failure; none may occur.  The
+  // follow leg must drain to the batch analysis on every mutant too.
   for (const std::uint64_t seed : {1ull, 42ull, 20170703ull}) {
     const auto results = fuzz_corpus(golden(), seed, all_mutation_classes());
     ASSERT_EQ(results.size(), kMutationClassCount);
@@ -76,6 +78,8 @@ TEST(CorpusMutator, NeverCrashesAcrossSeedsAndClasses) {
       EXPECT_FALSE(result.crashed)
           << mutation_class_name(result.cls) << " seed " << seed << ": "
           << result.error;
+      EXPECT_TRUE(result.follow_matches)
+          << mutation_class_name(result.cls) << " seed " << seed;
     }
   }
 }

@@ -4,6 +4,7 @@
 // plus fuzzed id round-trips.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -34,20 +35,25 @@ TEST_P(Table1Messages, ExtractsKindAndIds) {
   const MessageCase& message_case = GetParam();
   const auto parsed = parse_line(message_case.line);
   ASSERT_TRUE(parsed.has_value());
-  const auto event = extract_event(*parsed, "stream.log", 7);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->kind, message_case.kind);
-  EXPECT_EQ(event->ts_ms, 1'499'100'000'123);
-  EXPECT_EQ(event->line_no, 7u);
+  const auto pool = std::make_shared<StringInterner>();
+  EventBatch batch(pool);
+  ASSERT_TRUE(
+      extract_event_into(*parsed, pool->intern("stream.log"), 7, batch));
+  ASSERT_EQ(batch.size(), 1u);
+  const EventBatch::View event = batch[0];
+  EXPECT_EQ(event.stream, "stream.log");
+  EXPECT_EQ(event.kind, message_case.kind);
+  EXPECT_EQ(event.ts_ms, 1'499'100'000'123);
+  EXPECT_EQ(event.line_no, 7u);
   if (message_case.app_id > 0) {
-    ASSERT_TRUE(event->app.has_value());
-    EXPECT_EQ(event->app->id, message_case.app_id);
+    ASSERT_TRUE(event.app.has_value());
+    EXPECT_EQ(event.app->id, message_case.app_id);
   }
   if (message_case.container_id > 0) {
-    ASSERT_TRUE(event->container.has_value());
-    EXPECT_EQ(event->container->id, message_case.container_id);
+    ASSERT_TRUE(event.container.has_value());
+    EXPECT_EQ(event.container->id, message_case.container_id);
   } else {
-    EXPECT_FALSE(event->container.has_value());
+    EXPECT_FALSE(event.container.has_value());
   }
 }
 

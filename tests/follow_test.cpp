@@ -79,13 +79,58 @@ AnalysisResult batch_analyze(const fs::path& dir) {
 
 // --- live append + late stream + quiescence parity ---------------------
 
-TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
-  const auto run = small_run();
-  const fs::path dir = scratch_dir("sdc_follow_live");
-  const auto names = run.logs.stream_names();
+/// `logs` with its first driver log damaged: the first line cut
+/// mid-timestamp, then a 5-line and a 4-line unparsable run.
+logging::LogBundle with_damaged_driver_log(const logging::LogBundle& logs) {
+  logging::LogBundle out;
+  bool damaged = false;
+  for (const auto& name : logs.stream_names()) {
+    const auto& lines = logs.lines(name);
+    if (damaged || name.find("driver") == std::string::npos ||
+        lines.size() < 8) {
+      for (const auto& line : lines) out.append(name, line);
+      continue;
+    }
+    damaged = true;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      out.append(name, i == 0 ? lines[i].substr(3) : lines[i]);
+      const std::size_t burst = i == 2 ? 5 : i == 5 ? 4 : 0;
+      for (std::size_t b = 0; b < burst; ++b) {
+        out.append(name, "\tat org.apache.spark.deploy.Client.run(" +
+                             std::to_string(100 + b) + ")");
+      }
+    }
+  }
+  EXPECT_TRUE(damaged);
+  return out;
+}
+
+/// `logs` with its first executor log ending in a two-line stack trace.
+logging::LogBundle with_trailing_stack_trace(const logging::LogBundle& logs) {
+  logging::LogBundle out;
+  bool done = false;
+  for (const auto& name : logs.stream_names()) {
+    for (const auto& line : logs.lines(name)) out.append(name, line);
+    if (!done && name.find("executor") != std::string::npos) {
+      done = true;
+      out.append(name, "java.lang.IllegalStateException: shuffle fetch failed");
+      out.append(name, "\tat org.apache.spark.executor.Executor.run(42)");
+    }
+  }
+  EXPECT_TRUE(done);
+  return out;
+}
+
+/// Writes `logs` into `dir` while a FollowService tails it — stream 0
+/// appears only from round 3, every stream's bytes arrive in 6 slices
+/// cut mid-line — and requires the drained snapshot to equal batch
+/// analysis of the directory byte for byte.
+void expect_live_appends_match_batch(const logging::LogBundle& logs,
+                                     const fs::path& dir) {
+  const auto names = logs.stream_names();
   ASSERT_GE(names.size(), 2u);
   std::vector<std::string> texts;
-  for (const auto& name : names) texts.push_back(join_lines(run.logs.lines(name)));
+  for (const auto& name : names) texts.push_back(join_lines(logs.lines(name)));
 
   FollowOptions options;
   options.retire = false;  // parity under eviction is its own test
@@ -121,6 +166,43 @@ TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
   EXPECT_EQ(live.events_total, batch.events_total);
   EXPECT_EQ(service.streams_seen(), names.size());
   EXPECT_EQ(service.analyzer().events_late_dropped(), 0u);
+}
+
+TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
+  const auto run = small_run();
+  {
+    SCOPED_TRACE("clean corpus");
+    expect_live_appends_match_batch(run.logs, scratch_dir("sdc_follow_live"));
+  }
+  {
+    SCOPED_TRACE("damaged driver log");
+    const fs::path dir = scratch_dir("sdc_follow_live_damaged");
+    expect_live_appends_match_batch(with_damaged_driver_log(run.logs), dir);
+    // Batch's records: the head tear and one record per burst.
+    const AnalysisResult batch = batch_analyze(dir);
+    std::vector<std::size_t> bursts;
+    bool head_tear = false;
+    for (const auto& diagnostic : batch.diagnostics) {
+      if (diagnostic.kind == logging::DiagnosticKind::kUnparsableBurst) {
+        bursts.push_back(diagnostic.count);
+      }
+      head_tear = head_tear ||
+                  diagnostic.detail.starts_with("stream begins mid-line");
+    }
+    EXPECT_TRUE(head_tear);
+    EXPECT_EQ(bursts, (std::vector<std::size_t>{5, 4}));
+  }
+  {
+    SCOPED_TRACE("trailing stack trace");
+    const fs::path dir = scratch_dir("sdc_follow_live_stack");
+    expect_live_appends_match_batch(with_trailing_stack_trace(run.logs), dir);
+    bool tail_tear = false;
+    for (const auto& diagnostic : batch_analyze(dir).diagnostics) {
+      tail_tear = tail_tear ||
+                  diagnostic.detail.starts_with("stream ends mid-line");
+    }
+    EXPECT_TRUE(tail_tear);
+  }
 }
 
 // --- rotation handoff --------------------------------------------------

@@ -265,9 +265,8 @@ TEST(MinerRobustness, TimestampRegressionBeyondBudgetDiagnosed) {
   logging::LogBundle bundle;
   bundle.append("app.log", line(5000, "com.example.A", "later"));
   bundle.append("app.log", line(0, "com.example.A", "clock stepped back"));
-  MinerOptions options;
-  options.skew_budget_ms = 1000;
-  const auto mined = LogMiner(options).mine(bundle);
+  const LogMiner miner;
+  const auto mined = miner.mine(bundle);
   const MinedStream* app = stream_named(mined, "app.log");
   ASSERT_NE(app, nullptr);
   EXPECT_EQ(
@@ -277,7 +276,7 @@ TEST(MinerRobustness, TimestampRegressionBeyondBudgetDiagnosed) {
   logging::LogBundle jitter;
   jitter.append("app.log", line(500, "com.example.A", "later"));
   jitter.append("app.log", line(0, "com.example.A", "small jitter"));
-  const auto mined_jitter = LogMiner(options).mine(jitter);
+  const auto mined_jitter = miner.mine(jitter);
   EXPECT_EQ(mined_jitter.diag_counts.of(
                 logging::DiagnosticKind::kTimestampRegression),
             0u);

@@ -18,6 +18,7 @@
 #include "logging/timestamp.hpp"
 #include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "sdchecker/stream_cursor.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -112,6 +113,68 @@ TEST(ShardedMiner, DamagedCorpusDiagnosticsIdenticalToSerial) {
   EXPECT_EQ(serial.diag_counts.of(DiagnosticKind::kTruncatedLine), 1u);
 }
 
+/// Everything a cursor reports: its rendered records plus the
+/// first-seen state the stitch pass reads.
+std::string cursor_state(const StreamCursor& cursor) {
+  std::vector<logging::Diagnostic> records;
+  cursor.render("s.log", records);
+  std::string out = std::to_string(cursor.line_no());
+  out += '/';
+  out += std::to_string(cursor.lines_unparsed());
+  out += '/';
+  out += stream_kind_name(cursor.kind());
+  out += '/';
+  out += std::to_string(cursor.first_parsed_ts().value_or(-1));
+  out += '/';
+  out += cursor.bound_app() ? cursor.bound_app()->str() : "-";
+  for (const auto& record : records) {
+    out += '\n';
+    out += logging::render_diagnostic(record);
+  }
+  return out;
+}
+
+TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
+  const std::string cls = "org.apache.spark.deploy.yarn.ApplicationMaster";
+  const std::string plain = "\tat org.example.Frame.run(Frame.java:1)";
+  const std::string garbage("\x01\x02\0junk\x03", 8);
+  const std::string cut = logging::format_epoch_ms(kEpoch) + " INF";
+  const std::vector<std::string> lines = {
+      "ate change from A to B",  // head tear
+      line(0, cls, "Registering application_1499100000000_0042"),
+      plain, plain,  // short run: dropped once closed
+      line(10, cls, "step"),
+      plain, garbage, plain, cut, plain,  // 5-line burst
+      line(5000, cls, "later"),
+      line(100, cls, "clock stepped back"),
+      garbage,
+      line(6000, cls, "after garbage"),
+      plain, plain, plain, plain,  // 4-line burst
+      line(7000, cls, "more"),
+      plain, plain,  // tail tear
+  };
+  StreamCursor whole;
+  for (const auto& text : lines) whole.feed(text);
+  const std::string expected = cursor_state(whole);
+  ASSERT_NE(expected.find("stream begins mid-line"), std::string::npos);
+  ASSERT_NE(expected.find("5 consecutive"), std::string::npos);
+  ASSERT_NE(expected.find("stream ends mid-line"), std::string::npos);
+  const auto cursor_over = [&lines](std::size_t begin, std::size_t end) {
+    StreamCursor cursor(begin);
+    for (std::size_t i = begin; i < end; ++i) cursor.feed(lines[i]);
+    return cursor;
+  };
+  const std::size_t n = lines.size();
+  for (std::size_t i = 0; i <= n; ++i) {
+    for (std::size_t j = i; j <= n; ++j) {
+      StreamCursor joined = cursor_over(0, i);
+      joined.join(cursor_over(i, j));
+      joined.join(cursor_over(j, n));
+      EXPECT_EQ(cursor_state(joined), expected) << "seams " << i << ", " << j;
+    }
+  }
+}
+
 TEST(ShardedMiner, GoldenCorpusIdenticalToSerial) {
   const auto dir = corpus_dir();
   const MineResult serial = LogMiner(MinerOptions{1}).mine_directory(dir);
@@ -176,7 +239,8 @@ TEST(ShardedMiner, OutOfOrderTimestampsMergeIdentically) {
   const MineResult sharded = LogMiner(MinerOptions{3, 4}).mine(bundle);
   expect_same_events(serial, sharded);
   for (std::size_t i = 1; i < sharded.events.size(); ++i) {
-    EXPECT_FALSE(event_order_less(sharded.events[i], sharded.events[i - 1]));
+    EXPECT_FALSE(
+        EventBatch::row_less(sharded.events, i, sharded.events, i - 1));
   }
 }
 

@@ -2,6 +2,8 @@
 // Table-I message extraction.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/parsed_line.hpp"
 
@@ -185,10 +187,17 @@ TEST(Extractor, ClassifyByLoggerClass) {
 
 // --- event extraction (Table I) ------------------------------------------------------
 
-std::optional<SchedEvent> extract(const std::string& line) {
+std::optional<EventBatch::View> extract(const std::string& line) {
+  static const auto pool = [] {
+    auto building = std::make_shared<StringInterner>();
+    building->intern("test.log");
+    return std::shared_ptr<const StringInterner>(std::move(building));
+  }();
   const auto parsed = parse_line(line);
   if (!parsed) return std::nullopt;
-  return extract_event(*parsed, "test.log", 1);
+  EventBatch batch(pool);
+  if (!extract_event_into(*parsed, 0, 1, batch)) return std::nullopt;
+  return batch[0];
 }
 
 std::string rm_container_line(const std::string& from, const std::string& to) {

@@ -4,9 +4,11 @@
 // (see sdchecker/corpus_mutator.hpp) and runs the analyzer over every
 // mutant.  The built-in self-check fails (exit 1) if the analyzer
 // crashes on any mutant, if the identity mutation is not event-for-event
-// identical to the baseline, or if a destructive class does not surface
-// its expected diagnostic kind.  With --out, each mutated corpus is also
-// written to <out>/<class-name>/ for replay.
+// identical to the baseline, if a destructive class does not surface
+// its expected diagnostic kind, or if follow mode tailing the mutant as
+// it is written does not drain to the batch analysis byte for byte.
+// With --out, each mutated corpus is also written to
+// <out>/<class-name>/ for replay.
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -30,7 +32,8 @@ int usage(std::ostream& out, int code) {
   out << "\n"
          "\n"
          "exit status: 0 all self-checks passed, 1 a mutant crashed the\n"
-         "analyzer or missed its expected diagnostic, 2 usage error\n";
+         "analyzer, missed its expected diagnostic or broke follow/batch\n"
+         "parity, 2 usage error\n";
   return code;
 }
 
