@@ -34,16 +34,11 @@ ok_or_diag() {
 
 "$SDCHECKER" simulate "$STAGE" --jobs 8 --seed 11
 
-# Tail the live directory in the background while the writer below is
-# still producing it.
-ok_or_diag "$SDCHECKER" follow "$LIVE" --watch --interval 0.2 \
-  --poll-ms 50 --exit-quiescent 8 --retire-quiet 2 \
-  --json "$WORK/follow.json" >"$WORK/watch.ndjson" &
-FOLLOW_PID=$!
-
 # Incremental writer: every stream arrives in byte slices (split is not
 # line-aligned, so polls see partial lines); the first stream is rotated
-# to `.1` halfway through its life.
+# to `.1` halfway through its life.  The slices are cut before the
+# follower starts, so it cannot drain an empty directory to quiescence
+# while they are being cut.
 ROTATED=""
 ROUNDS=6
 for f in "$STAGE"/*; do
@@ -51,6 +46,14 @@ for f in "$STAGE"/*; do
   [ -n "$ROTATED" ] || ROTATED="$name"
   split -d -n "$ROUNDS" "$f" "$WORK/slices.$name."
 done
+
+# Tail the live directory in the background while the writer below is
+# still producing it.
+ok_or_diag "$SDCHECKER" follow "$LIVE" --watch --interval 0.2 \
+  --poll-ms 50 --exit-quiescent 8 --retire-quiet 2 \
+  --json "$WORK/follow.json" >"$WORK/watch.ndjson" &
+FOLLOW_PID=$!
+
 for r in $(seq 0 $((ROUNDS - 1))); do
   for f in "$STAGE"/*; do
     name="$(basename "$f")"

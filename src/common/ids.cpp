@@ -1,5 +1,6 @@
 #include "common/ids.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 
@@ -17,6 +18,22 @@ bool parse_int(std::string_view text, std::size_t& pos, Int& out) {
   return true;
 }
 
+/// Writes `value` in decimal at `out`, zero-padded after any sign to
+/// `width` characters — printf's `%0<width>lld`.  Returns the end.
+char* put_int(char* out, std::int64_t value, int width = 0) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  const char* first = digits;
+  if (value < 0) *out++ = *first++;
+  for (auto pad = width - (end - digits); pad > 0; --pad) *out++ = '0';
+  return std::copy(first, end, out);
+}
+
+/// Copies a literal at `out`; returns the end.
+char* put(char* out, std::string_view text) {
+  return std::copy(text.begin(), text.end(), out);
+}
+
 /// Consumes a literal prefix; advances `pos` past it on success.
 bool consume(std::string_view text, std::size_t& pos, std::string_view lit) {
   if (text.substr(pos, lit.size()) != lit) return false;
@@ -28,9 +45,11 @@ bool consume(std::string_view text, std::size_t& pos, std::string_view lit) {
 
 std::string ApplicationId::str() const {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "application_%lld_%04d",
-                static_cast<long long>(cluster_ts), id);
-  return buf;
+  char* end = put(buf, "application_");
+  end = put_int(end, cluster_ts);
+  end = put(end, "_");
+  end = put_int(end, id, 4);
+  return std::string(buf, end);
 }
 
 std::optional<ApplicationId> ApplicationId::parse(std::string_view text) {
@@ -46,10 +65,15 @@ std::optional<ApplicationId> ApplicationId::parse(std::string_view text) {
 
 std::string ContainerId::str() const {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "container_%lld_%04d_%02d_%06lld",
-                static_cast<long long>(app.cluster_ts), app.id, attempt,
-                static_cast<long long>(id));
-  return buf;
+  char* end = put(buf, "container_");
+  end = put_int(end, app.cluster_ts);
+  end = put(end, "_");
+  end = put_int(end, app.id, 4);
+  end = put(end, "_");
+  end = put_int(end, attempt, 2);
+  end = put(end, "_");
+  end = put_int(end, id, 6);
+  return std::string(buf, end);
 }
 
 std::optional<ContainerId> ContainerId::parse(std::string_view text) {

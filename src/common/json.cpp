@@ -1,14 +1,22 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace sdc::json {
+namespace {
 
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
+/// Appends `text` escaped for inclusion inside JSON quotes: runs of
+/// bytes that need no escape are copied whole.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -25,16 +33,22 @@ std::string escape(std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out.append(escaped, sizeof(escaped));
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
+
+std::string escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  append_escaped(out, text);
   return out;
 }
 
@@ -81,7 +95,7 @@ Writer& Writer::end_array() {
 Writer& Writer::key(std::string_view name) {
   comma_if_needed();
   out_ += '"';
-  out_ += escape(name);
+  append_escaped(out_, name);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -90,14 +104,16 @@ Writer& Writer::key(std::string_view name) {
 Writer& Writer::value(std::string_view text) {
   comma_if_needed();
   out_ += '"';
-  out_ += escape(text);
+  append_escaped(out_, text);
   out_ += '"';
   return *this;
 }
 
 Writer& Writer::value(std::int64_t number) {
   comma_if_needed();
-  out_ += std::to_string(number);
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), number).ptr;
+  out_.append(buf, static_cast<std::size_t>(end - buf));
   return *this;
 }
 

@@ -36,6 +36,7 @@ constexpr MetricSpec kCatalog[] = {
     kFollowStreams,
     kFollowRotations,
     kFollowAppsRetired,
+    kFollowTailsChecked,
     kFollowPollLastAgeMs,
     kFollowPollStall,
     kObsHttpRequests,

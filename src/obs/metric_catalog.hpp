@@ -152,6 +152,10 @@ inline constexpr MetricSpec kFollowAppsRetired{
     "follow.apps_retired", MetricKind::kCounter, "apps",
     "applications retired by follow-mode eviction (mirrors "
     "`incremental.apps_retired` for the service)"};
+inline constexpr MetricSpec kFollowTailsChecked{
+    "follow.tails_checked", MetricKind::kGauge, "tails",
+    "tails whose size the last follow poll examined (parked tails "
+    "excluded)"};
 inline constexpr MetricSpec kFollowPollLastAgeMs{
     "follow.poll.last_age_ms", MetricKind::kGauge, "ms",
     "age of the most recent follow poll, refreshed whenever `/healthz` "

@@ -186,28 +186,52 @@ AnalysisResult IncrementalAnalyzer::snapshot(
 }
 
 std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
-  std::vector<logging::Diagnostic> out;
-  // The stream table is unordered; reports are per-stream in name order,
-  // so sort the (few) stream pointers at snapshot time.
-  std::vector<const std::pair<std::string, StreamState>*> ordered;
-  ordered.reserve(streams_.size());
-  for (const auto& entry : streams_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : ordered) {
-    const std::string& name = entry->first;
-    const StreamState& state = entry->second;
-    state.cursor.render(name, out);
+  // The stream table is unordered and reports are per-stream in name
+  // order: render every stream where it stands, then sort only the
+  // (few) streams that rendered a record.
+  struct Rendered {
+    const std::string* stream;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<logging::Diagnostic> records;
+  std::vector<Rendered> rendered;
+  for (const auto& [name, state] : streams_) {
+    const std::size_t begin = records.size();
+    state.cursor.render(name, records);
     if (state.parked_dropped > 0) {
-      out.push_back(logging::Diagnostic{
+      records.push_back(logging::Diagnostic{
           logging::DiagnosticKind::kUnboundStream, name,
           state.parked_dropped_first_line, state.parked_dropped,
           "stream never bound to an application id; parked-event cap (" +
               std::to_string(options_.parked_events_cap) +
               ") exceeded, event(s) dropped"});
     }
+    if (records.size() > begin) {
+      rendered.push_back(Rendered{&name, begin, records.size()});
+    }
+  }
+  std::sort(rendered.begin(), rendered.end(),
+            [](const Rendered& a, const Rendered& b) {
+              return *a.stream < *b.stream;
+            });
+  std::vector<logging::Diagnostic> out;
+  out.reserve(records.size());
+  for (const Rendered& stream : rendered) {
+    for (std::size_t i = stream.begin; i < stream.end; ++i) {
+      out.push_back(std::move(records[i]));
+    }
   }
   return out;
+}
+
+bool IncrementalAnalyzer::stream_retired(std::string_view stream) const {
+  const auto it = streams_.find(stream);
+  if (it == streams_.end()) return false;
+  const StreamState& state = it->second;
+  const StreamKind kind = state.cursor.kind();
+  return (kind == StreamKind::kDriver || kind == StreamKind::kExecutor) &&
+         state.bound_app && retired_.contains(*state.bound_app);
 }
 
 std::size_t IncrementalAnalyzer::events_pending() const {

@@ -102,6 +102,11 @@ class IncrementalAnalyzer {
   [[nodiscard]] std::size_t apps_resident() const noexcept {
     return timelines_.size();
   }
+  /// True when `stream` is a driver or executor log bound to a retired
+  /// application: a line it gains later can only carry events that
+  /// would be dropped as late.
+  [[nodiscard]] bool stream_retired(std::string_view stream) const;
+
   /// Events dropped because they arrived after their application was
   /// retired (0 unless the eviction grace was too aggressive).
   [[nodiscard]] std::size_t events_late_dropped() const noexcept {

@@ -39,9 +39,10 @@ SeverityRollup roll_up(const logging::DiagnosticCounts& counts) {
 
 }  // namespace
 
-FollowPublisher::FollowPublisher() {
+FollowPublisher::FollowPublisher(Clock clock) : clock_(std::move(clock)) {
+  const auto now = clock_();
   MutexLock lock(mu_);
-  last_poll_ = std::chrono::steady_clock::now();
+  last_poll_ = now;
   // A follow session with nothing ingested yet serves the empty-corpus
   // analysis shape, not a 404: scrapers that start before the first poll
   // still get a parseable document.
@@ -49,16 +50,18 @@ FollowPublisher::FollowPublisher() {
 }
 
 void FollowPublisher::publish(FollowPublication publication) {
+  const auto now = clock_();
   MutexLock lock(mu_);
   current_ = std::move(publication);
-  last_poll_ = std::chrono::steady_clock::now();
+  last_poll_ = now;
 }
 
 void FollowPublisher::touch(std::uint64_t polls, bool quiescent) {
+  const auto now = clock_();
   MutexLock lock(mu_);
   current_.polls = polls;
   current_.quiescent = quiescent;
-  last_poll_ = std::chrono::steady_clock::now();
+  last_poll_ = now;
 }
 
 FollowPublication FollowPublisher::current() const {
@@ -67,9 +70,13 @@ FollowPublication FollowPublisher::current() const {
 }
 
 std::int64_t FollowPublisher::last_poll_age_ms() const {
-  MutexLock lock(mu_);
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - last_poll_)
+  std::chrono::steady_clock::time_point last_poll;
+  {
+    MutexLock lock(mu_);
+    last_poll = last_poll_;
+  }
+  return std::chrono::duration_cast<std::chrono::milliseconds>(clock_() -
+                                                               last_poll)
       .count();
 }
 

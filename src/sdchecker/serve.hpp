@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -51,7 +52,12 @@ struct FollowPublication {
 /// `publish`/`touch` are cheap enough for every poll iteration.
 class FollowPublisher {
  public:
-  FollowPublisher();
+  /// The clock that stamps polls and measures their age; tests step a
+  /// manual one.  Called from any thread.
+  using Clock = std::function<std::chrono::steady_clock::time_point()>;
+
+  explicit FollowPublisher(
+      Clock clock = [] { return std::chrono::steady_clock::now(); });
 
   /// Replaces the published snapshot and stamps the poll clock.
   void publish(FollowPublication publication) SDC_EXCLUDES(mu_);
@@ -68,6 +74,7 @@ class FollowPublisher {
   [[nodiscard]] std::int64_t last_poll_age_ms() const SDC_EXCLUDES(mu_);
 
  private:
+  const Clock clock_;
   mutable Mutex mu_;
   FollowPublication current_ SDC_GUARDED_BY(mu_);
   std::chrono::steady_clock::time_point last_poll_ SDC_GUARDED_BY(mu_);

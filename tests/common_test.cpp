@@ -1,6 +1,9 @@
 // Unit tests for src/common: ids, time, rng, stats, strings, thread pool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -84,6 +87,48 @@ TEST(Ids, NodeIdRoundTrip) {
   const auto bare = NodeId::parse("node03.cluster");
   ASSERT_TRUE(bare.has_value());
   EXPECT_EQ(bare->index, 3);
+}
+
+TEST(Ids, RenderingMatchesPrintfFormats) {
+  // The formats the ids were rendered with through snprintf, zero pad
+  // and sign placement included.
+  const auto app_ref = [](const ApplicationId& app) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "application_%lld_%04d",
+                  static_cast<long long>(app.cluster_ts), app.id);
+    return std::string(buf);
+  };
+  const auto container_ref = [](const ContainerId& container) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "container_%lld_%04d_%02d_%06lld",
+                  static_cast<long long>(container.app.cluster_ts),
+                  container.app.id, container.attempt,
+                  static_cast<long long>(container.id));
+    return std::string(buf);
+  };
+  constexpr auto kI32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr auto kI32Max = std::numeric_limits<std::int32_t>::max();
+  constexpr auto kI64Min = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kI64Max = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> wide = {
+      0, 1, -1, 7, -7, 42, -42, 999, -999, 1234567, -1234567,
+      1499100000000, kI64Min, kI64Max};
+  const std::vector<std::int32_t> narrow = {
+      0, 1, -1, 7, -7, 42, -42, 123, -123, 9999, 10000, -10000,
+      123456, kI32Min, kI32Max};
+  for (const std::int64_t ts : wide) {
+    for (const std::int32_t id : narrow) {
+      const ApplicationId app{ts, id};
+      EXPECT_EQ(app.str(), app_ref(app));
+      const ContainerId container{app, id, ts};
+      EXPECT_EQ(container.str(), container_ref(container));
+    }
+  }
+  EXPECT_EQ((ApplicationId{1499100000000, 7}).str(),
+            "application_1499100000000_0007");
+  EXPECT_EQ((ContainerId{{1499100000000, 7}, 1, 2}).str(),
+            "container_1499100000000_0007_01_000002");
+  EXPECT_EQ((ApplicationId{-5, -5}).str(), "application_-5_-005");
 }
 
 TEST(Ids, OrderingIsLexicographicByFields) {

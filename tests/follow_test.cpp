@@ -4,11 +4,11 @@
 // follow snapshot's analysis_json is byte-identical to batch analysis
 // of the same directory.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -124,13 +124,21 @@ logging::LogBundle with_trailing_stack_trace(const logging::LogBundle& logs) {
 /// Writes `logs` into `dir` while a FollowService tails it — stream 0
 /// appears only from round 3, every stream's bytes arrive in 6 slices
 /// cut mid-line — and requires the drained snapshot to equal batch
-/// analysis of the directory byte for byte.
+/// analysis of the directory byte for byte.  With `symlinked`, the last
+/// stream's file lives outside `dir` and is reached through a symlink.
 void expect_live_appends_match_batch(const logging::LogBundle& logs,
-                                     const fs::path& dir) {
+                                     const fs::path& dir,
+                                     bool symlinked = false) {
   const auto names = logs.stream_names();
   ASSERT_GE(names.size(), 2u);
   std::vector<std::string> texts;
   for (const auto& name : names) texts.push_back(join_lines(logs.lines(name)));
+  std::vector<fs::path> paths;
+  for (const auto& name : names) paths.push_back(dir / name);
+  if (symlinked) {
+    const fs::path outside = scratch_dir(dir.filename().string() + "_target");
+    paths.back() = outside / names.back();
+  }
 
   FollowOptions options;
   options.retire = false;  // parity under eviction is its own test
@@ -142,12 +150,15 @@ void expect_live_appends_match_batch(const logging::LogBundle& logs,
   // stream's bytes arrive in 6 slices cut mid-line.
   constexpr std::size_t kRounds = 6;
   for (std::size_t r = 0; r < kRounds; ++r) {
+    if (r == 0 && symlinked) {
+      fs::create_symlink(paths.back(), dir / names.back());
+    }
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (i == 0 && r < 3) continue;
       const std::size_t from = i == 0 ? (r - 3) * 2 : r;
       const std::size_t upto = i == 0 ? from + 2 : r + 1;
       for (std::size_t s = from; s < upto; ++s) {
-        append_bytes(dir / names[i], slice_of(texts[i], s, kRounds));
+        append_bytes(paths[i], slice_of(texts[i], s, kRounds));
       }
     }
     const PollStats stats = service.poll_once();
@@ -202,6 +213,12 @@ TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
                   diagnostic.detail.starts_with("stream ends mid-line");
     }
     EXPECT_TRUE(tail_tear);
+  }
+  {
+    SCOPED_TRACE("stream behind a symlink");
+    const fs::path dir = scratch_dir("sdc_follow_live_symlink");
+    expect_live_appends_match_batch(run.logs, dir, /*symlinked=*/true);
+    EXPECT_TRUE(fs::is_symlink(dir / run.logs.stream_names().back()));
   }
 }
 
@@ -342,9 +359,35 @@ TEST(Follow, EvictionKeepsMemoryBoundedAndSnapshotExact) {
   }
   // Drain, then keep ticking until the retirement grace elapses for the
   // last terminal apps.
+  PollStats drained;
   for (std::size_t i = 0; i < options.retire_quiet_polls + 3; ++i) {
-    service.poll_once();
+    drained = service.poll_once();
   }
+  EXPECT_TRUE(service.quiescent());
+  // Fully read logs of retired apps are parked: the poll skips them.
+  EXPECT_LT(drained.tails_checked, names.size());
+
+  // A retired app's executor log gains a line that carries no event
+  // after its tail was parked.  The sweep before quiescence reads it, so
+  // the drained snapshot counts it as batch does.
+  std::size_t late = names.size();
+  for (std::size_t i = 0; i < names.size() && late == names.size(); ++i) {
+    const auto container = find_container_id(names[i]);
+    if (names[i].starts_with("executor") && container &&
+        service.analyzer().retired().contains(container->app)) {
+      late = i;
+    }
+  }
+  ASSERT_LT(late, names.size());
+  const std::string& last_line = run.logs.lines(names[late]).back();
+  append_bytes(dir / names[late],
+               last_line.substr(0, 23) +
+                   " INFO  org.apache.spark.storage.BlockManager: "
+                   "BlockManager stopped\n");
+  const PollStats swept = service.poll_once();
+  EXPECT_GT(swept.bytes_read, 0u);
+  EXPECT_FALSE(service.quiescent());
+  service.poll_once();
   EXPECT_TRUE(service.quiescent());
   service.finish();
 
@@ -354,7 +397,9 @@ TEST(Follow, EvictionKeepsMemoryBoundedAndSnapshotExact) {
   // No event arrived for an already-retired application (the grace held),
   // so the snapshot must be exact.
   EXPECT_EQ(service.analyzer().events_late_dropped(), 0u);
-  EXPECT_EQ(analysis_json(live), analysis_json(batch_analyze(dir)));
+  const AnalysisResult batch = batch_analyze(dir);
+  EXPECT_EQ(live.lines_total, batch.lines_total);
+  EXPECT_EQ(analysis_json(live), analysis_json(batch));
   // Memory stayed bounded: retirement freed timelines during ingestion,
   // and by the end nearly every app is a retired row, not a timeline.
   EXPECT_GE(service.analyzer().apps_retired(), total_apps / 2);
@@ -400,22 +445,77 @@ TEST(Follow, TruncationRestartsSegmentWithoutUnreadableSpam) {
   EXPECT_EQ(live.diag_counts.of(logging::DiagnosticKind::kUnreadableFile), 0u);
 }
 
-TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "permission checks are bypassed when running as root";
+fs::path golden_small_dir() {
+  // Tests run from the build tree; the corpus lives in the source tree.
+  for (fs::path dir = fs::current_path();
+       !dir.empty() && dir != dir.root_path(); dir = dir.parent_path()) {
+    const auto candidate = dir / "testdata" / "golden_small";
+    if (fs::is_directory(candidate)) return candidate;
   }
+  return fs::path("testdata") / "golden_small";
+}
+
+TEST(Follow, RenameAndRecreateBetweenScanAndReadMatchesBatch) {
+  std::ifstream in(golden_small_dir() / "rm.log", std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(text.empty());
+  const fs::path dir = scratch_dir("sdc_follow_rename_race");
+  FollowService service(dir, FollowOptions{.retire = false});
+  append_bytes(dir / "rm.log", slice_of(text, 0, 4));
+  service.poll_once();
+
+  // rm.log grows; after the next poll's directory walk and before its
+  // reads, logrotate renames it to rm.log.1 and a fresh rm.log takes the
+  // second half, larger than what was read so far.  The read must not
+  // take the fresh file for the renamed one.
+  append_bytes(dir / "rm.log", slice_of(text, 1, 4));
+  bool rotated = false;
+  service.set_test_seam({.after_scan = [&] {
+    if (rotated) return;
+    rotated = true;
+    fs::rename(dir / "rm.log", dir / "rm.log.1");
+    append_bytes(dir / "rm.log",
+                 std::string_view(text).substr(text.size() / 2));
+  }});
+  service.poll_once();
+  ASSERT_TRUE(rotated);
+  // The race left rm.log.1's new bytes unread: not drained yet.
+  EXPECT_FALSE(service.quiescent());
+  do {
+    service.poll_once();
+  } while (!service.quiescent());
+  service.finish();
+
+  const AnalysisResult batch = batch_analyze(dir);
+  const AnalysisResult live = service.snapshot();
+  EXPECT_EQ(live.lines_total, batch.lines_total);
+  EXPECT_EQ(analysis_json(live), analysis_json(batch));
+  EXPECT_EQ(service.rotations(), 1u);
+}
+
+TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
   const auto run = small_run(2, 704);
   const fs::path dir = scratch_dir("sdc_follow_unreadable");
   const auto names = run.logs.stream_names();
   for (const auto& name : names) {
     append_bytes(dir / name, join_lines(run.logs.lines(name)));
   }
-  append_bytes(dir / "secret.log", "not for you\n");
-  fs::permissions(dir / "secret.log", fs::perms::none);
+  const fs::path secret = dir / "secret.log";
+  append_bytes(secret, "not for you\n");
 
+  // The open fails as a permission error would, for root as well (whom
+  // chmod cannot stop).
   FollowService service(dir, FollowOptions{.retire = false});
+  std::size_t refused = 0;
+  service.set_test_seam({.fail_open = [&refused](std::string_view name) {
+    const bool refuse = name == "secret.log";
+    refused += refuse ? 1 : 0;
+    return refuse;
+  }});
   for (int i = 0; i < 3; ++i) service.poll_once();
   service.finish();
+  EXPECT_EQ(refused, 3u);  // every poll retries the open
 
   const AnalysisResult live = service.snapshot();
   std::size_t unreadable = 0;
@@ -427,8 +527,18 @@ TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
     }
   }
   EXPECT_EQ(unreadable, 1u);  // three polls, one record
-  EXPECT_EQ(analysis_json(live), analysis_json(batch_analyze(dir)));
-  fs::permissions(dir / "secret.log", fs::perms::owner_all);
+
+  // The batch reader records an unreadable file and skips its stream:
+  // batch over the directory without it, plus that record.
+  fs::remove(secret);
+  AnalysisResult batch = batch_analyze(dir);
+  batch.diagnostics.push_back(
+      logging::Diagnostic{logging::DiagnosticKind::kUnreadableFile,
+                          "secret.log", 0, 1,
+                          "LogView: cannot read " + secret.string()});
+  batch.diag_counts = logging::count_diagnostics(batch.diagnostics);
+  logging::sort_diagnostics(batch.diagnostics);
+  EXPECT_EQ(analysis_json(live), analysis_json(batch));
 }
 
 // --- watch stream ------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -157,7 +158,13 @@ TEST(HttpServer, ErrorClasses) {
 // --- follow serving glue -----------------------------------------------
 
 TEST(FollowServe, HealthzFlipsTo503OnStalledPolls) {
-  checker::FollowPublisher publisher;
+  // The publisher reads a stepped clock, so the verdicts depend on the
+  // steps alone, never on how long a request took under load.
+  std::atomic<std::int64_t> now_ms{0};
+  checker::FollowPublisher publisher([&now_ms] {
+    return std::chrono::steady_clock::time_point(
+        std::chrono::milliseconds(now_ms.load()));
+  });
   checker::FollowServeOptions options;
   options.stall_threshold_ms = 1;  // any real pause trips it
   const auto server = checker::make_follow_server(publisher, options);
@@ -165,7 +172,7 @@ TEST(FollowServe, HealthzFlipsTo503OnStalledPolls) {
 
   publisher.touch(3, true);
   EXPECT_EQ(get(server->port(), "/healthz").status, 200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  now_ms += 20;
   const RawResponse stalled = get(server->port(), "/healthz");
   EXPECT_EQ(stalled.status, 503);
   EXPECT_NE(stalled.body.find("\"status\":\"stalled\""), std::string::npos);

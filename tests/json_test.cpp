@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "harness/scenario.hpp"
@@ -36,6 +41,89 @@ TEST(JsonWriter, OptionalValues) {
 TEST(JsonWriter, EscapesControlCharacters) {
   EXPECT_EQ(json::escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
   EXPECT_EQ(json::escape(std::string_view("\x01", 1)), "\\u0001");
+}
+
+// --- byte identity with the formatting the writer used to delegate to --
+
+/// The escape rule as the writer applied it through snprintf.
+std::string reference_escape(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonWriter, IntegersMatchToString) {
+  const std::vector<std::int64_t> values = {
+      0,
+      1,
+      -1,
+      9,
+      -10,
+      1499100000000,
+      -1499100000000,
+      std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int64_t>::max(),
+      std::numeric_limits<std::int64_t>::min()};
+  for (const std::int64_t v : values) {
+    json::Writer w;
+    w.value(v);
+    EXPECT_EQ(w.str(), std::to_string(v));
+    json::Writer keyed;
+    keyed.begin_object().field("n", v).end_object();
+    EXPECT_EQ(keyed.str(), "{\"n\":" + std::to_string(v) + "}");
+  }
+}
+
+TEST(JsonWriter, EveryAsciiByteEscapesAsBefore) {
+  std::string all;
+  for (int c = 0; c <= 0x7f; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    all += one;
+    EXPECT_EQ(json::escape(one), reference_escape(one)) << "byte " << c;
+    json::Writer w;
+    w.begin_object().field(one, one).end_object();
+    const std::string quoted = "\"" + reference_escape(one) + "\"";
+    EXPECT_EQ(w.str(), "{" + quoted + ":" + quoted + "}") << "byte " << c;
+  }
+  EXPECT_EQ(json::escape(all), reference_escape(all));
+  json::Writer w;
+  w.value(all);
+  EXPECT_EQ(w.str(), "\"" + reference_escape(all) + "\"");
+}
+
+TEST(JsonWriter, MultiByteUtf8PassesThrough) {
+  const std::string text = "d\u00e9lai \u8c03\u5ea6 \U0001f680 \"q\"";
+  EXPECT_EQ(json::escape(text), reference_escape(text));
+  json::Writer w;
+  w.begin_object().field(text, text).end_object();
+  const std::string quoted = "\"" + reference_escape(text) + "\"";
+  EXPECT_EQ(w.str(), "{" + quoted + ":" + quoted + "}");
 }
 
 TEST(JsonWriter, DoubleFormatting) {
