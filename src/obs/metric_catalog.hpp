@@ -214,7 +214,8 @@ inline constexpr MetricSpec kAnalyzeAnomalies{
     "anomaly findings"};
 inline constexpr MetricSpec kAnalyzeShards{
     "analyze.shards", MetricKind::kCounter, "shards",
-    "analysis shards run by the sharded finalize (`--analyze-shards`)"};
+    "grouping shards of analyzed corpora (`--analyze-shards`; fleet "
+    "`--shards`)"};
 inline constexpr MetricSpec kSdcDelay{
     "sdc.delay.<component>", MetricKind::kHistogram, "ms",
     "per-component delay samples in ms, one per delay-component catalog "

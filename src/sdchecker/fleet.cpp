@@ -1,25 +1,20 @@
 #include "sdchecker/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
-#include "logging/diagnostics.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/tracer.hpp"
 #include "sdchecker/export.hpp"
-#include "sdchecker/grouping.hpp"
-#include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
@@ -28,228 +23,73 @@ namespace {
 struct FleetCounters {
   obs::Counter& corpora;
   obs::Counter& failed;
-  obs::Counter& streams;
-  obs::Counter& events;
   static const FleetCounters& get() {
     static const FleetCounters counters{
         obs::catalog_counter(obs::metric::kFleetCorpora),
-        obs::catalog_counter(obs::metric::kFleetCorporaFailed),
-        obs::catalog_counter(obs::metric::kMineStreams),
-        obs::catalog_counter(obs::metric::kMineEvents)};
+        obs::catalog_counter(obs::metric::kFleetCorporaFailed)};
     return counters;
   }
 };
 
-/// All in-flight state of one corpus.  Lifecycle: an "open" task builds
-/// the view and the MinePlan and enqueues one task per chunk; each chunk
-/// task that empties its stream's countdown stitches that stream and
-/// folds its events into the sharded grouping tables; the task that
-/// empties the stream countdown finalizes the corpus — all on the one
-/// shared pool, no barriers between the phases.
+/// One corpus in flight.  An "open" task reads the directory, builds the
+/// corpus's `CorpusPipeline` and enqueues one task per chunk; the chunk
+/// task that completes the corpus's last stream finishes it — all on the
+/// one shared pool, no barriers between the phases.
 struct CorpusState {
   std::filesystem::path dir;
-  MinerOptions mine_options;
-  std::size_t shard_count = 1;
-
-  std::vector<logging::Diagnostic> io_diagnostics;
   std::optional<logging::BundleView> view;
-  std::optional<MinePlan> plan;
-
-  /// Countdowns to "stream fully mined" / "corpus fully stitched".  The
-  /// acq_rel fetch_sub chains publish every chunk's output to whichever
-  /// thread observes the last decrement and proceeds.
-  std::unique_ptr<std::atomic<std::size_t>[]> chunks_left;
-  std::atomic<std::size_t> streams_left{0};
-
-  struct StreamMeta {
-    std::size_t lines_total = 0;
-    std::size_t lines_unparsed = 0;
-    std::size_t events = 0;
-    std::vector<logging::Diagnostic> diagnostics;
-    logging::DiagnosticCounts diag_counts;
-  };
-  /// Slot s is written only by the thread that stitched stream s.
-  std::vector<StreamMeta> streams;
-
-  /// One grouping table per shard.  A shard's lock is held for one
-  /// batch application at a time, so two streams finishing close
-  /// together contend per shard, not per corpus.
-  struct Shard {
-    Mutex mu;
-    AppTable apps SDC_GUARDED_BY(mu);
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::atomic<std::size_t> unattributed{0};
-
-  Mutex error_mu;
-  std::string error SDC_GUARDED_BY(error_mu);
-  std::atomic<bool> failed{false};
-
+  std::optional<CorpusPipeline> pipeline;
   CorpusResult out;
-
-  void fail(const std::string& what) {
-    {
-      MutexLock lock(error_mu);
-      if (error.empty()) error = what;
-    }
-    failed.store(true, std::memory_order_release);
-  }
-  [[nodiscard]] std::string take_error() {
-    MutexLock lock(error_mu);
-    return error;
-  }
 };
 
-/// Runs on the thread that saw the corpus's last stream complete.
-/// Assembles the AnalysisResult exactly as `SdChecker::analyze_directory`
-/// does — grouping tables through `finalize_analysis` (whose nested
-/// `parallel_for` help-while-waits on the shared pool), I/O diagnostics
-/// first, stream diagnostics in stream (= logical name) order, then the
-/// severity sort — so `analysis_json` is byte-identical to standalone
-/// `analyze --json`.
-void finalize_corpus(CorpusState& state, ThreadPool& pool) {
+/// Runs on the thread that completed the corpus; the pipeline's finish
+/// runs its nested `parallel_for` on the shared pool (waiters help, so
+/// this cannot deadlock).
+void finish_corpus(CorpusState& state, ThreadPool& pool) {
   const FleetCounters& counters = FleetCounters::get();
-  if (state.failed.load(std::memory_order_acquire)) {
-    state.out.error = state.take_error();
-    counters.failed.add(1);
-    state.plan.reset();
-    state.view.reset();
-    return;
-  }
   try {
-    ShardedGroupResult grouped;
-    grouped.shards.reserve(state.shards.size());
-    for (const std::unique_ptr<CorpusState::Shard>& shard : state.shards) {
-      MutexLock lock(shard->mu);
-      grouped.shards.push_back(std::move(shard->apps));
-    }
-    grouped.unattributed =
-        state.unattributed.load(std::memory_order_relaxed);
-    const std::size_t unattributed = grouped.unattributed;
-    AnalysisResult result = finalize_analysis(std::move(grouped), pool);
-    result.events_unattributed = unattributed;
-
-    for (const logging::Diagnostic& diagnostic : state.io_diagnostics) {
-      result.diag_counts.add(diagnostic);
-    }
-    result.diagnostics = std::move(state.io_diagnostics);
-    std::size_t events_total = 0;
-    for (CorpusState::StreamMeta& meta : state.streams) {
-      result.lines_total += meta.lines_total;
-      result.lines_unparsed += meta.lines_unparsed;
-      events_total += meta.events;
-      for (logging::Diagnostic& diagnostic : meta.diagnostics) {
-        // The mine.diagnostics counters cover stream findings only (I/O
-        // findings are bundle-level), matching the batch miner.
-        obs::catalog_counter(obs::metric::kMineDiagnostics,
-                             logging::diagnostic_kind_name(diagnostic.kind))
-            .add(diagnostic.count);
-        result.diagnostics.push_back(std::move(diagnostic));
-      }
-      result.diag_counts += meta.diag_counts;
-    }
-    result.events_total = events_total;
-    logging::sort_diagnostics(result.diagnostics);
-
-    counters.streams.add(state.streams.size());
-    counters.events.add(events_total);
-
+    const AnalysisResult result = state.pipeline->finish(&pool);
     state.out.apps = result.timelines.size();
-    state.out.events = events_total;
+    state.out.events = result.events_total;
     state.out.lines = result.lines_total;
     state.out.diagnostics = result.diagnostics.size();
     state.out.analysis_json = analysis_json(result);
     state.out.components = component_histograms(result);
     counters.corpora.add(1);
   } catch (const std::exception& e) {
-    state.fail(e.what());
-    state.out.error = state.take_error();
+    state.out.error = e.what();
     counters.failed.add(1);
   }
   // Drop the mmapped views and chunk slots as soon as the corpus is
   // rendered — with many corpora in flight this bounds peak memory to
   // the active set, not the fleet.
-  state.plan.reset();
+  state.pipeline.reset();
   state.view.reset();
 }
 
-void run_corpus_chunk(CorpusState& state, ThreadPool& pool,
-                      std::size_t chunk) {
-  if (!state.failed.load(std::memory_order_relaxed)) {
-    try {
-      state.plan->run_chunk(chunk);
-    } catch (const std::exception& e) {
-      state.fail(e.what());
-    }
-  }
-  const std::size_t stream = state.plan->stream_of(chunk);
-  if (state.chunks_left[stream].fetch_sub(1, std::memory_order_acq_rel) !=
-      1) {
-    return;
-  }
-  // This chunk completed its stream: stitch it and hand its events to
-  // grouping now, while other chunks (of this corpus and others) are
-  // still mining — the pipelined mine→analyze overlap.
-  if (!state.failed.load(std::memory_order_acquire)) {
-    try {
-      const auto span = obs::Tracer::global().span("mine.stitch");
-      MinedStream stitched = state.plan->stitch(stream);
-      for (std::size_t s = 0; s < state.shard_count; ++s) {
-        std::size_t unattributed = 0;
-        {
-          MutexLock lock(state.shards[s]->mu);
-          unattributed = apply_batch_to_shard(
-              stitched.events, state.shards[s]->apps, s, state.shard_count);
-        }
-        if (s == 0) {
-          state.unattributed.fetch_add(unattributed,
-                                       std::memory_order_relaxed);
-        }
-      }
-      CorpusState::StreamMeta& meta = state.streams[stream];
-      meta.lines_total = stitched.lines_total;
-      meta.lines_unparsed = stitched.lines_unparsed;
-      meta.events = stitched.events.size();
-      meta.diagnostics = std::move(stitched.diagnostics);
-      meta.diag_counts = stitched.diag_counts;
-    } catch (const std::exception& e) {
-      state.fail(e.what());
-    }
-  }
-  if (state.streams_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    finalize_corpus(state, pool);
-  }
-}
-
-void open_corpus(CorpusState& state, ThreadPool& pool) {
+void open_corpus(CorpusState& state, ThreadPool& pool,
+                 const MinerOptions& options, std::size_t shards) {
   try {
-    state.view.emplace(logging::BundleView::read_from_directory(
-        state.dir, &state.io_diagnostics));
-    state.plan.emplace(*state.view, state.mine_options);
+    std::vector<logging::Diagnostic> io_diagnostics;
+    state.view.emplace(
+        logging::BundleView::read_from_directory(state.dir, &io_diagnostics));
+    state.pipeline.emplace(*state.view, std::move(io_diagnostics), options,
+                           shards);
   } catch (const std::exception& e) {
-    state.fail(e.what());
-    finalize_corpus(state, pool);
+    state.out.error = e.what();
+    FleetCounters::get().failed.add(1);
+    state.view.reset();
     return;
   }
-  const std::size_t streams = state.plan->stream_count();
-  state.streams.resize(streams);
-  state.shards.reserve(state.shard_count);
-  for (std::size_t s = 0; s < state.shard_count; ++s) {
-    state.shards.push_back(std::make_unique<CorpusState::Shard>());
-  }
-  if (streams == 0) {
-    finalize_corpus(state, pool);
+  const std::size_t chunks = state.pipeline->chunk_count();
+  if (chunks == 0) {
+    finish_corpus(state, pool);
     return;
   }
-  state.chunks_left = std::make_unique<std::atomic<std::size_t>[]>(streams);
-  for (std::size_t s = 0; s < streams; ++s) {
-    state.chunks_left[s].store(state.plan->chunks_of(s),
-                               std::memory_order_relaxed);
-  }
-  state.streams_left.store(streams, std::memory_order_release);
-  const std::size_t chunks = state.plan->chunk_count();
   for (std::size_t c = 0; c < chunks; ++c) {
-    pool.submit([&state, &pool, c] { run_corpus_chunk(state, pool, c); });
+    pool.submit([&state, &pool, c] {
+      if (state.pipeline->run_chunk(c)) finish_corpus(state, pool);
+    });
   }
 }
 
@@ -297,14 +137,12 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
   std::size_t shard_count = options.shards_per_corpus;
   if (shard_count == 0) shard_count = std::min<std::size_t>(threads, 8);
 
+  const MinerOptions mine_options{.threads = threads};
   std::vector<std::unique_ptr<CorpusState>> states;
   states.reserve(corpora.size());
   for (const std::filesystem::path& dir : corpora) {
     auto state = std::make_unique<CorpusState>();
     state->dir = dir;
-    state->mine_options = MinerOptions{.threads = threads,
-                                       .shard_grain = options.shard_grain};
-    state->shard_count = shard_count;
     state->out.name = dir.filename().string();
     state->out.dir = dir;
     states.push_back(std::move(state));
@@ -314,7 +152,9 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
     ThreadPool pool(threads);
     for (const std::unique_ptr<CorpusState>& state : states) {
       CorpusState* raw = state.get();
-      pool.submit([raw, &pool] { open_corpus(*raw, pool); });
+      pool.submit([raw, &pool, &mine_options, shard_count] {
+        open_corpus(*raw, pool, mine_options, shard_count);
+      });
     }
     pool.wait_idle();
   }

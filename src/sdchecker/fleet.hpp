@@ -4,24 +4,23 @@
 //
 // The scheduling problem fleet mode solves: running `analyze` per corpus
 // serializes at two points — every corpus waits for its slowest mining
-// chunk before grouping starts (a barrier), and corpora run one after
+// chunk before finalize starts (a barrier), and corpora run one after
 // another (no overlap).  Fleet mode instead runs *everything* on one
-// ThreadPool with two-level sharding (corpus × chunk for mining, corpus
-// × app-shard for grouping) and no per-corpus barriers: the moment a
-// stream's last chunk is mined, that stream is stitched and its events
-// are folded into the corpus's sharded grouping tables while other
-// chunks — of this corpus and of others — are still mining.  The last
-// stream triggers finalization, which fans out per-app decomposition on
-// the same pool (nested `parallel_for` is safe: waiters help drain the
-// queue instead of blocking — see thread_pool.hpp).
+// ThreadPool: each corpus is the `CorpusPipeline` (sdchecker.hpp) that a
+// standalone `analyze` runs, with two-level sharding (corpus × chunk for
+// mining, corpus × app-shard for grouping) and no per-corpus barriers:
+// the moment a stream's last chunk is mined, that stream is stitched and
+// its events are folded into the corpus's grouping tables while other
+// chunks — of this corpus and of others — are still mining.  The task
+// that completes a corpus's last stream finishes it, fanning out
+// per-app decomposition on the same pool (nested `parallel_for` is safe:
+// waiters help drain the queue instead of blocking — see
+// thread_pool.hpp).
 //
-// Determinism: per-stream event batches are applied to grouping tables
-// in completion order, which is racy — but `KindFirstTs::record` keeps
-// the *minimum* timestamp and counts are additive, so event application
-// commutes, and `finalize_analysis` re-orders apps deterministically.
-// Each corpus's `analysis_json` is therefore byte-identical to a
-// standalone `sdchecker analyze --json` of the same directory (the fleet
-// parity test pins this down).
+// Determinism: each corpus's `analysis_json` is byte-identical to a
+// standalone `sdchecker analyze --json` of the same directory for any
+// thread and shard count (the fleet parity test pins this down; see
+// `CorpusPipeline` for why completion order does not matter).
 #pragma once
 
 #include <cstddef>
@@ -41,8 +40,6 @@ struct FleetOptions {
   /// Grouping shards per corpus; 0 = derived from `threads` (capped at 8
   /// — shards beyond the thread count only add table-merge work).
   std::size_t shards_per_corpus = 0;
-  /// Forwarded to MinerOptions (see miner.hpp).
-  std::size_t shard_grain = 8192;
 };
 
 /// One corpus's outcome.  `error` is empty on success; on failure every

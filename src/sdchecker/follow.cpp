@@ -71,7 +71,14 @@ DirHandle open_dir(const std::filesystem::path& dir) {
 }  // namespace
 
 FollowService::FollowService(std::filesystem::path dir, FollowOptions options)
-    : dir_(std::move(dir)), options_(options), analyzer_(options.miner) {}
+    : dir_(std::move(dir)),
+      options_(options),
+      analyzer_(options.parked_events_cap) {
+  const std::size_t workers =
+      AnalyzeOptions{.analyze_shards = options.analyze_shards}
+          .effective_analyze_shards();
+  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+}
 
 void FollowService::flush_partial(Tail& tail) {
   if (tail.partial.empty()) return;
@@ -338,7 +345,7 @@ void FollowService::finish() {
 }
 
 AnalysisResult FollowService::snapshot() const {
-  AnalysisResult result = analyzer_.snapshot(options_.analyze_shards);
+  AnalysisResult result = analyzer_.snapshot(pool_.get());
 
   // Synthesize the diagnostics the batch directory reader would emit on
   // the directory as of the last poll: its rotation records come from

@@ -14,7 +14,7 @@
 // bounded: applications whose terminal transition has been mined are
 // retired after a quiet grace (timeline freed, decomposed row kept),
 // streams that never bind an application id park at most
-// `MinerOptions::parked_events_cap` events, and a fully read driver or
+// `FollowOptions::parked_events_cap` events, and a fully read driver or
 // executor log of a retired application is parked — skipped by the
 // per-poll check and re-checked by one sweep before any poll may report
 // quiescence, and again in `finish()`.
@@ -34,23 +34,26 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "sdchecker/incremental.hpp"
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
 
 struct FollowOptions {
-  /// Only the parked-event cap applies; threads/shard_grain are ignored
-  /// — tailing is serial.
-  MinerOptions miner = {};
-  /// Shards for the snapshot finalize stage (same meaning as
-  /// `AnalyzeOptions::analyze_shards`; snapshots are byte-identical
-  /// either way).
+  /// Events parked per stream that has not bound to an application id
+  /// (see `IncrementalAnalyzer`); 0 = unbounded.
+  std::size_t parked_events_cap = kParkedEventsCap;
+  /// Workers of the pool the service keeps for snapshot finalize, 1 = no
+  /// pool and 0 = one per hardware thread, as for
+  /// `AnalyzeOptions::analyze_shards`.  Snapshots are byte-identical
+  /// either way.
   std::size_t analyze_shards = 1;
   /// Retire terminal applications (free their timelines) once they have
   /// been quiet for this many polls.  The grace absorbs out-of-order
@@ -172,6 +175,8 @@ class FollowService {
   std::filesystem::path dir_;
   FollowOptions options_;
   IncrementalAnalyzer analyzer_;
+  /// Finalizes every snapshot; null when `analyze_shards` resolves to 1.
+  std::unique_ptr<ThreadPool> pool_;
   /// (dev << 32 ^ ino) -> tail.  Good enough as a key: collisions would
   /// need two filesystems in one log directory.
   std::unordered_map<std::uint64_t, Tail> tails_;

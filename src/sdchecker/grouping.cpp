@@ -1,18 +1,11 @@
 #include "sdchecker/grouping.hpp"
 
-#include <algorithm>
-
-#include "common/thread_pool.hpp"
-#include "obs/tracer.hpp"
-
 namespace sdc::checker {
 namespace {
 
-/// Shared event-application body for the ordered (serial `group_events`)
-/// and flat (sharded, incremental) application tables.  `container` is
+/// Applies one event to its application's timeline.  `container_id` is
 /// nullptr for application-scoped events.
-template <class Apps>
-void apply_event_parts(Apps& apps, const ApplicationId& app_id,
+void apply_event_parts(AppTable& apps, const ApplicationId& app_id,
                        const ContainerId* container_id, EventKind kind,
                        std::int64_t ts_ms) {
   AppTimeline& app = apps[app_id];
@@ -93,42 +86,8 @@ bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i) {
   return true;
 }
 
-GroupResult group_events(const EventBatch& events) {
-  GroupResult result;
-  const std::size_t n = events.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!events.has_app(i)) {
-      ++result.unattributed;
-      continue;
-    }
-    apply_event_parts(
-        result.apps, events.app_at(i),
-        events.has_container(i) ? &events.container_at(i) : nullptr,
-        events.kind_at(i), events.ts_at(i));
-  }
-  return result;
-}
-
 std::size_t timeline_shard(const ApplicationId& app, std::size_t shards) {
   return ApplicationIdHash{}(app) % shards;
-}
-
-ShardedGroupResult group_events_sharded(const EventBatch& events,
-                                        std::size_t shards, ThreadPool& pool) {
-  ShardedGroupResult result;
-  result.shards.resize(std::max<std::size_t>(1, shards));
-  const std::size_t shard_count = result.shards.size();
-  // Written by shard 0's task only; parallel_for's completion barrier
-  // orders the write before the read below.
-  std::size_t unattributed = 0;
-  parallel_for(pool, shard_count, [&](std::size_t s) {
-    const auto span = obs::Tracer::global().span("analyze.shard");
-    const std::size_t missing =
-        apply_batch_to_shard(events, result.shards[s], s, shard_count);
-    if (s == 0) unattributed = missing;
-  });
-  result.unattributed = unattributed;
-  return result;
 }
 
 std::size_t apply_batch_to_shard(const EventBatch& events, AppTable& apps,

@@ -7,17 +7,16 @@
 //
 // Data layout: per-kind state lives in dense arrays indexed by the
 // enumerator value with a presence bitset (`KindFirstTs`/`KindCounts`),
-// containers in a sorted flat map, and the application table of the
-// sharded path in an open-addressing hash map — the hot
-// event-application work is bit tests and contiguous probes, never tree
-// walks.  Because `record` keeps the minimum timestamp and increments a
-// count, applying events is *commutative*: any partition of the event
-// stream that routes each application's events to exactly one shard
-// (`timeline_shard`) reproduces the serial timelines bit for bit.
+// containers in a sorted flat map, and the application tables in an
+// open-addressing hash map — the hot event-application work is bit tests
+// and contiguous probes, never tree walks.  Because `record` keeps the
+// minimum timestamp and increments a count, applying events is
+// *commutative*: any partition of the event stream that routes each
+// application's events to exactly one shard (`timeline_shard`), applied
+// in any order, reproduces the serial timelines bit for bit.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -26,10 +25,6 @@
 #include "common/flat_hash_map.hpp"
 #include "common/flat_map.hpp"
 #include "sdchecker/events.hpp"
-
-namespace sdc {
-class ThreadPool;
-}  // namespace sdc
 
 namespace sdc::checker {
 
@@ -199,53 +194,26 @@ struct ApplicationIdHash {
 /// merges tables into the deterministic app-ID order.
 using AppTable = FlatHashMap<ApplicationId, AppTimeline, ApplicationIdHash>;
 
-struct GroupResult {
-  std::map<ApplicationId, AppTimeline> apps;
-  /// Events that could not be attributed to any application.
-  std::size_t unattributed = 0;
-};
-
-/// Reads the batch's kind/ts/id arrays directly — no View
-/// materialization, no optional construction on the hot loop.
-[[nodiscard]] GroupResult group_events(const EventBatch& events);
-
 /// Applies row `i` of `events` to the timelines (the incremental
-/// counterpart of group_events).  Returns false when the row carries no
+/// analyzer's per-event path).  Returns false when the row carries no
 /// application id and cannot be attributed.
 bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i);
 
-/// Which analysis shard owns `app` when grouping into `shards` tables.
+/// Which grouping shard owns `app` when grouping into `shards` tables.
 /// Container events follow their owning application, so one shard sees
 /// every event of a given application.
 [[nodiscard]] std::size_t timeline_shard(const ApplicationId& app,
                                          std::size_t shards);
 
-/// App-partitioned grouping result: one unordered table per shard, apps
-/// disjoint across shards (routed by `timeline_shard`).
-struct ShardedGroupResult {
-  std::vector<AppTable> shards;
-  /// Events that could not be attributed to any application.
-  std::size_t unattributed = 0;
-};
-
-/// Groups `events` into `shards` per-shard tables on `pool`, one task
-/// per shard (each task walks the contiguous app-id and flag columns and
-/// applies only its own applications' events — no cross-shard
-/// synchronization).  Equivalent to `group_events` state-wise;
-/// `finalize_analysis` restores the deterministic ordering.
-[[nodiscard]] ShardedGroupResult group_events_sharded(const EventBatch& events,
-                                                      std::size_t shards,
-                                                      ThreadPool& pool);
-
 /// One shard's pass over one batch: applies every event whose
 /// application routes to `shard` (of `shard_count`) into `apps`.
 /// Returns how many events carried no application id — counted by shard
-/// 0 only, the same single-count convention as `group_events_sharded`,
-/// so summing the return values over all shards and batches matches the
-/// serial pass.  Fleet mode (fleet.cpp) feeds per-stream batches through
-/// this as streams finish stitching, instead of merging the corpus's
-/// events first: `KindFirstTs::record` keeps the minimum timestamp, so
-/// applying batches in any order reproduces the merged result.
+/// 0 only, so summing the return values over all shards and batches
+/// counts each such event once.  `CorpusPipeline` feeds each stream's
+/// batch through this as the stream finishes stitching, instead of
+/// merging the corpus's events first: `KindFirstTs::record` keeps the
+/// minimum timestamp, so applying batches in any order yields the same
+/// timelines.
 std::size_t apply_batch_to_shard(const EventBatch& events, AppTable& apps,
                                  std::size_t shard, std::size_t shard_count);
 

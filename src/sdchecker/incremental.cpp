@@ -1,9 +1,7 @@
 #include "sdchecker/incremental.hpp"
 
 #include <algorithm>
-#include <map>
 
-#include "common/thread_pool.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -22,15 +20,14 @@ void IncrementalAnalyzer::feed(const std::string& stream,
   StreamState& state = streams_[stream];
   ++lines_total_;
   const StreamKind kind_before = state.cursor.kind();
+  // Binding: the first line that reveals an id binds the stream and
+  // releases any parked events.
+  const bool was_bound = state.cursor.bound_app().has_value();
   const auto parsed = state.cursor.feed(line);
   if (!parsed) {
     ++lines_unparsed_;
     return;
   }
-  // Binding: the first line that reveals an id binds the stream and
-  // releases any parked events.
-  const bool was_bound = state.bound_app.has_value();
-  if (!was_bound) state.bound_app = state.cursor.bound_app();
 
   extracted_.clear();
   // Instance logs synthesize FIRST_LOG from their first parsed line once
@@ -52,7 +49,7 @@ void IncrementalAnalyzer::feed(const std::string& stream,
   for (std::size_t i = 0; i < extracted_.size(); ++i) {
     resolve_or_park(state, extracted_, i);
   }
-  if (!was_bound && state.bound_app) flush_parked(state);
+  if (!was_bound && state.cursor.bound_app()) flush_parked(state);
 }
 
 void IncrementalAnalyzer::feed_all(const std::string& stream,
@@ -67,9 +64,8 @@ void IncrementalAnalyzer::feed_all(const std::string& stream,
 
 void IncrementalAnalyzer::resolve_or_park(StreamState& state,
                                           EventBatch& events, std::size_t i) {
-  if (!events.has_app(i) && state.bound_app) {
-    events.set_app(i, *state.bound_app);
-  }
+  const auto& bound_app = state.cursor.bound_app();
+  if (!events.has_app(i) && bound_app) events.set_app(i, *bound_app);
   const auto& container = state.cursor.first_container();
   if (!events.has_container(i) && container &&
       state.cursor.kind() == StreamKind::kExecutor) {
@@ -81,8 +77,8 @@ void IncrementalAnalyzer::resolve_or_park(StreamState& state,
     // service; past the cap events are dropped, counted, and surfaced as
     // one kUnboundStream diagnostic.
     if (!state.parked) state.parked = std::make_unique<EventBatch>();
-    if (options_.parked_events_cap > 0 &&
-        state.parked->size() >= options_.parked_events_cap) {
+    if (parked_events_cap_ > 0 &&
+        state.parked->size() >= parked_events_cap_) {
       if (state.parked_dropped++ == 0) {
         state.parked_dropped_first_line = events.line_at(i);
       }
@@ -153,28 +149,11 @@ Delays IncrementalAnalyzer::delays_for(const ApplicationId& app) const {
   return decompose(it->second);
 }
 
-AnalysisResult IncrementalAnalyzer::snapshot(
-    std::size_t analyze_shards) const {
+AnalysisResult IncrementalAnalyzer::snapshot(ThreadPool* pool) const {
   const auto span = obs::Tracer::global().span("incremental.snapshot");
-  AnalyzeOptions shard_options;
-  shard_options.analyze_shards = analyze_shards;
-  const std::size_t shards = shard_options.effective_analyze_shards();
-  AnalysisResult result;
-  if (shards > 1) {
-    // Route a copy of the live table into per-shard tables (the same
-    // partition group_events_sharded produces) and finalize in parallel.
-    ShardedGroupResult grouped;
-    grouped.shards.resize(shards);
-    for (const auto& [app, timeline] : timelines_) {
-      grouped.shards[timeline_shard(app, shards)][app] = timeline;
-    }
-    ThreadPool pool(shards);
-    result = finalize_analysis(std::move(grouped), pool, retired_);
-  } else {
-    std::map<ApplicationId, AppTimeline> ordered;
-    for (const auto& [app, timeline] : timelines_) ordered[app] = timeline;
-    result = finalize_analysis(std::move(ordered), retired_);
-  }
+  std::vector<AppTable> tables(1, timelines_);
+  AnalysisResult result =
+      finalize_analysis(std::move(tables), pool, retired_);
   result.lines_total = lines_total_;
   result.lines_unparsed = lines_unparsed_;
   result.events_total = events_total_;
@@ -204,7 +183,7 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
           logging::DiagnosticKind::kUnboundStream, name,
           state.parked_dropped_first_line, state.parked_dropped,
           "stream never bound to an application id; parked-event cap (" +
-              std::to_string(options_.parked_events_cap) +
+              std::to_string(parked_events_cap_) +
               ") exceeded, event(s) dropped"});
     }
     if (records.size() > begin) {
@@ -230,8 +209,9 @@ bool IncrementalAnalyzer::stream_retired(std::string_view stream) const {
   if (it == streams_.end()) return false;
   const StreamState& state = it->second;
   const StreamKind kind = state.cursor.kind();
+  const auto& bound_app = state.cursor.bound_app();
   return (kind == StreamKind::kDriver || kind == StreamKind::kExecutor) &&
-         state.bound_app && retired_.contains(*state.bound_app);
+         bound_app && retired_.contains(*bound_app);
 }
 
 std::size_t IncrementalAnalyzer::events_pending() const {

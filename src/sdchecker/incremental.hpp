@@ -29,12 +29,20 @@
 
 namespace sdc::checker {
 
+/// Default cap on the events parked per not-yet-bound stream.
+inline constexpr std::size_t kParkedEventsCap = 65536;
+
 class IncrementalAnalyzer {
  public:
-  /// Only `parked_events_cap` of the options is meaningful here (feeding
-  /// is inherently serial).
-  explicit IncrementalAnalyzer(MinerOptions options = {})
-      : options_(options) {}
+  /// `parked_events_cap`: maximum events parked per stream while the
+  /// stream has not bound to an application id.  A stream that never
+  /// binds would otherwise grow its parked buffer forever in a
+  /// long-running service; past the cap, further events are dropped,
+  /// counted, and reported as one kUnboundStream diagnostic per stream.
+  /// 0 = unbounded.
+  explicit IncrementalAnalyzer(
+      std::size_t parked_events_cap = kParkedEventsCap)
+      : parked_events_cap_(parked_events_cap) {}
 
   /// Feeds one raw log line belonging to the named stream (file).  Lines
   /// of different streams may interleave arbitrarily; lines within one
@@ -66,10 +74,10 @@ class IncrementalAnalyzer {
   /// Full snapshot: decompositions, aggregates and anomalies over
   /// everything seen so far — retired applications included, folded into
   /// the delays/aggregate/anomaly outputs at their app-ID position.
-  /// O(apps) — intended for periodic reporting.  `analyze_shards` > 1
-  /// runs the finalize stage sharded on that many pool threads (0 = one
-  /// per hardware thread); the report is byte-identical either way.
-  [[nodiscard]] AnalysisResult snapshot(std::size_t analyze_shards = 1) const;
+  /// O(apps) — intended for periodic reporting.  Finalize runs on `pool`
+  /// (nullptr = the calling thread); the report is byte-identical either
+  /// way.
+  [[nodiscard]] AnalysisResult snapshot(ThreadPool* pool = nullptr) const;
 
   // --- bounded-memory eviction (the follow service's discipline) ------
   //
@@ -126,7 +134,7 @@ class IncrementalAnalyzer {
   }
   /// Events not attributed to any application: currently parked because
   /// their stream has not bound yet, plus events dropped when a stream's
-  /// parked buffer overflowed `MinerOptions::parked_events_cap`.
+  /// parked buffer overflowed the parked-event cap.
   [[nodiscard]] std::size_t events_pending() const;
 
   /// Typed corpus-health findings so far, in stream order — each
@@ -138,12 +146,11 @@ class IncrementalAnalyzer {
 
  private:
   struct StreamState {
+    /// Binds the stream on the first line that carries an id
+    /// (`StreamCursor::bound_app`), the rule batch mining applies too.
     StreamCursor cursor;
-    /// Set on the first line that reveals an id (the cursor's binding
-    /// rule over the lines seen so far) and never changed after.
-    std::optional<ApplicationId> bound_app;
     /// Stream-scoped events waiting for the stream to bind, capped at
-    /// `MinerOptions::parked_events_cap`; allocated on first use.
+    /// `parked_events_cap_`; allocated on first use.
     std::unique_ptr<EventBatch> parked;
     /// Events dropped past the cap (reported as one kUnboundStream
     /// diagnostic per stream).
@@ -164,7 +171,7 @@ class IncrementalAnalyzer {
   /// Called when a stream just bound; flushes parked events.
   void flush_parked(StreamState& state);
 
-  MinerOptions options_;
+  std::size_t parked_events_cap_;
   /// Hot per-line lookup — flat hash table, name-sorted only when a
   /// diagnostics report is cut.
   FlatHashMap<std::string, StreamState, StringHash> streams_;

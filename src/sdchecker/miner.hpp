@@ -50,14 +50,6 @@ struct MinerOptions {
   /// cannot dominate short streams.  0 disables intra-stream sharding
   /// (one chunk per stream — the pre-sharding behaviour).
   std::size_t shard_grain = 8192;
-  /// Streaming ingestion only (IncrementalAnalyzer/follow mode): maximum
-  /// events parked per stream while the stream has not bound to an
-  /// application id.  A stream that never binds would otherwise grow its
-  /// parked buffer forever in a long-running service; past the cap,
-  /// further events are dropped, counted, and reported as one
-  /// kUnboundStream diagnostic per stream.  0 = unbounded (the batch
-  /// miner's behaviour, which buffers whole streams anyway).
-  std::size_t parked_events_cap = 65536;
 };
 
 /// Per-stream mining outcome (diagnostics and tests).
@@ -95,11 +87,11 @@ struct MineResult {
 
 /// One corpus's mining work decomposed into schedulable pieces: the
 /// stream/chunk structure `LogMiner::mine` runs start-to-finish, exposed
-/// so fleet mode (fleet.hpp) can run the chunks of many corpora on one
-/// shared pool and stitch each stream — handing its events to grouping —
-/// the moment that stream's last chunk completes, instead of waiting for
-/// the whole corpus.  Both paths share this one pipeline, so the
-/// sharded/serial byte-identity proof covers fleet mining too.
+/// so `CorpusPipeline` (sdchecker.hpp) — what `analyze` and fleet mode
+/// run — can stitch each stream, handing its events to grouping, the
+/// moment that stream's last chunk completes, instead of waiting for the
+/// whole corpus.  Both paths share this one pipeline, so the
+/// sharded/serial byte-identity proof covers them both.
 ///
 /// Protocol: construct over a live BundleView (the view must outlive the
 /// plan — chunks alias its lines), call `run_chunk` for every chunk
@@ -138,6 +130,10 @@ class MinePlan {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Mines a whole corpus into one sorted event list (k-way merged from
+/// the per-stream runs).  `SdChecker` does not need the merged list — it
+/// runs `CorpusPipeline` — so this serves the coverage lint and tests of
+/// the mining layer.
 class LogMiner {
  public:
   explicit LogMiner(MinerOptions options = {}) : options_(options) {}

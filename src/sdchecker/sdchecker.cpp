@@ -1,6 +1,7 @@
 #include "sdchecker/sdchecker.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -23,16 +24,15 @@ struct FinalizeCounters {
   }
 };
 
-/// Decompose + anomaly + aggregate over timelines already in app-ID
-/// order.  `decomposed`/`found` are the per-app parallel-stage outputs,
-/// index-aligned with the iteration order of `result.timelines`; the
-/// serial path passes empty vectors and computes inline.  Merging is
-/// serial and ordered, so every aggregate SampleSet and the anomaly list
-/// are filled exactly as the historical serial loop filled them.
-/// `retired` rows (evicted timelines, apps disjoint from the live set)
-/// are spliced in at their app-ID position, which keeps the aggregate
-/// fold order — and therefore the floating-point sums and the rendered
-/// report — identical to a run where every timeline were still resident.
+/// Aggregates over timelines already in app-ID order.  `decomposed` /
+/// `found` are the per-app decomposition and anomaly outputs,
+/// index-aligned with the iteration order of `result.timelines`.
+/// Merging is serial and ordered, so every aggregate SampleSet and the
+/// anomaly list are filled in the same order for any pool.  `retired`
+/// rows (evicted timelines, apps disjoint from the live set) are spliced
+/// in at their app-ID position, which keeps the aggregate fold order —
+/// and therefore the floating-point sums and the rendered report —
+/// identical to a run where every timeline were still resident.
 void merge_finalized(AnalysisResult& result, std::vector<Delays> decomposed,
                      std::vector<std::vector<Anomaly>> found,
                      const RetiredTable& retired) {
@@ -53,17 +53,12 @@ void merge_finalized(AnalysisResult& result, std::vector<Delays> decomposed,
   std::size_t i = 0;
   for (const auto& [app, timeline] : result.timelines) {
     fold_retired_before(&app);
-    Delays delays =
-        i < decomposed.size() ? std::move(decomposed[i]) : decompose(timeline);
-    if (i < found.size()) {
-      for (Anomaly& anomaly : found[i]) {
-        result.anomalies.push_back(std::move(anomaly));
-      }
-    } else {
-      detect_anomalies(timeline, delays, result.anomalies);
+    for (Anomaly& anomaly : found[i]) {
+      result.anomalies.push_back(std::move(anomaly));
     }
-    result.aggregate.add(delays);
-    result.delays.emplace_hint(result.delays.end(), app, std::move(delays));
+    result.aggregate.add(decomposed[i]);
+    result.delays.emplace_hint(result.delays.end(), app,
+                               std::move(decomposed[i]));
     ++i;
   }
   fold_retired_before(nullptr);
@@ -98,19 +93,45 @@ std::vector<const Anomaly*> AnalysisResult::anomalies_of(
 }
 
 AnalysisResult SdChecker::analyze(const logging::LogBundle& bundle) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine(bundle));
+  return analyze(logging::BundleView::from_bundle(bundle));
 }
 
 AnalysisResult SdChecker::analyze(const logging::BundleView& view) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine(view));
+  return run(view, {});
 }
 
 AnalysisResult SdChecker::analyze_directory(
     const std::filesystem::path& dir) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine_directory(dir));
+  std::vector<logging::Diagnostic> io_diagnostics;
+  const logging::BundleView view =
+      logging::BundleView::read_from_directory(dir, &io_diagnostics);
+  return run(view, std::move(io_diagnostics));
+}
+
+AnalysisResult SdChecker::run(
+    const logging::BundleView& view,
+    std::vector<logging::Diagnostic> io_diagnostics) const {
+  const std::size_t shards = options_.effective_analyze_shards();
+  const std::size_t workers = std::max(options_.threads, shards);
+  std::optional<ThreadPool> pool;
+  std::optional<CorpusPipeline> pipeline;
+  {
+    // The caller waits for the pool only inside this span, so a trace
+    // attributes none of the wait to the caller's own work.
+    const auto span = obs::Tracer::global().span("mine.total");
+    pipeline.emplace(view, std::move(io_diagnostics),
+                     options_.miner_options(), shards);
+    const auto run_chunk = [&pipeline](std::size_t chunk) {
+      pipeline->run_chunk(chunk);
+    };
+    if (workers > 1) {
+      pool.emplace(workers);
+      parallel_for(*pool, pipeline->chunk_count(), run_chunk);
+    } else {
+      for (std::size_t c = 0; c < pipeline->chunk_count(); ++c) run_chunk(c);
+    }
+  }
+  return pipeline->finish(pool ? &*pool : nullptr);
 }
 
 std::vector<AnalysisResult::Completeness> AnalysisResult::completeness()
@@ -174,32 +195,18 @@ std::string AnalysisResult::render_diagnostics() const {
   return out;
 }
 
-AnalysisResult finalize_analysis(
-    std::map<ApplicationId, AppTimeline> timelines,
-    const RetiredTable& retired) {
-  const auto span = obs::Tracer::global().span("analyze.finalize");
-  AnalysisResult result;
-  result.timelines = std::move(timelines);
-  merge_finalized(result, {}, {}, retired);
-  return result;
-}
-
-AnalysisResult finalize_analysis(ShardedGroupResult grouped,
-                                 ThreadPool& pool,
+AnalysisResult finalize_analysis(std::vector<AppTable> tables,
+                                 ThreadPool* pool,
                                  const RetiredTable& retired) {
   const auto span = obs::Tracer::global().span("analyze.finalize");
-  static obs::Counter& shards_counter =
-      obs::catalog_counter(obs::metric::kAnalyzeShards);
-  shards_counter.add(grouped.shards.size());
-
   AnalysisResult result;
   {
-    // Fold the unordered shard tables into the result's sorted map; apps
-    // are disjoint across shards, so this is pure re-ordering.
+    // Fold the unordered tables into the result's sorted map; apps are
+    // disjoint across tables, so this is pure re-ordering.
     const auto merge_span = obs::Tracer::global().span("analyze.merge");
     std::vector<std::pair<ApplicationId, AppTimeline*>> apps;
-    for (AppTable& shard : grouped.shards) {
-      for (auto& [app, timeline] : shard) {
+    for (AppTable& table : tables) {
+      for (auto& [app, timeline] : table) {
         apps.emplace_back(app, &timeline);
       }
     }
@@ -222,10 +229,15 @@ AnalysisResult finalize_analysis(ShardedGroupResult grouped,
   }
   std::vector<Delays> decomposed(n);
   std::vector<std::vector<Anomaly>> found(n);
-  parallel_for(pool, n, [&](std::size_t i) {
+  const auto finalize_app = [&](std::size_t i) {
     decomposed[i] = decompose(*order[i]);
     detect_anomalies(*order[i], decomposed[i], found[i]);
-  });
+  };
+  if (pool != nullptr) {
+    parallel_for(*pool, n, finalize_app);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) finalize_app(i);
+  }
 
   {
     const auto merge_span = obs::Tracer::global().span("analyze.merge");
@@ -234,34 +246,119 @@ AnalysisResult finalize_analysis(ShardedGroupResult grouped,
   return result;
 }
 
-AnalysisResult SdChecker::analyze_mined(MineResult mined) const {
-  const std::size_t shards = options_.effective_analyze_shards();
-  AnalysisResult result;
-  if (shards > 1) {
-    ThreadPool pool(shards);
-    ShardedGroupResult grouped = [&] {
-      const auto span = obs::Tracer::global().span("analyze.group");
-      return group_events_sharded(mined.events, shards, pool);
-    }();
-    const std::size_t unattributed = grouped.unattributed;
-    result = finalize_analysis(std::move(grouped), pool);
-    result.events_unattributed = unattributed;
-  } else {
-    GroupResult grouped = [&] {
-      const auto span = obs::Tracer::global().span("analyze.group");
-      return group_events(mined.events);
-    }();
-    result = finalize_analysis(std::move(grouped.apps));
-    result.events_unattributed = grouped.unattributed;
+CorpusPipeline::CorpusPipeline(const logging::BundleView& view,
+                               std::vector<logging::Diagnostic> io_diagnostics,
+                               const MinerOptions& options,
+                               std::size_t shards)
+    : plan_(view, options),
+      io_diagnostics_(std::move(io_diagnostics)),
+      streams_(plan_.stream_count()),
+      chunks_left_(
+          std::make_unique<std::atomic<std::size_t>[]>(plan_.stream_count())),
+      streams_left_(plan_.stream_count()) {
+  static obs::Counter& shards_counter =
+      obs::catalog_counter(obs::metric::kAnalyzeShards);
+  shards_counter.add(shards);
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    shards_.push_back(std::make_unique<Shard>());
   }
-  result.lines_total = mined.lines_total;
-  result.lines_unparsed = mined.lines_unparsed;
-  result.events_total = mined.events.size();
-  result.diagnostics = std::move(mined.diagnostics);
-  result.diag_counts = mined.diag_counts;
-  // Report order is severity-then-class, independent of mining thread
-  // count; the mining layer itself keeps discovery order.
+  for (std::size_t s = 0; s < plan_.stream_count(); ++s) {
+    chunks_left_[s].store(plan_.chunks_of(s), std::memory_order_relaxed);
+  }
+}
+
+bool CorpusPipeline::run_chunk(std::size_t chunk) {
+  const auto fail = [this] {
+    if (!failed_.exchange(true, std::memory_order_acq_rel)) {
+      error_ = std::current_exception();
+    }
+  };
+  if (!failed_.load(std::memory_order_relaxed)) {
+    try {
+      plan_.run_chunk(chunk);
+    } catch (...) {
+      fail();
+    }
+  }
+  const std::size_t stream = plan_.stream_of(chunk);
+  if (chunks_left_[stream].fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return false;
+  }
+  // This chunk completed its stream: stitch it and hand its events to
+  // grouping now, while other chunks are still mining.
+  if (!failed_.load(std::memory_order_acquire)) {
+    try {
+      stitch_and_group(stream);
+    } catch (...) {
+      fail();
+    }
+  }
+  return streams_left_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+void CorpusPipeline::stitch_and_group(std::size_t stream) {
+  MinedStream stitched = [&] {
+    const auto span = obs::Tracer::global().span("mine.stitch");
+    return plan_.stitch(stream);
+  }();
+  {
+    const auto span = obs::Tracer::global().span("analyze.group");
+    const std::size_t count = shards_.size();
+    for (std::size_t s = 0; s < count; ++s) {
+      MutexLock lock(shards_[s]->mu);
+      const std::size_t unattributed =
+          apply_batch_to_shard(stitched.events, shards_[s]->apps, s, count);
+      unattributed_.fetch_add(unattributed, std::memory_order_relaxed);
+    }
+  }
+  StreamMeta& meta = streams_[stream];
+  meta.lines_total = stitched.lines_total;
+  meta.lines_unparsed = stitched.lines_unparsed;
+  meta.events = stitched.events.size();
+  meta.diagnostics = std::move(stitched.diagnostics);
+  meta.diag_counts = stitched.diag_counts;
+}
+
+AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
+  if (failed_.load(std::memory_order_acquire)) std::rethrow_exception(error_);
+  static obs::Counter& streams_counter =
+      obs::catalog_counter(obs::metric::kMineStreams);
+  static obs::Counter& events_counter =
+      obs::catalog_counter(obs::metric::kMineEvents);
+
+  std::vector<AppTable> tables;
+  tables.reserve(shards_.size());
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    MutexLock lock(shard->mu);
+    tables.push_back(std::move(shard->apps));
+  }
+  AnalysisResult result = finalize_analysis(std::move(tables), pool);
+  result.events_unattributed = unattributed_.load(std::memory_order_relaxed);
+
+  result.diagnostics = std::move(io_diagnostics_);
+  for (const logging::Diagnostic& diagnostic : result.diagnostics) {
+    result.diag_counts.add(diagnostic);
+  }
+  for (StreamMeta& meta : streams_) {
+    result.lines_total += meta.lines_total;
+    result.lines_unparsed += meta.lines_unparsed;
+    result.events_total += meta.events;
+    for (logging::Diagnostic& diagnostic : meta.diagnostics) {
+      // The mine.diagnostics counters cover stream findings only (I/O
+      // findings are bundle-level), as `LogMiner::mine` counts them.
+      obs::catalog_counter(obs::metric::kMineDiagnostics,
+                           logging::diagnostic_kind_name(diagnostic.kind))
+          .add(diagnostic.count);
+      result.diagnostics.push_back(std::move(diagnostic));
+    }
+    result.diag_counts += meta.diag_counts;
+  }
+  // Report order is severity-then-class, independent of thread count;
+  // the mining layer itself keeps discovery order.
   logging::sort_diagnostics(result.diagnostics);
+  streams_counter.add(streams_.size());
+  events_counter.add(result.events_total);
   return result;
 }
 

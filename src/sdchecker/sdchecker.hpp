@@ -9,10 +9,15 @@
 //   std::cout << result.aggregate.render_text();
 #pragma once
 
+#include <atomic>
+#include <exception>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 #include "logging/log_bundle.hpp"
 #include "sdchecker/anomaly.hpp"
 #include "sdchecker/decompose.hpp"
@@ -21,19 +26,24 @@
 #include "sdchecker/miner.hpp"
 #include "sdchecker/report.hpp"
 
+namespace sdc {
+class ThreadPool;
+}  // namespace sdc
+
 namespace sdc::checker {
 
 struct AnalyzeOptions {
-  /// Worker threads for the mining stage (1 = serial).
+  /// Worker threads for mining (1 = serial); streams are split into
+  /// chunks only when this is above 1.
   std::size_t threads = 1;
   /// Minimum lines per intra-stream mining chunk (see MinerOptions);
   /// 0 disables intra-stream sharding.
   std::size_t shard_grain = 8192;
-  /// Shards (and worker threads) for the post-mining analysis stage:
-  /// grouping is partitioned by application, decomposition and anomaly
-  /// detection run per app on a pool.  1 = the serial stage; 0 = one
-  /// shard per hardware thread.  Output is byte-identical either way —
-  /// the merge restores the serial app-ID order.
+  /// Grouping shards: the application tables stitched streams are folded
+  /// into (1 = one table; 0 = one per hardware thread).  The analysis
+  /// runs on one pool of `max(threads, effective_analyze_shards())`
+  /// workers, and on the calling thread alone when that is 1.  Output is
+  /// byte-identical either way — finalize restores the app-ID order.
   std::size_t analyze_shards = 1;
 
   /// `analyze_shards` with 0 resolved to the hardware concurrency.
@@ -102,11 +112,16 @@ class SdChecker {
   [[nodiscard]] AnalysisResult analyze(const logging::LogBundle& bundle) const;
   /// Zero-copy path over mmap-backed (or adapted) line views.
   [[nodiscard]] AnalysisResult analyze(const logging::BundleView& view) const;
+  /// Reads `dir` on the calling thread (unreadable files become
+  /// diagnostics), then analyzes it.
   [[nodiscard]] AnalysisResult analyze_directory(
       const std::filesystem::path& dir) const;
 
  private:
-  AnalysisResult analyze_mined(MineResult mined) const;
+  /// Runs one `CorpusPipeline` over `view`: its chunks on the pool (or
+  /// the calling thread), then finish on the same pool.
+  AnalysisResult run(const logging::BundleView& view,
+                     std::vector<logging::Diagnostic> io_diagnostics) const;
 
   AnalyzeOptions options_;
 };
@@ -125,24 +140,89 @@ struct RetiredApp {
 /// map come out exactly as if every timeline were still resident.
 using RetiredTable = std::map<ApplicationId, RetiredApp>;
 
-/// Runs the decomposition + anomaly + aggregation stages over already-
-/// grouped timelines (shared by SdChecker and the incremental analyzer).
-/// `retired` rows (apps disjoint from `timelines`) are folded into the
-/// delays/aggregate/anomaly outputs at their app-ID position; only
-/// `AnalysisResult::timelines` (and the reports derived from it) is
-/// limited to the still-resident applications.
-[[nodiscard]] AnalysisResult finalize_analysis(
-    std::map<ApplicationId, AppTimeline> timelines,
-    const RetiredTable& retired = {});
-
-/// Sharded/parallel variant: folds the per-shard tables into the
-/// deterministic app-ID order, decomposes and anomaly-checks each app on
-/// `pool`, then merges aggregates/delays/anomalies in that order — the
-/// result (including `analysis_json`) is byte-identical to the serial
-/// overload on the same grouped state.  Consumes the shard tables.
-[[nodiscard]] AnalysisResult finalize_analysis(ShardedGroupResult grouped,
-                                               ThreadPool& pool,
+/// Runs the decomposition + anomaly + aggregation stages over grouped
+/// timelines (shared by `CorpusPipeline` and the incremental analyzer).
+/// `tables` hold disjoint applications in any order; they are folded
+/// into app-ID order, each app is decomposed and anomaly-checked on
+/// `pool` (nullptr = the calling thread), and the ordered merge then
+/// fills aggregates/delays/anomalies — byte-identical for any table
+/// split and any pool.  `retired` rows (apps disjoint from the tables)
+/// are folded into the delays/aggregate/anomaly outputs at their app-ID
+/// position; only `AnalysisResult::timelines` (and the reports derived
+/// from it) is limited to the still-resident applications.
+[[nodiscard]] AnalysisResult finalize_analysis(std::vector<AppTable> tables,
+                                               ThreadPool* pool,
                                                const RetiredTable& retired =
                                                    {});
+
+/// One corpus's analysis as schedulable pieces: the pipeline
+/// `SdChecker::analyze*` runs for one corpus and fleet mode (fleet.hpp)
+/// runs for many on one shared pool.  Mining is a `MinePlan`; the call
+/// that completes a stream's last chunk also stitches the stream and
+/// folds its events into `shards` app-partitioned grouping tables
+/// (`apply_batch_to_shard`), so no corpus-wide sorted event list is
+/// built — `KindFirstTs::record` keeps the minimum and counts add, so
+/// batches apply in any order.  `finish` then finalizes once.
+///
+/// Protocol: `view` must outlive the pipeline (chunks alias its lines).
+/// Call `run_chunk` once per chunk (thread-safe across chunks), then
+/// `finish` once: after every call returned, or right after the call
+/// that returned true, since every other call has done its work by
+/// then.
+class CorpusPipeline {
+ public:
+  CorpusPipeline(const logging::BundleView& view,
+                 std::vector<logging::Diagnostic> io_diagnostics,
+                 const MinerOptions& options, std::size_t shards);
+
+  CorpusPipeline(const CorpusPipeline&) = delete;
+  CorpusPipeline& operator=(const CorpusPipeline&) = delete;
+
+  [[nodiscard]] std::size_t chunk_count() const { return plan_.chunk_count(); }
+
+  /// Mines one chunk; when it was its stream's last, stitches and groups
+  /// the stream.  Returns true for the call that completed the corpus's
+  /// last stream.  A failure is kept for `finish` to rethrow, and later
+  /// calls skip their work.
+  bool run_chunk(std::size_t chunk);
+
+  /// Finalizes the grouping tables on `pool` (nullptr = the calling
+  /// thread) and assembles the diagnostics: I/O findings first, then
+  /// each stream's in name order, then the severity sort.  Rethrows the
+  /// first failure of a `run_chunk` call.
+  [[nodiscard]] AnalysisResult finish(ThreadPool* pool);
+
+ private:
+  struct StreamMeta {
+    std::size_t lines_total = 0;
+    std::size_t lines_unparsed = 0;
+    std::size_t events = 0;
+    std::vector<logging::Diagnostic> diagnostics;
+    logging::DiagnosticCounts diag_counts;
+  };
+  /// A shard's lock is held for one batch application at a time, so two
+  /// streams finishing together contend per shard, not per corpus.
+  struct Shard {
+    Mutex mu;
+    AppTable apps SDC_GUARDED_BY(mu);
+  };
+
+  void stitch_and_group(std::size_t stream);
+
+  MinePlan plan_;
+  std::vector<logging::Diagnostic> io_diagnostics_;
+  /// Slot s is written only by the call that stitched stream s.
+  std::vector<StreamMeta> streams_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Countdowns to "stream fully mined" / "corpus fully stitched".  The
+  /// acq_rel fetch_sub chains publish every chunk's output to whichever
+  /// call observes the last decrement.
+  std::unique_ptr<std::atomic<std::size_t>[]> chunks_left_;
+  std::atomic<std::size_t> streams_left_;
+  std::atomic<std::size_t> unattributed_{0};
+  /// Set by the first failing call, which alone writes `error_`.
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;
+};
 
 }  // namespace sdc::checker

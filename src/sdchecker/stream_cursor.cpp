@@ -31,7 +31,11 @@ std::optional<ParsedLine> StreamCursor::feed(std::string_view line) {
   last_ts_ = parsed->epoch_ms;
   if (kind_ == StreamKind::kUnknown) kind_ = classify_line(*parsed);
   if (!first_container_) first_container_ = find_container_id(parsed->message);
-  if (!first_app_) first_app_ = find_application_id(parsed->message);
+  if (!bound_app_) {
+    // Unbound so far, a container seen now was found on this line.
+    bound_app_ = find_application_id(parsed->message);
+    if (!bound_app_ && first_container_) bound_app_ = first_container_->app;
+  }
   return parsed;
 }
 
@@ -70,7 +74,7 @@ void StreamCursor::join(const StreamCursor& next) {
     first_parsed_line_ = next.first_parsed_line_;
   }
   if (kind_ == StreamKind::kUnknown) kind_ = next.kind_;
-  if (!first_app_) first_app_ = next.first_app_;
+  if (!bound_app_) bound_app_ = next.bound_app_;
   if (!first_container_) first_container_ = next.first_container_;
   // Our open run continues into the run at `next`'s first line.
   for (const Run& run : next.runs_) {
@@ -133,12 +137,6 @@ void StreamCursor::render(const std::string& stream,
             std::to_string(regression_max_ms_) + " ms (budget " +
             std::to_string(kSkewBudgetMs) + " ms)"});
   }
-}
-
-std::optional<ApplicationId> StreamCursor::bound_app() const {
-  if (first_app_) return first_app_;
-  if (first_container_) return first_container_->app;
-  return std::nullopt;
 }
 
 std::optional<EventKind> StreamCursor::first_log_kind() const {

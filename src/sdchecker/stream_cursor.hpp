@@ -78,10 +78,15 @@ class StreamCursor {
       const noexcept {
     return first_container_;
   }
-  /// The application the stream binds to: the first application id
-  /// seen, else the first container's (driver and executor logs do not
-  /// carry ids on every line — Fig. 2).
-  [[nodiscard]] std::optional<ApplicationId> bound_app() const;
+  /// The application the stream binds to, fixed by the first line that
+  /// carries an id: that line's application id, else its container's
+  /// application (driver and executor logs do not carry ids on every
+  /// line — Fig. 2).  A rule that never revises the binding is one
+  /// follow mode can apply as lines arrive.
+  [[nodiscard]] const std::optional<ApplicationId>& bound_app()
+      const noexcept {
+    return bound_app_;
+  }
   /// FIRST_LOG kind for driver and executor logs, whose first parsed
   /// line marks the launch; nullopt for other streams.
   [[nodiscard]] std::optional<EventKind> first_log_kind() const;
@@ -134,7 +139,7 @@ class StreamCursor {
   Tally regression_;
   std::int64_t regression_max_ms_ = 0;
   StreamKind kind_ = StreamKind::kUnknown;
-  std::optional<ApplicationId> first_app_;
+  std::optional<ApplicationId> bound_app_;
   std::optional<ContainerId> first_container_;
   std::optional<std::int64_t> first_ts_;
   std::size_t first_parsed_line_ = 0;

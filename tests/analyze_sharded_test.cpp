@@ -111,25 +111,38 @@ TEST(AnalyzeSharded, ShardRoutingIsTotalAndStable) {
 }
 
 TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
+  // What `CorpusPipeline` relies on: stitched streams applied to
+  // app-partitioned tables in any completion order (here: reverse name
+  // order) group exactly like the corpus's merged events in one table.
   const logging::LogBundle logs = make_corpus(5);
-  LogMiner miner;
-  const MineResult mined = miner.mine(logs);
-  const GroupResult serial = group_events(mined.events);
+  const MineResult mined = LogMiner().mine(logs);
+  AppTable serial;
+  const std::size_t serial_unattributed =
+      apply_batch_to_shard(mined.events, serial, 0, 1);
 
-  ThreadPool pool(4);
-  const ShardedGroupResult sharded =
-      group_events_sharded(mined.events, 4, pool);
-  EXPECT_EQ(sharded.unattributed, serial.unattributed);
+  const logging::BundleView view = logging::BundleView::from_bundle(logs);
+  MinePlan plan(view, MinerOptions{.threads = 4, .shard_grain = 64});
+  for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
+  std::vector<AppTable> sharded(4);
+  std::size_t unattributed = 0;
+  for (std::size_t stream = plan.stream_count(); stream-- > 0;) {
+    const MinedStream stitched = plan.stitch(stream);
+    for (std::size_t s = 0; s < sharded.size(); ++s) {
+      unattributed +=
+          apply_batch_to_shard(stitched.events, sharded[s], s, sharded.size());
+    }
+  }
+  EXPECT_EQ(unattributed, serial_unattributed);
 
   std::size_t total_apps = 0;
   std::set<ApplicationId> seen;
-  for (std::size_t s = 0; s < sharded.shards.size(); ++s) {
-    for (const auto& [app, timeline] : sharded.shards[s]) {
+  for (std::size_t s = 0; s < sharded.size(); ++s) {
+    for (const auto& [app, timeline] : sharded[s]) {
       ++total_apps;
       EXPECT_TRUE(seen.insert(app).second) << "app in two shards";
-      EXPECT_EQ(timeline_shard(app, sharded.shards.size()), s);
-      const auto it = serial.apps.find(app);
-      ASSERT_NE(it, serial.apps.end());
+      EXPECT_EQ(timeline_shard(app, sharded.size()), s);
+      const auto it = serial.find(app);
+      ASSERT_NE(it, serial.end());
       // Identical per-kind state: presence bits, first timestamps, and
       // the container set.
       EXPECT_EQ(timeline.first_ts.present_mask(),
@@ -140,7 +153,7 @@ TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
       EXPECT_EQ(timeline.containers.size(), it->second.containers.size());
     }
   }
-  EXPECT_EQ(total_apps, serial.apps.size());
+  EXPECT_EQ(total_apps, serial.size());
 }
 
 TEST(AnalyzeSharded, IncrementalSnapshotShardedMatchesSerial) {
@@ -150,8 +163,9 @@ TEST(AnalyzeSharded, IncrementalSnapshotShardedMatchesSerial) {
     analyzer.feed_all(name, logs.lines(name));
   }
   const std::string serial = analysis_json(analyzer.snapshot());
-  EXPECT_EQ(analysis_json(analyzer.snapshot(4)), serial);
-  EXPECT_EQ(analysis_json(analyzer.snapshot(0)), serial);  // auto
+  ThreadPool pool(4);
+  EXPECT_EQ(analysis_json(analyzer.snapshot(&pool)), serial);
+  EXPECT_EQ(analysis_json(analyzer.snapshot(&pool)), serial);  // pool reused
 }
 
 TEST(AnalyzeSharded, MoreShardsThanAppsStillCoversEverything) {

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/thread_pool.hpp"
 #include "harness/scenario.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
@@ -204,10 +205,38 @@ TEST(Incremental, UnboundStreamEventCountsMatchBatch) {
   EXPECT_EQ(analysis_json(streamed), analysis_json(batch));
 }
 
+// --- binding ------------------------------------------------------------
+//
+// Regression: batch mining bound a stream to its first application id
+// even when a container id of another application came first, while
+// follow binds on the first line that carries an id — it cannot revise
+// a binding after applying events.  Both now apply follow's rule.
+TEST(Incremental, FirstIdCarryingLineBindsLikeBatch) {
+  const std::string am =
+      " INFO  org.apache.spark.deploy.yarn.ApplicationMaster: ";
+  logging::LogBundle bundle;
+  bundle.append("driver.log",
+                "2017-07-03 16:40:00,000" + am +
+                    "Preparing Local resources for "
+                    "container_1499100000000_0002_01_000002");
+  bundle.append("driver.log", "2017-07-03 16:40:01,000" + am +
+                                  "Submitted application_1499100000000_0001");
+  bundle.append("driver.log",
+                "2017-07-03 16:40:03,000" + am +
+                    "Registering the ApplicationMaster with the "
+                    "ResourceManager");
+
+  const AnalysisResult batch = SdChecker().analyze(bundle);
+  ASSERT_EQ(batch.timelines.size(), 1u);
+  EXPECT_EQ(batch.timelines.begin()->first.str(),
+            "application_1499100000000_0002");
+  IncrementalAnalyzer analyzer;
+  analyzer.feed_all("driver.log", bundle.lines("driver.log"));
+  EXPECT_EQ(analysis_json(analyzer.snapshot()), analysis_json(batch));
+}
+
 TEST(Incremental, ParkedCapDropsCountAndDiagnose) {
-  MinerOptions options;
-  options.parked_events_cap = 1;
-  IncrementalAnalyzer analyzer(options);
+  IncrementalAnalyzer analyzer(/*parked_events_cap=*/1);
   analyzer.feed("executor.log",
                 "17/07/03 16:40:09 INFO CoarseGrainedExecutorBackend: "
                 "Registered signal handlers");  // FIRST_LOG parks (1/1)
@@ -256,7 +285,8 @@ TEST(Incremental, RetirementFoldsIntoSnapshotExactly) {
   // The snapshot folds retired rows back in at their app-ID position:
   // byte-identical to batch, and to the sharded finalize too.
   EXPECT_EQ(analysis_json(analyzer.snapshot()), analysis_json(batch));
-  EXPECT_EQ(analysis_json(analyzer.snapshot(4)), analysis_json(batch));
+  ThreadPool pool(4);
+  EXPECT_EQ(analysis_json(analyzer.snapshot(&pool)), analysis_json(batch));
 
   // delays_for answers from the retired cache.
   const ApplicationId app = analyzer.retired().begin()->first;

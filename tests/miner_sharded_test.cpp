@@ -134,31 +134,14 @@ std::string cursor_state(const StreamCursor& cursor) {
   return out;
 }
 
-TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
-  const std::string cls = "org.apache.spark.deploy.yarn.ApplicationMaster";
-  const std::string plain = "\tat org.example.Frame.run(Frame.java:1)";
-  const std::string garbage("\x01\x02\0junk\x03", 8);
-  const std::string cut = logging::format_epoch_ms(kEpoch) + " INF";
-  const std::vector<std::string> lines = {
-      "ate change from A to B",  // head tear
-      line(0, cls, "Registering application_1499100000000_0042"),
-      plain, plain,  // short run: dropped once closed
-      line(10, cls, "step"),
-      plain, garbage, plain, cut, plain,  // 5-line burst
-      line(5000, cls, "later"),
-      line(100, cls, "clock stepped back"),
-      garbage,
-      line(6000, cls, "after garbage"),
-      plain, plain, plain, plain,  // 4-line burst
-      line(7000, cls, "more"),
-      plain, plain,  // tail tear
-  };
+/// Joins cursors over lines [0, i), [i, j) and [j, n) for every pair of
+/// seams and expects each join to equal one cursor fed every line;
+/// returns that cursor's state.
+std::string expect_any_seams_equal_one_cursor(
+    const std::vector<std::string>& lines) {
   StreamCursor whole;
   for (const auto& text : lines) whole.feed(text);
   const std::string expected = cursor_state(whole);
-  ASSERT_NE(expected.find("stream begins mid-line"), std::string::npos);
-  ASSERT_NE(expected.find("5 consecutive"), std::string::npos);
-  ASSERT_NE(expected.find("stream ends mid-line"), std::string::npos);
   const auto cursor_over = [&lines](std::size_t begin, std::size_t end) {
     StreamCursor cursor(begin);
     for (std::size_t i = begin; i < end; ++i) cursor.feed(lines[i]);
@@ -173,6 +156,44 @@ TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
       EXPECT_EQ(cursor_state(joined), expected) << "seams " << i << ", " << j;
     }
   }
+  return expected;
+}
+
+TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
+  const std::string cls = "org.apache.spark.deploy.yarn.ApplicationMaster";
+  const std::string plain = "\tat org.example.Frame.run(Frame.java:1)";
+  const std::string garbage("\x01\x02\0junk\x03", 8);
+  const std::string cut = logging::format_epoch_ms(kEpoch) + " INF";
+  const std::string damaged = expect_any_seams_equal_one_cursor({
+      "ate change from A to B",  // head tear
+      line(0, cls, "Registering application_1499100000000_0042"),
+      plain, plain,  // short run: dropped once closed
+      line(10, cls, "step"),
+      plain, garbage, plain, cut, plain,  // 5-line burst
+      line(5000, cls, "later"),
+      line(100, cls, "clock stepped back"),
+      garbage,
+      line(6000, cls, "after garbage"),
+      plain, plain, plain, plain,  // 4-line burst
+      line(7000, cls, "more"),
+      plain, plain,  // tail tear
+  });
+  EXPECT_NE(damaged.find("stream begins mid-line"), std::string::npos);
+  EXPECT_NE(damaged.find("5 consecutive"), std::string::npos);
+  EXPECT_NE(damaged.find("stream ends mid-line"), std::string::npos);
+
+  // The first line that carries an id binds the stream, so a container
+  // of application 2 ahead of application 1's id binds to application 2
+  // — the rule follow mode applies as lines arrive.
+  const std::string container_first = expect_any_seams_equal_one_cursor({
+      line(0, cls, "Registered signal handlers"),
+      line(10, cls, "Launching container_1499100000000_0002_01_000002"),
+      line(20, cls, "Submitted application_1499100000000_0001"),
+      line(30, cls, "Registering the ApplicationMaster"),
+  });
+  EXPECT_NE(container_first.find("/application_1499100000000_0002"),
+            std::string::npos)
+      << container_first;
 }
 
 TEST(ShardedMiner, GoldenCorpusIdenticalToSerial) {

@@ -12,12 +12,14 @@
 #include "logging/diagnostics.hpp"
 #include "logging/log_bundle.hpp"
 #include "logging/timestamp.hpp"
+#include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace_check.hpp"
 #include "obs/trace_writer.hpp"
 #include "obs/tracer.hpp"
 #include "sdchecker/miner.hpp"
+#include "sdchecker/sdchecker.hpp"
 
 namespace sdc::obs {
 namespace {
@@ -312,42 +314,33 @@ std::filesystem::path write_span_corpus() {
   return dir;
 }
 
-TEST(ShardedMinerSpans, WorkersEmitWellFormedSpansOnDistinctTracks) {
-  const std::filesystem::path dir = write_span_corpus();
+/// Runs `work` with the tracer on; returns the spans it recorded.
+template <class Work>
+std::vector<SpanRecord> traced(Work work) {
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
-
-  checker::MinerOptions options;
-  options.threads = 4;
-  checker::LogMiner miner(options);
-  const checker::MineResult mined = miner.mine_directory(dir);
+  work();
   tracer.set_enabled(false);
-  std::filesystem::remove_all(dir);
-  ASSERT_GT(mined.events.size(), 0u);
-
-  const std::vector<SpanRecord> spans = tracer.snapshot();
+  std::vector<SpanRecord> spans = tracer.snapshot();
   tracer.clear();
+  return spans;
+}
 
-  std::size_t chunks = 0;
-  std::set<std::uint32_t> chunk_tracks;
-  bool saw_total = false;
+std::set<std::uint32_t> tracks_of(const std::vector<SpanRecord>& spans,
+                                  std::string_view name) {
+  std::set<std::uint32_t> tracks;
   for (const SpanRecord& span : spans) {
-    if (span.name == "mine.chunk") {
-      ++chunks;
-      chunk_tracks.insert(span.track);
-    }
-    if (span.name == "mine.total") saw_total = true;
+    if (span.name == name) tracks.insert(span.track);
   }
-  EXPECT_TRUE(saw_total);
-  EXPECT_GT(chunks, 1u);
-  // With shard_grain=1 on a multi-stream corpus and 4 workers, more than
-  // one pool thread must have mined chunks.
-  EXPECT_GT(chunk_tracks.size(), 1u);
+  return tracks;
+}
 
-  // Well-formed nesting per track: any two spans on one track are either
-  // disjoint or one contains the other (RAII guarantees it; the export
-  // depends on it).
+/// Well-formed nesting per track: any two spans on one track are either
+/// disjoint or one contains the other (RAII guarantees it; the export
+/// depends on it) — and the rendered self-profile satisfies the trace
+/// schema.
+void expect_well_formed(const std::vector<SpanRecord>& spans) {
   std::map<std::uint32_t, std::vector<const SpanRecord*>> by_track;
   for (const SpanRecord& span : spans) by_track[span.track].push_back(&span);
   for (const auto& [track, records] : by_track) {
@@ -366,10 +359,52 @@ TEST(ShardedMinerSpans, WorkersEmitWellFormedSpansOnDistinctTracks) {
       }
     }
   }
-
-  // And the rendered self-profile must satisfy the trace schema.
   const TraceCheckResult result = check_trace_json(spans_trace_json(spans));
   EXPECT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+}
+
+TEST(ShardedMinerSpans, WorkersEmitWellFormedSpansOnDistinctTracks) {
+  const std::filesystem::path dir = write_span_corpus();
+  checker::MineResult mined;
+  const std::vector<SpanRecord> spans = traced([&] {
+    mined = checker::LogMiner({.threads = 4}).mine_directory(dir);
+  });
+  ASSERT_GT(mined.events.size(), 0u);
+  std::size_t chunks = 0;
+  for (const SpanRecord& span : spans) chunks += span.name == "mine.chunk";
+  EXPECT_FALSE(tracks_of(spans, "mine.total").empty());
+  EXPECT_GT(chunks, 1u);
+  // With the default grain on a multi-stream corpus and 4 workers, more
+  // than one pool thread must have mined chunks.
+  EXPECT_GT(tracks_of(spans, "mine.chunk").size(), 1u);
+  expect_well_formed(spans);
+
+  // `analyze` runs one pipeline on one pool: the task that completes a
+  // stream's last chunk stitches and groups that stream, so grouping is
+  // spread over the workers and no corpus-wide merge runs.
+  obs::attach_thread_pool_metrics();
+  const auto pool_tasks = [] {
+    return MetricsRegistry::global().snapshot().counter("pool.tasks");
+  };
+  std::uint64_t tasks_before = pool_tasks();
+  checker::AnalysisResult analysis;
+  const std::vector<SpanRecord> analyze_spans = traced([&] {
+    analysis = checker::SdChecker({.threads = 4}).analyze_directory(dir);
+  });
+  EXPECT_GT(pool_tasks(), tasks_before);
+  EXPECT_EQ(analysis.events_total, mined.events.size());
+  EXPECT_GT(tracks_of(analyze_spans, "mine.chunk").size(), 1u);
+  EXPECT_GT(tracks_of(analyze_spans, "analyze.group").size(), 1u);
+  EXPECT_TRUE(tracks_of(analyze_spans, "mine.merge").empty());
+  expect_well_formed(analyze_spans);
+
+  // One thread: no pool at all.
+  tasks_before = pool_tasks();
+  const checker::AnalysisResult serial =
+      checker::SdChecker({.threads = 1}).analyze_directory(dir);
+  EXPECT_EQ(pool_tasks(), tasks_before);
+  EXPECT_EQ(serial.events_total, analysis.events_total);
+  std::filesystem::remove_all(dir);
 }
 
 // --- progress meter ----------------------------------------------------------

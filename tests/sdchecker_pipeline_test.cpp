@@ -210,20 +210,18 @@ TEST(Miner, EventsSortedByTimestamp) {
 // --- grouping ------------------------------------------------------------------
 
 TEST(Grouping, OneAppThreeContainers) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
-  ASSERT_EQ(grouped.apps.size(), 1u);
-  EXPECT_EQ(grouped.unattributed, 0u);
-  const AppTimeline& app = grouped.apps.begin()->second;
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
+  ASSERT_EQ(grouped.timelines.size(), 1u);
+  EXPECT_EQ(grouped.events_unattributed, 0u);
+  const AppTimeline& app = grouped.timelines.begin()->second;
   EXPECT_EQ(app.containers.size(), 3u);
   ASSERT_NE(app.am_container(), nullptr);
   EXPECT_EQ(app.worker_containers().size(), 2u);
 }
 
 TEST(Grouping, FirstOccurrenceWinsAndCountsAccumulate) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
-  const AppTimeline& app = grouped.apps.begin()->second;
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
+  const AppTimeline& app = grouped.timelines.begin()->second;
   const auto exec1 = ContainerId::parse(kExec1);
   ASSERT_TRUE(exec1.has_value());
   const ContainerTimeline& c = app.containers.at(*exec1);
@@ -232,9 +230,8 @@ TEST(Grouping, FirstOccurrenceWinsAndCountsAccumulate) {
 }
 
 TEST(Grouping, MinMaxWorkerTimestamps) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
-  const AppTimeline& app = grouped.apps.begin()->second;
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
+  const AppTimeline& app = grouped.timelines.begin()->second;
   EXPECT_EQ(app.min_worker_ts(EventKind::kNmRunning), kEpoch + 6580);
   EXPECT_EQ(app.max_worker_ts(EventKind::kNmRunning), kEpoch + 7200);
   EXPECT_EQ(app.min_worker_ts(EventKind::kExecutorFirstTask), kEpoch + 11300);
@@ -243,9 +240,8 @@ TEST(Grouping, MinMaxWorkerTimestamps) {
 // --- decomposition -----------------------------------------------------------------
 
 TEST(Decompose, GoldenBundleExactValues) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
-  const Delays delays = decompose(grouped.apps.begin()->second);
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
+  const Delays delays = decompose(grouped.timelines.begin()->second);
 
   EXPECT_EQ(delays.total, 11300);          // 0 -> 11300
   EXPECT_EQ(delays.am, 4510);              // 0 -> 4510
@@ -284,9 +280,8 @@ TEST(Decompose, GoldenBundleExactValues) {
 }
 
 TEST(Decompose, IdentityInPlusOutEqualsTotal) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
-  const Delays delays = decompose(grouped.apps.begin()->second);
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
+  const Delays delays = decompose(grouped.timelines.begin()->second);
   ASSERT_TRUE(delays.total && delays.in_app && delays.out_app);
   EXPECT_EQ(*delays.in_app + *delays.out_app, *delays.total);
 }
@@ -296,10 +291,9 @@ TEST(Decompose, MissingEventsYieldNullopt) {
   bundle.append("rm.log",
                 line(0, kRmApp, kApp + " State change from NEW_SAVING to "
                                        "SUBMITTED on event = APP_NEW_SAVED"));
-  const MineResult mined = LogMiner().mine(bundle);
-  const GroupResult grouped = group_events(mined.events);
-  ASSERT_EQ(grouped.apps.size(), 1u);
-  const Delays delays = decompose(grouped.apps.begin()->second);
+  const AnalysisResult grouped = SdChecker().analyze(bundle);
+  ASSERT_EQ(grouped.timelines.size(), 1u);
+  const Delays delays = decompose(grouped.timelines.begin()->second);
   EXPECT_FALSE(delays.total.has_value());
   EXPECT_FALSE(delays.am.has_value());
   EXPECT_FALSE(delays.driver.has_value());
@@ -310,10 +304,9 @@ TEST(Decompose, MissingEventsYieldNullopt) {
 // --- graph ---------------------------------------------------------------------------
 
 TEST(Graph, GoldenBundleIsTemporallyConsistent) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
   const SchedulingGraph graph =
-      SchedulingGraph::build(grouped.apps.begin()->second);
+      SchedulingGraph::build(grouped.timelines.begin()->second);
   EXPECT_GT(graph.nodes().size(), 15u);
   EXPECT_GT(graph.edges().size(), 15u);
   EXPECT_TRUE(graph.validate().empty());
@@ -336,18 +329,16 @@ TEST(Graph, DetectsBackwardsEdgeUnderSkew) {
       }
     }
   }
-  const MineResult mined = LogMiner().mine(bundle);
-  const GroupResult grouped = group_events(mined.events);
+  const AnalysisResult grouped = SdChecker().analyze(bundle);
   const SchedulingGraph graph =
-      SchedulingGraph::build(grouped.apps.begin()->second);
+      SchedulingGraph::build(grouped.timelines.begin()->second);
   EXPECT_FALSE(graph.validate().empty());
 }
 
 TEST(Graph, DotOutputContainsNodesAndShapes) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  const GroupResult grouped = group_events(mined.events);
+  const AnalysisResult grouped = SdChecker().analyze(make_golden_bundle());
   const std::string dot =
-      SchedulingGraph::build(grouped.apps.begin()->second).to_dot();
+      SchedulingGraph::build(grouped.timelines.begin()->second).to_dot();
   EXPECT_NE(dot.find("digraph scheduling"), std::string::npos);
   EXPECT_NE(dot.find("SUBMITTED (1)"), std::string::npos);
   EXPECT_NE(dot.find("FIRST_TASK (14)"), std::string::npos);

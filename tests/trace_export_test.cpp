@@ -64,12 +64,12 @@ AppTimeline full_timeline(std::int32_t app_seq) {
 }
 
 AnalysisResult analyze_timelines(std::vector<AppTimeline> timelines) {
-  std::map<ApplicationId, AppTimeline> map;
+  std::vector<AppTable> tables(1);
   for (AppTimeline& t : timelines) {
     const ApplicationId app = t.app;
-    map.emplace(app, std::move(t));
+    tables[0][app] = std::move(t);
   }
-  return finalize_analysis(std::move(map));
+  return finalize_analysis(std::move(tables), nullptr);
 }
 
 std::size_t count_occurrences(const std::string& text,

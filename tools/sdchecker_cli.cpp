@@ -99,9 +99,12 @@ int usage() {
                "[--analyze-shards N]\n"
                "\n"
                "analysis flags:\n"
-               "  --analyze-shards N  shard the post-mining analysis stage\n"
-               "                      across N threads (0 = one per hardware\n"
-               "                      thread; output is identical to serial)\n"
+               "  --threads N         split mining into chunks for N workers\n"
+               "  --analyze-shards N  grouping shards (0 = one per hardware\n"
+               "                      thread); analysis runs on one pool of\n"
+               "                      max(--threads, N) workers, and output\n"
+               "                      is identical for any N (follow: the\n"
+               "                      workers that finalize snapshots)\n"
                "\n"
                "fleet flags:\n"
                "  --shards N          grouping shards per corpus (0 = auto)\n"
@@ -184,23 +187,22 @@ std::optional<std::size_t> parse_count(const std::string& value) {
   return static_cast<std::size_t>(n);
 }
 
-/// Consumes `--analyze-shards N` (0 = auto); exits with a usage error via
-/// nullopt on a malformed count.  Returns the AnalyzeOptions value.
-std::optional<std::size_t> take_analyze_shards(
-    std::vector<std::string>& args) {
-  std::size_t shards = 1;
-  if (const auto s = flag_value(args, "--analyze-shards")) {
-    const auto parsed = parse_count(*s);
+/// Consumes `flag N` into `out` (left as is when the flag is absent).
+/// Returns false, after naming the bad value on stderr, when N is not a
+/// non-negative integer — the caller exits with a usage error.
+bool take_count(std::vector<std::string>& args, const char* flag,
+                std::size_t& out) {
+  if (const auto value = flag_value(args, flag)) {
+    const auto parsed = parse_count(*value);
     if (!parsed) {
       std::fprintf(stderr,
-                   "sdchecker: --analyze-shards expects a non-negative "
-                   "integer, got '%s'\n",
-                   s->c_str());
-      return std::nullopt;
+                   "sdchecker: %s expects a non-negative integer, got '%s'\n",
+                   flag, value->c_str());
+      return false;
     }
-    shards = *parsed;
+    out = *parsed;
   }
-  return shards;
+  return true;
 }
 
 bool flag_present(std::vector<std::string>& args, const std::string& flag) {
@@ -320,11 +322,11 @@ void print_opt(const char* name, const std::optional<std::int64_t>& v) {
 
 int cmd_analyze(std::vector<std::string> args) {
   std::size_t threads = 1;
-  if (const auto t = flag_value(args, "--threads")) {
-    threads = static_cast<std::size_t>(std::strtoul(t->c_str(), nullptr, 10));
+  std::size_t analyze_shards = 1;
+  if (!take_count(args, "--threads", threads) ||
+      !take_count(args, "--analyze-shards", analyze_shards)) {
+    return usage();
   }
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
   const auto csv = flag_value(args, "--csv");
   const auto delays_csv_path = flag_value(args, "--delays-csv");
   const auto containers_csv_path = flag_value(args, "--containers-csv");
@@ -340,7 +342,7 @@ int cmd_analyze(std::vector<std::string> args) {
   const std::string& dir = (*positionals)[0];
 
   checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads),
-                                .analyze_shards = *analyze_shards});
+                                .analyze_shards = analyze_shards});
   checker::AnalysisResult analysis;
   try {
     std::optional<ProgressReporter> reporter;
@@ -463,8 +465,6 @@ bool parse_serve_address(const std::string& address,
 }
 
 int cmd_follow(std::vector<std::string> args) {
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
   const bool watch = flag_present(args, "--watch");
   const bool no_retire = flag_present(args, "--no-retire");
   double interval_s = 2.0;
@@ -474,31 +474,18 @@ int cmd_follow(std::vector<std::string> args) {
   std::size_t poll_ms = 500;
   std::size_t exit_quiescent = 0;
   std::size_t max_polls = 0;
-  std::size_t parked_cap = checker::MinerOptions{}.parked_events_cap;
+  checker::FollowOptions options;
   std::size_t retire_quiet = 2;
-  const auto take_count = [&args](const char* flag, std::size_t& out) {
-    if (const auto v = flag_value(args, flag)) {
-      const auto parsed = parse_count(*v);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "sdchecker: %s expects a non-negative integer, got "
-                     "'%s'\n",
-                     flag, v->c_str());
-        return false;
-      }
-      out = *parsed;
-    }
-    return true;
-  };
   std::size_t serve_stall_ms = 10000;
   std::size_t stall_polls_after = 0;
-  if (!take_count("--poll-ms", poll_ms) ||
-      !take_count("--exit-quiescent", exit_quiescent) ||
-      !take_count("--max-polls", max_polls) ||
-      !take_count("--parked-cap", parked_cap) ||
-      !take_count("--retire-quiet", retire_quiet) ||
-      !take_count("--serve-stall-ms", serve_stall_ms) ||
-      !take_count("--stall-polls-after", stall_polls_after)) {
+  if (!take_count(args, "--analyze-shards", options.analyze_shards) ||
+      !take_count(args, "--poll-ms", poll_ms) ||
+      !take_count(args, "--exit-quiescent", exit_quiescent) ||
+      !take_count(args, "--max-polls", max_polls) ||
+      !take_count(args, "--parked-cap", options.parked_events_cap) ||
+      !take_count(args, "--retire-quiet", retire_quiet) ||
+      !take_count(args, "--serve-stall-ms", serve_stall_ms) ||
+      !take_count(args, "--stall-polls-after", stall_polls_after)) {
     return usage();
   }
   const auto serve_address =
@@ -522,9 +509,6 @@ int cmd_follow(std::vector<std::string> args) {
     return 1;
   }
 
-  checker::FollowOptions options;
-  options.analyze_shards = *analyze_shards;
-  options.miner.parked_events_cap = parked_cap;
   options.retire_quiet_polls = retire_quiet;
   options.retire = !no_retire;
   checker::FollowService service(dir, options);
@@ -692,11 +676,11 @@ int cmd_followcheck(std::vector<std::string> args) {
 
 int cmd_trace(std::vector<std::string> args) {
   std::size_t threads = 1;
-  if (const auto t = flag_value(args, "--threads")) {
-    threads = static_cast<std::size_t>(std::strtoul(t->c_str(), nullptr, 10));
+  std::size_t analyze_shards = 1;
+  if (!take_count(args, "--threads", threads) ||
+      !take_count(args, "--analyze-shards", analyze_shards)) {
+    return usage();
   }
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
   const auto out_flag = flag_value(args, "--out");
   const bool check = flag_present(args, "--check");
   const auto positionals = finish_args(
@@ -705,7 +689,7 @@ int cmd_trace(std::vector<std::string> args) {
   const std::string out_path = out_flag.value_or("app.trace.json");
 
   checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads),
-                                .analyze_shards = *analyze_shards});
+                                .analyze_shards = analyze_shards});
   checker::AnalysisResult analysis;
   try {
     analysis = sdchecker.analyze_directory((*positionals)[0]);
@@ -833,27 +817,9 @@ int cmd_diff(std::vector<std::string> args) {
 
 int cmd_fleet(std::vector<std::string> args) {
   checker::FleetOptions options;
-  if (const auto t = flag_value(args, "--threads")) {
-    const auto parsed = parse_count(*t);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "sdchecker: --threads expects a non-negative integer, "
-                   "got '%s'\n",
-                   t->c_str());
-      return usage();
-    }
-    options.threads = *parsed;
-  }
-  if (const auto s = flag_value(args, "--shards")) {
-    const auto parsed = parse_count(*s);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "sdchecker: --shards expects a non-negative integer, "
-                   "got '%s'\n",
-                   s->c_str());
-      return usage();
-    }
-    options.shards_per_corpus = *parsed;
+  if (!take_count(args, "--threads", options.threads) ||
+      !take_count(args, "--shards", options.shards_per_corpus)) {
+    return usage();
   }
   const auto json_path = flag_value(args, "--json");
   const auto out_dir = flag_value(args, "--out-dir");
@@ -1062,8 +1028,10 @@ int cmd_fuzz(std::vector<std::string> args) {
     classes.push_back(*cls);
   }
   if (classes.empty()) classes = checker::all_mutation_classes();
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
+  checker::AnalyzeOptions options;
+  if (!take_count(args, "--analyze-shards", options.analyze_shards)) {
+    return usage();
+  }
   const auto positionals = finish_args(std::move(args), {"log_dir"},
                                        {"--seed", "--class",
                                         "--analyze-shards"});
@@ -1076,8 +1044,6 @@ int cmd_fuzz(std::vector<std::string> args) {
     std::fprintf(stderr, "sdchecker: %s\n", e.what());
     return 1;
   }
-  checker::AnalyzeOptions options;
-  options.analyze_shards = *analyze_shards;
   const auto results = checker::fuzz_corpus(base, seed, classes, options);
   std::printf("%s", checker::render_fuzz_report(results).c_str());
   for (const auto& result : results) {
