@@ -7,9 +7,8 @@
 //     baseline to justify the hand-rolled parser)
 //   * discrete-event engine throughput (the simulator's own cost)
 //   * per-stage hot-path kernels — the mining pipeline decomposed into
-//     scan (newline split, per SWAR/SIMD backend), parse, pre-filter,
-//     extract and merge, so a regression localizes to one stage
-#include <algorithm>
+//     scan (newline split), parse, pre-filter, extract and merge, so a
+//     regression localizes to one stage
 #include <memory>
 #include <regex>
 #include <string>
@@ -17,8 +16,7 @@
 
 #include "bench_common.hpp"
 #include "common/interner.hpp"
-#include "common/simd.hpp"
-#include "logging/log_view.hpp"
+#include "logging/line_reader.hpp"
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/miner.hpp"
 #include "sdchecker/parsed_line.hpp"
@@ -38,8 +36,8 @@ const logging::LogBundle& big_bundle() {
   return bundle;
 }
 
-/// The whole corpus as one newline-joined buffer — what `split_buffer`
-/// sees after mmap.
+/// The whole corpus as one newline-joined buffer — what the chunk
+/// readers' line splitter sees, block by block.
 const std::string& flat_text() {
   static const std::string text = [] {
     std::string out;
@@ -98,46 +96,40 @@ BENCHMARK(BM_MineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMill
 // `BM_MineThreads` localizes to scan, parse, pre-filter, extract or merge.
 
 void BM_ScanStage(benchmark::State& state) {
-  // Newline split over the flattened corpus — the `split_buffer` kernel —
-  // under one scan backend (arg = ScanBackend enumerator).
-  const auto backend = static_cast<simd::ScanBackend>(state.range(0));
-  const auto available = simd::available_scan_backends();
-  if (std::find(available.begin(), available.end(), backend) ==
-      available.end()) {
-    state.SkipWithError("backend not available on this host");
-    return;
-  }
-  const std::string& text = flat_text();
+  // Newline split over the flattened corpus in read-block pieces — the
+  // chunk readers' `LineSplitter`.
+  const std::string_view text = flat_text();
   for (auto _ : state) {
     std::size_t lines = 0;
-    for (std::size_t at = simd::find_byte(text, '\n', 0, backend);
-         at != std::string_view::npos;
-         at = simd::find_byte(text, '\n', at + 1, backend)) {
-      ++lines;
+    logging::LineSplitter splitter;
+    for (std::size_t at = 0; at < text.size(); at += logging::kReadBlock) {
+      splitter.split(text.substr(at, logging::kReadBlock),
+                     [&lines](std::string_view) { ++lines; });
     }
     benchmark::DoNotOptimize(lines);
   }
-  state.SetLabel(std::string(simd::scan_backend_name(backend)));
   state.counters["bytes/s"] = benchmark::Counter(
       static_cast<double>(text.size() * state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ScanStage)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanStage)->Unit(benchmark::kMillisecond);
 
 void BM_ParseStage(benchmark::State& state) {
   // Line parse (timestamp + level + class + message) over the whole
   // corpus, pre-split so only `parse_line` is measured.
-  const logging::LogView view = logging::LogView::from_buffer(flat_text());
+  std::vector<std::string_view> lines;
+  logging::LineSplitter splitter;
+  splitter.split(flat_text(),
+                 [&lines](std::string_view line) { lines.push_back(line); });
   for (auto _ : state) {
     std::size_t parsed = 0;
-    for (const std::string_view line : view.lines()) {
+    for (const std::string_view line : lines) {
       if (checker::parse_line(line)) ++parsed;
     }
     benchmark::DoNotOptimize(parsed);
   }
   state.counters["lines/s"] = benchmark::Counter(
-      static_cast<double>(view.lines().size() * state.iterations()),
+      static_cast<double>(lines.size() * state.iterations()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ParseStage)->Unit(benchmark::kMillisecond);

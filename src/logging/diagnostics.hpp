@@ -5,7 +5,7 @@
 // first oddity (or silently producing wrong numbers), every stage of the
 // pipeline accumulates typed `Diagnostic` records with per-kind counts,
 // so an analysis can *complete* on a damaged corpus while stating exactly
-// what was dropped or suspect.  The records flow LogBundle/BundleView ->
+// what was dropped or suspect.  The records flow LogBundle/MinePlan ->
 // LogMiner -> AnalysisResult -> report/JSON/CLI exit status.
 #pragma once
 

@@ -23,12 +23,12 @@ constexpr MetricSpec kCatalog[] = {
     kSimSparkTasksAssigned,
     kSimYarnAllocPipelineWaitMs,
     kMineLines,
-    kMineLinesExpected,
+    kMineBytes,
+    kMineBytesExpected,
     kMineEvents,
     kMineStreams,
     kMineDiagnostics,
     kMineScanPrefilterSkipped,
-    kMineScanBackend,
     kIncrementalLines,
     kIncrementalAppsRetired,
     kFollowPolls,

@@ -106,9 +106,12 @@ inline constexpr MetricSpec kSimYarnAllocPipelineWaitMs{
 inline constexpr MetricSpec kMineLines{
     "mine.lines", MetricKind::kCounter, "lines",
     "log lines mined (all chunks)"};
-inline constexpr MetricSpec kMineLinesExpected{
-    "mine.lines_expected", MetricKind::kGauge, "lines",
-    "cumulative lines queued for mining (`expected - mine.lines` = "
+inline constexpr MetricSpec kMineBytes{
+    "mine.bytes", MetricKind::kCounter, "bytes",
+    "log bytes mined: the lines of every chunk, newlines included"};
+inline constexpr MetricSpec kMineBytesExpected{
+    "mine.bytes_expected", MetricKind::kGauge, "bytes",
+    "cumulative bytes planned for mining (`expected - mine.bytes` = "
     "remaining)"};
 inline constexpr MetricSpec kMineEvents{
     "mine.events", MetricKind::kCounter, "events",
@@ -123,10 +126,6 @@ inline constexpr MetricSpec kMineScanPrefilterSkipped{
     "mine.scan.prefilter_skipped", MetricKind::kCounter, "lines",
     "parsed lines rejected by the shortest-rule length pre-filter before "
     "extraction"};
-inline constexpr MetricSpec kMineScanBackend{
-    "mine.scan.backend.<name>", MetricKind::kCounter, "calls",
-    "mine() calls run under each scan backend (`scalar`, `swar`, `sse2`, "
-    "`avx2`)"};
 
 // --- incremental / follow ----------------------------------------------------
 inline constexpr MetricSpec kIncrementalLines{

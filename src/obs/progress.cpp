@@ -38,11 +38,11 @@ std::string ProgressMeter::render() const {
         100.0 * static_cast<double>(done_) / static_cast<double>(expected_);
     std::snprintf(buf, sizeof(buf), "%5.1f%% | ", pct > 100.0 ? 100.0 : pct);
     line += buf;
-    line += std::to_string(done_) + "/" + std::to_string(expected_) + " lines";
+    line += std::to_string(done_) + "/" + std::to_string(expected_) + " bytes";
   } else {
-    line += std::to_string(done_) + " lines";
+    line += std::to_string(done_) + " bytes";
   }
-  line += " | " + humanize_count(rate_) + " lines/s";
+  line += " | " + humanize_count(rate_) + " bytes/s";
   if (const auto eta = eta_s()) {
     line += " | ETA " + humanize_seconds(*eta);
   }

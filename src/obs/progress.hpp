@@ -1,7 +1,8 @@
 // Progress reporting for the mining path.
 //
-// ProgressMeter is the pure, testable part: it turns (lines done, lines
-// expected, elapsed seconds) samples into a rate + ETA line.  The CLI
+// ProgressMeter is the pure, testable part: it turns (bytes done, bytes
+// expected, elapsed seconds) samples into a rate + ETA line.  It meters
+// bytes because a corpus's line count is unknown until it is read.  The CLI
 // owns the impure part — polling the metrics registry on a ticker and
 // writing `\r`-terminated lines to stderr only when stderr is a TTY.
 #pragma once
@@ -24,7 +25,7 @@ class ProgressMeter {
   /// started; samples must be fed in non-decreasing elapsed order.
   void sample(std::uint64_t done, double elapsed_s) noexcept;
 
-  /// Smoothed lines/second over the sampled window (0 until two samples).
+  /// Smoothed bytes/second over the sampled window (0 until two samples).
   [[nodiscard]] double rate() const noexcept { return rate_; }
 
   /// Seconds remaining at the current rate; empty when unknown (no
@@ -32,7 +33,7 @@ class ProgressMeter {
   [[nodiscard]] std::optional<double> eta_s() const noexcept;
 
   /// One display line, e.g.
-  ///   "mining 12.3% | 1234567/10000000 lines | 2.1M lines/s | ETA 4s"
+  ///   "mining 12.3% | 1234567/10000000 bytes | 2.1M bytes/s | ETA 4s"
   /// No trailing newline; the caller picks '\r' vs '\n'.
   [[nodiscard]] std::string render() const;
 

@@ -108,6 +108,11 @@ class EventBatch {
   [[nodiscard]] bool empty() const { return kinds_.empty(); }
   void reserve(std::size_t n);
   void clear();
+  /// Adds `base` to every row's line number: rows numbered within a
+  /// chunk become rows of the stream whose first `base` lines precede it.
+  void rebase_lines(std::size_t base) {
+    for (std::size_t& line : lines_) line += base;
+  }
 
   [[nodiscard]] View operator[](std::size_t i) const;
 

@@ -31,13 +31,12 @@ struct FleetCounters {
   }
 };
 
-/// One corpus in flight.  An "open" task reads the directory, builds the
+/// One corpus in flight.  An "open" task lists the directory, builds the
 /// corpus's `CorpusPipeline` and enqueues one task per chunk; the chunk
 /// task that completes the corpus's last stream finishes it — all on the
 /// one shared pool, no barriers between the phases.
 struct CorpusState {
   std::filesystem::path dir;
-  std::optional<logging::BundleView> view;
   std::optional<CorpusPipeline> pipeline;
   CorpusResult out;
 };
@@ -60,25 +59,19 @@ void finish_corpus(CorpusState& state, ThreadPool& pool) {
     state.out.error = e.what();
     counters.failed.add(1);
   }
-  // Drop the mmapped views and chunk slots as soon as the corpus is
-  // rendered — with many corpora in flight this bounds peak memory to
-  // the active set, not the fleet.
+  // Drop the grouping tables as soon as the corpus is rendered — with
+  // many corpora in flight this bounds peak memory to the active set,
+  // not the fleet.
   state.pipeline.reset();
-  state.view.reset();
 }
 
 void open_corpus(CorpusState& state, ThreadPool& pool,
                  const MinerOptions& options, std::size_t shards) {
   try {
-    std::vector<logging::Diagnostic> io_diagnostics;
-    state.view.emplace(
-        logging::BundleView::read_from_directory(state.dir, &io_diagnostics));
-    state.pipeline.emplace(*state.view, std::move(io_diagnostics), options,
-                           shards);
+    state.pipeline.emplace(MinePlan(state.dir, options), shards);
   } catch (const std::exception& e) {
     state.out.error = e.what();
     FleetCounters::get().failed.add(1);
-    state.view.reset();
     return;
   }
   const std::size_t chunks = state.pipeline->chunk_count();

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -54,10 +53,6 @@ std::uint64_t inode_key(const struct ::stat& st) {
                    static_cast<std::uint64_t>(st.st_ino));
 }
 
-/// The most bytes one `pread` asks for: bounds the read buffer however
-/// far behind a tail is.
-constexpr std::size_t kReadChunk = std::size_t{1} << 20;
-
 /// The directory, opened for one poll; closed when the poll ends so no
 /// descriptor outlives it.
 struct CloseDir {
@@ -81,9 +76,8 @@ FollowService::FollowService(std::filesystem::path dir, FollowOptions options)
 }
 
 void FollowService::flush_partial(Tail& tail) {
-  if (tail.partial.empty()) return;
-  analyzer_.feed(tail.logical, tail.partial);
-  tail.partial.clear();
+  tail.lines.finish(
+      [&](std::string_view line) { analyzer_.feed(tail.logical, line); });
 }
 
 void FollowService::scan(DIR* dir, PollStats& stats) {
@@ -159,7 +153,7 @@ void FollowService::check_tail(int dir_fd, Tail& tail, PollStats& stats) {
     return;
   }
   tail.size = static_cast<std::uintmax_t>(st.st_size);
-  if (tail.size != tail.offset || (!tail.is_base && !tail.partial.empty())) {
+  if (tail.size != tail.offset || (!tail.is_base && tail.lines.pending())) {
     grown_.push_back(&tail);
   }
 }
@@ -196,7 +190,8 @@ void FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
         return;
       }
       // Genuinely unreadable.  One diagnostic per stream, worded exactly
-      // as the batch reader's LogView::from_file failure, never repeated.
+      // as the batch miner's record for a file it cannot read, never
+      // repeated.
       const std::filesystem::path path = dir_ / tail.physical;
       unreadable_.emplace(
           tail.physical,
@@ -217,11 +212,12 @@ void FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
       // Truncated in place under us (copytruncate-style rotation): the
       // bytes we already fed are gone; restart this segment from zero.
       tail.offset = 0;
-      tail.partial.clear();
+      tail.lines.clear();
     }
     while (tail.offset < tail.size) {
       const std::size_t want = static_cast<std::size_t>(
-          std::min<std::uintmax_t>(tail.size - tail.offset, kReadChunk));
+          std::min<std::uintmax_t>(tail.size - tail.offset,
+                                   logging::kReadBlock));
       if (buffer_.size() < want) buffer_.resize(want);
       const ::ssize_t got = ::pread(fd, buffer_.data(), want,
                                     static_cast<::off_t>(tail.offset));
@@ -230,7 +226,12 @@ void FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
       const auto n = static_cast<std::size_t>(got);
       tail.offset += n;
       stats.bytes_read += n;
-      feed_bytes(tail, std::string_view(buffer_.data(), n), stats);
+      // Feed every complete line; the remainder waits for its newline.
+      tail.lines.split(std::string_view(buffer_.data(), n),
+                       [&](std::string_view line) {
+                         analyzer_.feed(tail.logical, line);
+                         ++stats.lines_fed;
+                       });
     }
     ::close(fd);
   }
@@ -238,30 +239,9 @@ void FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
     // A rotated segment is frozen; its unterminated final line is a
     // whole line to the batch reader, so feed it now — before any line
     // of the newer segment that logically follows it.
-    if (!tail.partial.empty()) ++stats.lines_fed;
+    if (tail.lines.pending()) ++stats.lines_fed;
     flush_partial(tail);
   }
-}
-
-void FollowService::feed_bytes(Tail& tail, std::string_view bytes,
-                               PollStats& stats) {
-  // Feed every complete line; the remainder waits for its newline.
-  std::size_t start = 0;
-  while (const void* hit = std::memchr(bytes.data() + start, '\n',
-                                       bytes.size() - start)) {
-    const auto nl =
-        static_cast<std::size_t>(static_cast<const char*>(hit) - bytes.data());
-    const std::string_view line = bytes.substr(start, nl - start);
-    if (tail.partial.empty()) {
-      analyzer_.feed(tail.logical, line);
-    } else {
-      tail.partial += line;
-      flush_partial(tail);
-    }
-    ++stats.lines_fed;
-    start = nl + 1;
-  }
-  tail.partial += bytes.substr(start);
 }
 
 void FollowService::sweep_parked(int dir_fd, PollStats& stats) {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "logging/line_reader.hpp"
 #include "sdchecker/incremental.hpp"
 #include "sdchecker/sdchecker.hpp"
 
@@ -144,7 +145,9 @@ class FollowService {
     std::uintmax_t offset = 0;
     /// File size at the last check.
     std::uintmax_t size = 0;
-    std::string partial;
+    /// The tail's bytes cut into lines; carries its unterminated last
+    /// line.
+    logging::LineSplitter lines;
     /// The last poll whose directory walk found this file.
     std::uint64_t seen_poll = 0;
     /// False once the file carries a rotation suffix: the segment is
@@ -166,8 +169,6 @@ class FollowService {
   /// fd and feeds complete lines.  A name that no longer holds the
   /// tail's inode is skipped; the next walk resolves the rename.
   void drain_tail(int dir_fd, Tail& tail, PollStats& stats);
-  /// Feeds the complete lines of `bytes`, just read from `tail`.
-  void feed_bytes(Tail& tail, std::string_view bytes, PollStats& stats);
   /// Re-checks and reads every parked tail.
   void sweep_parked(int dir_fd, PollStats& stats);
   void flush_partial(Tail& tail);

@@ -14,9 +14,6 @@ void IncrementalAnalyzer::feed(const std::string& stream,
   static obs::Counter& lines_counter =
       obs::catalog_counter(obs::metric::kIncrementalLines);
   lines_counter.add(1);
-  // CRLF parity with the batch path: LogBundle/LogView strip the '\r' of
-  // CRLF-terminated logs at read time; a tail delivers the raw line.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   StreamState& state = streams_[stream];
   ++lines_total_;
   const StreamKind kind_before = state.cursor.kind();
@@ -55,11 +52,6 @@ void IncrementalAnalyzer::feed(const std::string& stream,
 void IncrementalAnalyzer::feed_all(const std::string& stream,
                                    const std::vector<std::string>& lines) {
   for (const std::string& line : lines) feed(stream, line);
-}
-
-void IncrementalAnalyzer::feed_all(const std::string& stream,
-                                   std::span<const std::string_view> lines) {
-  for (const std::string_view line : lines) feed(stream, line);
 }
 
 void IncrementalAnalyzer::resolve_or_park(StreamState& state,

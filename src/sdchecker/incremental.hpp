@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,18 +46,13 @@ class IncrementalAnalyzer {
   /// Feeds one raw log line belonging to the named stream (file).  Lines
   /// of different streams may interleave arbitrarily; lines within one
   /// stream must arrive in file order (as a tail would deliver them).
-  /// A trailing '\r' (CRLF-terminated logs) is stripped, matching the
-  /// batch read path.
+  /// A trailing '\r' (CRLF-terminated logs) is not part of the line
+  /// (`StreamCursor::feed`), as in batch mining.
   void feed(const std::string& stream, std::string_view line);
 
   /// Feeds a batch of lines for one stream.
   void feed_all(const std::string& stream,
                 const std::vector<std::string>& lines);
-
-  /// Feeds a batch of zero-copy line views (e.g. an mmap-backed
-  /// `logging::LogView`) for one stream.
-  void feed_all(const std::string& stream,
-                std::span<const std::string_view> lines);
 
   /// Live view of the grouped timelines.  Iteration order is the table's
   /// (stable for a given key set but unordered); sort by `first` when

@@ -1,10 +1,17 @@
 #include "sdchecker/miner.hpp"
 
-#include <algorithm>
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
-#include "common/simd.hpp"
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <stdexcept>
+
 #include "common/thread_pool.hpp"
-#include "logging/timestamp.hpp"
+#include "logging/line_reader.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -25,6 +32,25 @@ std::optional<RotationSuffix> split_rotation_suffix(std::string_view name) {
   }
   return RotationSuffix{name.substr(0, dot), index};
 }
+
+namespace {
+
+/// The kRotationGap record of a family reassembled from `segments`, in
+/// logrotate order.
+logging::Diagnostic rotation_gap(const std::string& base,
+                                 std::span<const std::string_view> segments) {
+  std::string segment_list;
+  for (const std::string_view segment : segments) {
+    if (!segment_list.empty()) segment_list += ", ";
+    segment_list += segment;
+  }
+  return logging::Diagnostic{
+      logging::DiagnosticKind::kRotationGap, base, 0, segments.size(),
+      "reassembled " + std::to_string(segments.size()) +
+          " rotated segments: " + segment_list};
+}
+
+}  // namespace
 
 std::vector<RotationFamily> rotation_families(
     std::span<const std::string_view> names) {
@@ -56,16 +82,11 @@ std::vector<RotationFamily> rotation_families(
       family.members.push_back(keys[k].member);
     }
     if (family.members.size() > 1 || !keys[first].live) {
-      std::string segment_list;
+      std::vector<std::string_view> segments;
       for (const std::size_t member : family.members) {
-        if (!segment_list.empty()) segment_list += ", ";
-        segment_list += names[member];
+        segments.push_back(names[member]);
       }
-      family.gap = logging::Diagnostic{
-          logging::DiagnosticKind::kRotationGap, family.base, 0,
-          family.members.size(),
-          "reassembled " + std::to_string(family.members.size()) +
-              " rotated segments: " + segment_list};
+      family.gap = rotation_gap(family.base, segments);
     }
     out.push_back(std::move(family));
   }
@@ -77,55 +98,38 @@ namespace {
 using logging::Diagnostic;
 using logging::DiagnosticKind;
 
-/// What one chunk of a stream learned on its own: its events (sorted)
-/// and the cursor over its lines, which the stitch pass joins in chunk
-/// order.
+/// What one range of a stream learned on its own: its events (sorted,
+/// numbered from the range's first line) and the cursor over its lines,
+/// which the stitch pass joins in file order.
 struct ChunkOut {
   EventBatch events;
   /// Parsed lines whose message was too short for any extractor rule —
   /// dispatch skipped entirely (aggregated into mine.scan.prefilter_skipped).
   std::size_t prefilter_skipped = 0;
   StreamCursor cursor;
+  /// The range's file could not be opened, was no longer the listed
+  /// inode, or failed a read.
+  bool unreadable = false;
+
+  /// Mines the stream's next line.  Events land in the columnar batch
+  /// carrying the interned `stream_id`.
+  void feed(std::string_view line, std::uint32_t stream_id) {
+    static const std::size_t shortest_rule_len = min_rule_message_len();
+    const auto parsed = cursor.feed(line);
+    if (!parsed) return;
+    if (parsed->message.size() < shortest_rule_len) ++prefilter_skipped;
+    extract_event_into(*parsed, stream_id, cursor.line_no(), events);
+  }
 };
 
-/// Mines lines [base_line, base_line + lines.size()) of one stream.
-/// Line numbers are 1-based, so the produced events carry
-/// `base_line + i + 1`.  Events land in a columnar batch carrying the
-/// interned `stream_id`.
-ChunkOut mine_chunk(std::uint32_t stream_id,
-                    const std::shared_ptr<const StringInterner>& pool,
-                    std::span<const std::string_view> lines,
-                    std::size_t base_line) {
-  ChunkOut out{EventBatch(pool), 0, StreamCursor(base_line)};
-  const std::size_t shortest_rule_len = min_rule_message_len();
-  for (const std::string_view line : lines) {
-    const auto parsed = out.cursor.feed(line);
-    if (!parsed) continue;
-    if (parsed->message.size() < shortest_rule_len) ++out.prefilter_skipped;
-    extract_event_into(*parsed, stream_id, out.cursor.line_no(), out.events);
-  }
-  // Chunks emit sorted runs; within one stream the order reduces to
-  // (ts, line, kind).  Columnar index sort — the keys are contiguous
-  // arrays.
-  out.events.sort();
-  return out;
-}
-
-/// Joins the chunk cursors in chunk order (file order), renders the
-/// stream's diagnostics, synthesizes FIRST_LOG, merges the chunk runs
-/// and binds stream-scoped events — semantically identical to a serial
-/// pass over the whole stream.
-MinedStream stitch_stream(const std::string& name, std::uint32_t stream_id,
+/// Renders the joined stream's diagnostics, synthesizes FIRST_LOG,
+/// merges the range runs and binds stream-scoped events — semantically
+/// identical to a serial pass over the whole stream.
+MinedStream finish_stream(const std::string& name, std::uint32_t stream_id,
                           const std::shared_ptr<const StringInterner>& pool,
-                          std::vector<ChunkOut> chunks,
-                          std::vector<Diagnostic> pre_diagnostics = {}) {
-  StreamCursor cursor;
-  std::vector<EventBatch> runs;
-  runs.reserve(chunks.size() + 1);
-  for (ChunkOut& chunk : chunks) {
-    cursor.join(chunk.cursor);
-    runs.push_back(std::move(chunk.events));
-  }
+                          const StreamCursor& cursor,
+                          std::vector<EventBatch> runs,
+                          std::vector<Diagnostic> pre_diagnostics) {
   MinedStream out;
   out.name = name;
   out.kind = cursor.kind();
@@ -165,44 +169,102 @@ MinedStream stitch_stream(const std::string& name, std::uint32_t stream_id,
   return out;
 }
 
-/// One logical stream to mine: either a single physical stream (lines
-/// alias the view) or a rotated family reassembled in segment order
-/// (lines owned here).
-struct LogicalStream {
+/// One file of a stream: a listed file, or one in-memory stream.
+struct Member {
   std::string name;
-  std::vector<std::string_view> owned;
-  std::span<const std::string_view> lines;
-  std::vector<Diagnostic> pre_diagnostics;
+  /// Planned bytes: the listed size, or the in-memory lines with one
+  /// newline each.
+  std::uint64_t size = 0;
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  /// The in-memory stream's lines; null for a file.
+  const std::vector<std::string>* lines = nullptr;
 };
 
-/// Groups `view`'s streams into logical streams, reassembling rotated
-/// families (see `rotation_families`).
-std::vector<LogicalStream> group_rotations(const logging::BundleView& view) {
-  const std::vector<std::string> names = view.stream_names();
-  const std::vector<std::string_view> name_views(names.begin(), names.end());
-  std::vector<LogicalStream> out;
-  for (RotationFamily& family : rotation_families(name_views)) {
-    LogicalStream logical;
-    logical.name = std::move(family.base);
-    if (!family.gap) {
-      logical.lines = view.stream(names[family.members.front()]).lines();
-      out.push_back(std::move(logical));
-      continue;
+struct Stream {
+  std::string name;
+  std::uint32_t id = 0;
+  /// In logrotate order.
+  std::vector<Member> members;
+};
+
+/// Bytes [begin, end) of a file, or lines [begin, end) of an in-memory
+/// stream.
+struct Range {
+  std::size_t member = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+};
+
+struct CloseDir {
+  void operator()(DIR* dir) const { ::closedir(dir); }
+};
+
+/// One `readdir` walk with one `fstatat` per candidate entry: every
+/// regular file, symlinks followed, dotfiles included.
+std::vector<Member> list_directory(const std::filesystem::path& dir) {
+  const std::unique_ptr<DIR, CloseDir> handle(::opendir(dir.c_str()));
+  if (!handle) {
+    throw std::runtime_error("MinePlan: cannot list " + dir.string() + ": " +
+                             std::strerror(errno));
+  }
+  const int dir_fd = ::dirfd(handle.get());
+  std::vector<Member> out;
+  while (const struct ::dirent* entry = ::readdir(handle.get())) {
+    if (entry->d_type != DT_REG && entry->d_type != DT_LNK &&
+        entry->d_type != DT_UNKNOWN) {
+      continue;  // directories, fifos, sockets, devices
     }
-    std::size_t total = 0;
-    for (const std::size_t member : family.members) {
-      total += view.stream(names[member]).line_count();
+    struct ::stat st{};
+    if (::fstatat(dir_fd, entry->d_name, &st, 0) != 0 ||
+        !S_ISREG(st.st_mode)) {
+      continue;  // vanished, dangling or not a regular file
     }
-    logical.owned.reserve(total);
-    for (const std::size_t member : family.members) {
-      const auto& lines = view.stream(names[member]).lines();
-      logical.owned.insert(logical.owned.end(), lines.begin(), lines.end());
-    }
-    logical.lines = logical.owned;
-    logical.pre_diagnostics.push_back(std::move(*family.gap));
-    out.push_back(std::move(logical));
+    out.push_back(Member{entry->d_name, static_cast<std::uint64_t>(st.st_size),
+                         static_cast<std::uint64_t>(st.st_dev),
+                         static_cast<std::uint64_t>(st.st_ino)});
   }
   return out;
+}
+
+/// Closes its descriptor (if open) on scope exit.
+struct FileDescriptor {
+  explicit FileDescriptor(int open_fd) : fd(open_fd) {}
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  const int fd;
+};
+
+/// This worker's read block, reused by every range it reads.
+std::span<char> read_block() {
+  thread_local const std::unique_ptr<char[]> block =
+      std::make_unique_for_overwrite<char[]>(logging::kReadBlock);
+  return {block.get(), logging::kReadBlock};
+}
+
+/// Reads the lines of bytes [begin, end) of the file listed at `path`
+/// as inode (dev, ino) of `size` bytes.  Returns the bytes consumed, or
+/// nullopt when it cannot be opened, a read fails, or the name no longer
+/// holds the listed inode — one renamed away and recreated since the
+/// listing is another file.
+template <typename OnLine>
+std::optional<std::uint64_t> read_listed_range(
+    const std::filesystem::path& path, std::uint64_t dev, std::uint64_t ino,
+    std::uint64_t size, std::uint64_t begin, std::uint64_t end,
+    OnLine&& on_line) {
+  const FileDescriptor file(
+      ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  struct ::stat st{};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_dev) != dev ||
+      static_cast<std::uint64_t>(st.st_ino) != ino) {
+    return std::nullopt;
+  }
+  return logging::read_line_range(file.fd, begin, end, size, read_block(),
+                                  std::forward<OnLine>(on_line));
 }
 
 /// Cached per-kind diagnostic counters ("mine.diagnostics.<kind>").
@@ -221,170 +283,287 @@ obs::Counter& diagnostic_counter(DiagnosticKind kind) {
 
 }  // namespace
 
-/// The plan's state is exactly what `LogMiner::mine` used to build
-/// inline: the logical streams (rotations reassembled), the frozen
-/// interner, the chunk work list, and one output slot per chunk.  The
-/// types live in this file's anonymous namespace; Impl is defined and
-/// used only here.
+/// The plan: logical streams (rotations reassembled) of listed files or
+/// in-memory streams, the frozen interner, the ranges grouped into
+/// chunks, and one output slot per range.  The types live in this file's
+/// anonymous namespace; Impl is defined and used only here.
 struct MinePlan::Impl {
-  struct ChunkRef {
-    std::size_t stream;
-    std::size_t begin;
-    std::size_t end;
-  };
-
-  std::vector<LogicalStream> logicals;
+  /// The listed directory; empty for in-memory input.
+  std::filesystem::path dir;
+  std::vector<Stream> streams;
   std::shared_ptr<const StringInterner> pool;
-  std::vector<ChunkRef> refs;
-  /// refs index range of stream s: [first_chunk[s], first_chunk[s+1]).
-  std::vector<std::size_t> first_chunk;
+  std::vector<Range> ranges;
+  /// The stream of each range.
+  std::vector<std::size_t> range_stream;
+  /// Ranges of stream s: [first_range[s], first_range[s+1]).
+  std::vector<std::size_t> first_range;
+  /// Ranges of chunk c: [first_of_chunk[c], first_of_chunk[c+1]).
+  std::vector<std::size_t> first_of_chunk;
   std::vector<ChunkOut> outs;
   obs::Counter& lines_counter;
+  obs::Counter& bytes_counter;
   obs::Counter& prefilter_counter;
 
   Impl()
       : lines_counter(obs::catalog_counter(obs::metric::kMineLines)),
+        bytes_counter(obs::catalog_counter(obs::metric::kMineBytes)),
         prefilter_counter(
             obs::catalog_counter(obs::metric::kMineScanPrefilterSkipped)) {}
+
+  /// Streams from `members` (file names and sizes), in base-name order
+  /// with rotated families reassembled; interns their names.
+  void add_streams(std::vector<Member> members);
+  /// Splits every member into ranges and groups the ranges into chunks.
+  void plan(const MinerOptions& options);
+  void mine_range(std::size_t r);
 };
 
-MinePlan::MinePlan(const logging::BundleView& view,
-                   const MinerOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  static obs::Gauge& lines_expected =
-      obs::catalog_gauge(obs::metric::kMineLinesExpected);
-  // Which scan backend this mine runs with (one count per plan — the
-  // backend cannot change mid-mine).
-  obs::catalog_counter(
-      obs::metric::kMineScanBackend,
-      simd::scan_backend_name(simd::active_scan_backend()))
-      .add(1);
-
-  impl_->logicals = group_rotations(view);
-  {
-    std::int64_t expected = 0;
-    for (const LogicalStream& logical : impl_->logicals) {
-      expected += static_cast<std::int64_t>(logical.lines.size());
+void MinePlan::Impl::add_streams(std::vector<Member> members) {
+  std::vector<std::string_view> names;
+  names.reserve(members.size());
+  for (const Member& member : members) names.push_back(member.name);
+  auto building = std::make_shared<StringInterner>();
+  for (RotationFamily& family : rotation_families(names)) {
+    Stream stream;
+    stream.name = std::move(family.base);
+    stream.id = building->intern(stream.name);
+    for (const std::size_t m : family.members) {
+      stream.members.push_back(std::move(members[m]));
     }
-    // Cumulative like the counters: `mine.lines_expected - mine.lines` is
-    // the remaining work even across repeated mines.
-    lines_expected.add(expected);
+    streams.push_back(std::move(stream));
   }
-
   // One string pool for the whole mine: every batch stores interned
   // stream ids; the pool is frozen (const) before the workers start, so
-  // sharing it across mining threads is read-only.  group_rotations
-  // returns streams in name order, so id order equals name order and the
-  // merge comparator almost never touches the strings.
-  impl_->pool = [this] {
-    auto building = std::make_shared<StringInterner>();
-    for (const LogicalStream& logical : impl_->logicals) {
-      building->intern(logical.name);
-    }
-    return std::shared_ptr<const StringInterner>(std::move(building));
-  }();
+  // sharing it across mining threads is read-only.  Streams are in name
+  // order, so id order equals name order and the merge comparator almost
+  // never touches the strings.
+  pool = std::move(building);
+}
 
-  // Work list: every logical stream split into chunks at line boundaries,
-  // so all chunks across all streams feed one parallel loop and a
-  // dominant stream cannot serialize the run.
-  impl_->first_chunk.assign(impl_->logicals.size() + 1, 0);
-  for (std::size_t s = 0; s < impl_->logicals.size(); ++s) {
-    impl_->first_chunk[s] = impl_->refs.size();
-    const std::size_t n = impl_->logicals[s].lines.size();
-    std::size_t chunk_len = n;
-    if (options.threads > 1 && options.shard_grain > 0) {
-      const std::size_t target = 4 * options.threads;
-      chunk_len = std::max(options.shard_grain, (n + target - 1) / target);
+void MinePlan::Impl::plan(const MinerOptions& options) {
+  const std::uint64_t grain = options.shard_grain;
+  const bool split = options.threads > 1 && grain > 0;
+  const std::uint64_t target = 4 * options.threads;
+  // Bytes of each range, for grouping ranges into chunks.
+  std::vector<std::uint64_t> range_bytes;
+  std::uint64_t planned = 0;
+  first_range.assign(streams.size() + 1, 0);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    first_range[s] = ranges.size();
+    for (std::size_t m = 0; m < streams[s].members.size(); ++m) {
+      const Member& member = streams[s].members[m];
+      planned += member.size;
+      std::uint64_t len = member.size;
+      if (split) len = std::max(grain, (member.size + target - 1) / target);
+      len = std::max<std::uint64_t>(len, 1);
+      const auto add = [&](std::uint64_t begin, std::uint64_t end,
+                           std::uint64_t bytes) {
+        ranges.push_back(Range{m, begin, end});
+        range_stream.push_back(s);
+        range_bytes.push_back(bytes);
+      };
+      if (member.lines == nullptr) {
+        std::uint64_t begin = 0;
+        do {
+          const std::uint64_t end = std::min(member.size, begin + len);
+          add(begin, end, end - begin);
+          begin = end;
+        } while (begin < member.size);
+        continue;
+      }
+      // In memory: a range owns the lines that start in its bytes.
+      const std::vector<std::string>& lines = *member.lines;
+      std::size_t first = 0;
+      std::uint64_t offset = 0;
+      std::uint64_t range_start = 0;
+      std::uint64_t limit = len;
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (offset >= limit) {
+          add(first, i, offset - range_start);
+          first = i;
+          range_start = offset;
+          limit = (offset / len + 1) * len;
+        }
+        offset += lines[i].size() + 1;
+      }
+      add(first, lines.size(), offset - range_start);
     }
-    if (chunk_len == 0) chunk_len = 1;
-    std::size_t begin = 0;
-    do {
-      const std::size_t end = std::min(n, begin + chunk_len);
-      impl_->refs.push_back(Impl::ChunkRef{s, begin, end});
-      begin = end;
-    } while (begin < n);
   }
-  impl_->first_chunk[impl_->logicals.size()] = impl_->refs.size();
-  impl_->outs.resize(impl_->refs.size());
+  first_range[streams.size()] = ranges.size();
+
+  // Whole small files share a chunk until it holds about one grain.
+  first_of_chunk.assign(1, 0);
+  std::uint64_t chunk_bytes = 0;
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    chunk_bytes += range_bytes[r];
+    if (chunk_bytes >= grain) {
+      first_of_chunk.push_back(r + 1);
+      chunk_bytes = 0;
+    }
+  }
+  if (first_of_chunk.back() != ranges.size()) {
+    first_of_chunk.push_back(ranges.size());
+  }
+  outs.resize(ranges.size());
+
+  static obs::Gauge& bytes_expected =
+      obs::catalog_gauge(obs::metric::kMineBytesExpected);
+  // Cumulative like the counters: `mine.bytes_expected - mine.bytes` is
+  // the remaining work even across repeated mines.
+  bytes_expected.add(static_cast<std::int64_t>(planned));
+}
+
+void MinePlan::Impl::mine_range(std::size_t r) {
+  const Range& range = ranges[r];
+  const Stream& stream = streams[range_stream[r]];
+  const Member& member = stream.members[range.member];
+  ChunkOut out;
+  out.events = EventBatch(pool);
+  const auto feed = [&out, &stream](std::string_view line) {
+    out.feed(line, stream.id);
+  };
+  std::uint64_t consumed = 0;
+  if (member.lines != nullptr) {
+    for (std::uint64_t i = range.begin; i < range.end; ++i) {
+      const std::string& line = (*member.lines)[i];
+      feed(line);
+      consumed += line.size() + 1;
+    }
+  } else {
+    const std::optional<std::uint64_t> read = read_listed_range(
+        dir / member.name, member.dev, member.ino, member.size, range.begin,
+        range.end, feed);
+    out.unreadable = !read;
+    consumed = read.value_or(0);
+  }
+  // Ranges emit sorted runs; within one stream the order reduces to
+  // (ts, line, kind), and a constant line rebase keeps it.  Columnar
+  // index sort — the keys are contiguous arrays.
+  out.events.sort();
+  if (!out.unreadable) {
+    lines_counter.add(out.cursor.line_no());
+    bytes_counter.add(consumed);
+    prefilter_counter.add(out.prefilter_skipped);
+  }
+  outs[r] = std::move(out);
+}
+
+MinePlan::MinePlan(const std::filesystem::path& dir,
+                   const MinerOptions& options)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->dir = dir;
+  impl_->add_streams(list_directory(dir));
+  impl_->plan(options);
+}
+
+MinePlan::MinePlan(const logging::LogBundle& bundle,
+                   const MinerOptions& options)
+    : impl_(std::make_unique<Impl>()) {
+  std::vector<Member> members;
+  for (const std::string& name : bundle.stream_names()) {
+    Member member;
+    member.name = name;
+    member.lines = &bundle.lines(name);
+    for (const std::string& line : *member.lines) {
+      member.size += line.size() + 1;
+    }
+    members.push_back(std::move(member));
+  }
+  impl_->add_streams(std::move(members));
+  impl_->plan(options);
 }
 
 MinePlan::~MinePlan() = default;
 MinePlan::MinePlan(MinePlan&&) noexcept = default;
 MinePlan& MinePlan::operator=(MinePlan&&) noexcept = default;
 
-std::size_t MinePlan::stream_count() const { return impl_->logicals.size(); }
+std::size_t MinePlan::stream_count() const { return impl_->streams.size(); }
 
-std::size_t MinePlan::chunk_count() const { return impl_->refs.size(); }
-
-std::size_t MinePlan::stream_of(std::size_t chunk) const {
-  return impl_->refs[chunk].stream;
+std::size_t MinePlan::chunk_count() const {
+  return impl_->first_of_chunk.size() - 1;
 }
 
-std::size_t MinePlan::chunks_of(std::size_t stream) const {
-  return impl_->first_chunk[stream + 1] - impl_->first_chunk[stream];
+std::span<const std::size_t> MinePlan::streams_of(std::size_t chunk) const {
+  const std::size_t first = impl_->first_of_chunk[chunk];
+  return std::span<const std::size_t>(impl_->range_stream)
+      .subspan(first, impl_->first_of_chunk[chunk + 1] - first);
 }
 
-const std::string& MinePlan::stream_name(std::size_t stream) const {
-  return impl_->logicals[stream].name;
-}
-
-std::size_t MinePlan::stream_lines(std::size_t stream) const {
-  return impl_->logicals[stream].lines.size();
-}
-
-const std::shared_ptr<const StringInterner>& MinePlan::interner() const {
-  return impl_->pool;
+std::size_t MinePlan::ranges_of(std::size_t stream) const {
+  return impl_->first_range[stream + 1] - impl_->first_range[stream];
 }
 
 void MinePlan::run_chunk(std::size_t chunk) {
   const auto chunk_span = obs::Tracer::global().span("mine.chunk");
-  const Impl::ChunkRef& ref = impl_->refs[chunk];
-  const LogicalStream& logical = impl_->logicals[ref.stream];
-  impl_->outs[chunk] = mine_chunk(
-      impl_->pool->find(logical.name), impl_->pool,
-      logical.lines.subspan(ref.begin, ref.end - ref.begin), ref.begin);
-  impl_->lines_counter.add(ref.end - ref.begin);
-  impl_->prefilter_counter.add(impl_->outs[chunk].prefilter_skipped);
+  for (std::size_t r = impl_->first_of_chunk[chunk];
+       r < impl_->first_of_chunk[chunk + 1]; ++r) {
+    impl_->mine_range(r);
+  }
 }
 
-MinedStream MinePlan::stitch(std::size_t stream) {
-  LogicalStream& logical = impl_->logicals[stream];
-  std::vector<ChunkOut> chunks(
-      std::make_move_iterator(impl_->outs.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  impl_->first_chunk[stream])),
-      std::make_move_iterator(impl_->outs.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  impl_->first_chunk[stream + 1])));
-  return stitch_stream(logical.name, impl_->pool->find(logical.name),
-                       impl_->pool, std::move(chunks),
-                       std::move(logical.pre_diagnostics));
-}
+std::optional<MinedStream> MinePlan::stitch(
+    std::size_t stream, std::vector<Diagnostic>& unreadable) {
+  const Stream& plan = impl_->streams[stream];
+  const std::size_t first = impl_->first_range[stream];
+  const std::size_t last = impl_->first_range[stream + 1];
+  // A file is read whole or not at all: one failed range loses it.
+  std::vector<bool> lost(plan.members.size(), false);
+  for (std::size_t r = first; r < last; ++r) {
+    if (impl_->outs[r].unreadable) lost[impl_->ranges[r].member] = true;
+  }
+  std::vector<std::string_view> read;
+  for (std::size_t m = 0; m < plan.members.size(); ++m) {
+    const std::string& name = plan.members[m].name;
+    if (!lost[m]) {
+      read.push_back(name);
+      continue;
+    }
+    unreadable.push_back(
+        Diagnostic{DiagnosticKind::kUnreadableFile, name, 0, 1,
+                   "LogView: cannot read " + (impl_->dir / name).string()});
+  }
+  if (read.empty()) return std::nullopt;
+  std::vector<Diagnostic> pre_diagnostics;
+  if (read.size() > 1 || read.front() != plan.name) {
+    pre_diagnostics.push_back(rotation_gap(plan.name, read));
+  }
 
-MinedStream LogMiner::mine_stream(
-    const std::string& name, std::span<const std::string_view> lines) const {
-  auto pool = std::make_shared<StringInterner>();
-  const std::uint32_t stream_id = pool->intern(name);
-  const std::shared_ptr<const StringInterner> frozen = std::move(pool);
-  std::vector<ChunkOut> chunks;
-  chunks.push_back(mine_chunk(stream_id, frozen, lines, 0));
-  return stitch_stream(name, stream_id, frozen, std::move(chunks));
+  StreamCursor cursor;
+  std::vector<EventBatch> runs;
+  runs.reserve(last - first + 1);
+  for (std::size_t r = first; r < last; ++r) {
+    if (lost[impl_->ranges[r].member]) continue;
+    ChunkOut& out = impl_->outs[r];
+    out.events.rebase_lines(cursor.line_no());
+    cursor.join(out.cursor);
+    runs.push_back(std::move(out.events));
+  }
+  return finish_stream(plan.name, plan.id, impl_->pool, cursor,
+                       std::move(runs), std::move(pre_diagnostics));
 }
 
 MinedStream LogMiner::mine_stream(const std::string& name,
                                   const std::vector<std::string>& lines) const {
-  const logging::LogView view = logging::LogView::from_lines(lines);
-  return mine_stream(name, view.lines());
+  auto pool = std::make_shared<StringInterner>();
+  const std::uint32_t stream_id = pool->intern(name);
+  const std::shared_ptr<const StringInterner> frozen = std::move(pool);
+  ChunkOut out;
+  out.events = EventBatch(frozen);
+  for (const std::string& line : lines) out.feed(line, stream_id);
+  out.events.sort();
+  std::vector<EventBatch> runs;
+  runs.push_back(std::move(out.events));
+  return finish_stream(name, stream_id, frozen, out.cursor, std::move(runs),
+                       {});
 }
 
-MineResult LogMiner::mine(const logging::BundleView& view) const {
+MineResult LogMiner::run(MinePlan plan) const {
   const auto total_span = obs::Tracer::global().span("mine.total");
   static obs::Counter& events_counter =
       obs::catalog_counter(obs::metric::kMineEvents);
   static obs::Counter& streams_counter =
       obs::catalog_counter(obs::metric::kMineStreams);
 
-  MinePlan plan(view, options_);
   if (options_.threads > 1 && plan.chunk_count() > 1) {
     ThreadPool pool(options_.threads);
     parallel_for(pool, plan.chunk_count(),
@@ -395,22 +574,24 @@ MineResult LogMiner::mine(const logging::BundleView& view) const {
 
   MineResult result;
   result.streams.reserve(plan.stream_count());
+  std::vector<Diagnostic> stream_diagnostics;
   std::vector<EventBatch> runs;
   runs.reserve(plan.stream_count());
   {
     const auto stitch_span = obs::Tracer::global().span("mine.stitch");
     for (std::size_t s = 0; s < plan.stream_count(); ++s) {
-      MinedStream stream = plan.stitch(s);
-      result.lines_total += stream.lines_total;
-      result.lines_unparsed += stream.lines_unparsed;
-      result.diagnostics.insert(result.diagnostics.end(),
-                                stream.diagnostics.begin(),
-                                stream.diagnostics.end());
-      result.diag_counts += stream.diag_counts;
+      std::optional<MinedStream> stream = plan.stitch(s, result.diagnostics);
+      if (!stream) continue;
+      result.lines_total += stream->lines_total;
+      result.lines_unparsed += stream->lines_unparsed;
+      stream_diagnostics.insert(stream_diagnostics.end(),
+                                stream->diagnostics.begin(),
+                                stream->diagnostics.end());
+      result.diag_counts += stream->diag_counts;
       // Per-stream runs are already sorted; move them out (no per-event
       // copies) and k-way merge instead of re-sorting globally.
-      runs.push_back(std::move(stream.events));
-      result.streams.push_back(std::move(stream));
+      runs.push_back(std::move(stream->events));
+      result.streams.push_back(std::move(*stream));
     }
   }
   {
@@ -419,30 +600,26 @@ MineResult LogMiner::mine(const logging::BundleView& view) const {
   }
   streams_counter.add(result.streams.size());
   events_counter.add(result.events.size());
+  // The mine.diagnostics counters cover stream findings only; the
+  // unreadable-file records ahead of them are bundle-level.
   for (const Diagnostic& diagnostic : result.diagnostics) {
+    result.diag_counts.add(diagnostic);
+  }
+  for (const Diagnostic& diagnostic : stream_diagnostics) {
     diagnostic_counter(diagnostic.kind).add(diagnostic.count);
   }
+  result.diagnostics.insert(result.diagnostics.end(),
+                            std::make_move_iterator(stream_diagnostics.begin()),
+                            std::make_move_iterator(stream_diagnostics.end()));
   return result;
 }
 
 MineResult LogMiner::mine(const logging::LogBundle& bundle) const {
-  return mine(logging::BundleView::from_bundle(bundle));
+  return run(MinePlan(bundle, options_));
 }
 
 MineResult LogMiner::mine_directory(const std::filesystem::path& dir) const {
-  std::vector<Diagnostic> io_diagnostics;
-  const logging::BundleView view =
-      logging::BundleView::read_from_directory(dir, &io_diagnostics);
-  MineResult result = mine(view);
-  if (!io_diagnostics.empty()) {
-    for (const Diagnostic& diagnostic : io_diagnostics) {
-      result.diag_counts.add(diagnostic);
-    }
-    result.diagnostics.insert(result.diagnostics.begin(),
-                              std::make_move_iterator(io_diagnostics.begin()),
-                              std::make_move_iterator(io_diagnostics.end()));
-  }
-  return result;
+  return run(MinePlan(dir, options_));
 }
 
 }  // namespace sdc::checker

@@ -16,13 +16,16 @@
 // "unparsed" number.
 //
 // Parallelism is two-level: streams are mined concurrently, and each
-// stream is itself split into chunks at line boundaries so one dominant
-// stream (the RM log — every application's state machine logs there)
-// cannot serialize the run.  Each chunk drives a `StreamCursor`
-// (stream_cursor.hpp) over its lines; a stitch pass joins the chunk
-// cursors in chunk order, which makes the sharded result — events *and*
-// diagnostics — identical to a serial pass.  Each chunk emits a sorted
-// event run; runs are combined by k-way merge instead of a global sort.
+// large file is itself split into byte ranges so one dominant stream
+// (the RM log — every application's state machine logs there) cannot
+// serialize the run.  Reading is part of mining: each chunk task opens
+// its file, `pread`s its range (logging/line_reader.hpp) and feeds every
+// line straight to a `StreamCursor` (stream_cursor.hpp), so no serial
+// read pass precedes the tasks and no byte outlives its block.  A stitch
+// pass joins the chunk cursors in file order, rebasing their line
+// numbers, which makes the sharded result — events *and* diagnostics —
+// identical to a serial pass.  Each chunk emits a sorted event run; runs
+// are combined by k-way merge instead of a global sort.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +39,6 @@
 
 #include "logging/diagnostics.hpp"
 #include "logging/log_bundle.hpp"
-#include "logging/log_view.hpp"
 #include "sdchecker/events.hpp"
 #include "sdchecker/extractor.hpp"
 
@@ -45,11 +47,12 @@ namespace sdc::checker {
 struct MinerOptions {
   /// Worker threads for mining; 1 = serial.
   std::size_t threads = 1;
-  /// Minimum lines per intra-stream chunk.  Streams are split into up to
-  /// ~4*threads chunks but never smaller than this, so chunk bookkeeping
-  /// cannot dominate short streams.  0 disables intra-stream sharding
-  /// (one chunk per stream — the pre-sharding behaviour).
-  std::size_t shard_grain = 8192;
+  /// Minimum bytes per chunk.  With more than one thread a file is split
+  /// into up to 4*threads byte ranges but never smaller than this, and
+  /// whole smaller files are grouped into tasks of about this size, so
+  /// task bookkeeping cannot dominate short files.  0 disables both
+  /// (one task per file).
+  std::size_t shard_grain = std::size_t{1} << 20;
 };
 
 /// Per-stream mining outcome (diagnostics and tests).
@@ -76,6 +79,7 @@ struct MineResult {
   /// All events, ids resolved, sorted by (ts, stream, line), in columnar
   /// storage sharing one interned stream-name pool.
   EventBatch events;
+  /// Every stream with at least one readable file, in name order.
   std::vector<MinedStream> streams;
   std::size_t lines_total = 0;
   std::size_t lines_unparsed = 0;
@@ -85,45 +89,56 @@ struct MineResult {
   logging::DiagnosticCounts diag_counts;
 };
 
-/// One corpus's mining work decomposed into schedulable pieces: the
-/// stream/chunk structure `LogMiner::mine` runs start-to-finish, exposed
-/// so `CorpusPipeline` (sdchecker.hpp) — what `analyze` and fleet mode
-/// run — can stitch each stream, handing its events to grouping, the
-/// moment that stream's last chunk completes, instead of waiting for the
-/// whole corpus.  Both paths share this one pipeline, so the
-/// sharded/serial byte-identity proof covers them both.
+/// One corpus's mining work decomposed into schedulable pieces, planned
+/// from file sizes alone: `LogMiner::mine` runs it start-to-finish, and
+/// `CorpusPipeline` (sdchecker.hpp) — what `analyze` and fleet mode run —
+/// stitches each stream, handing its events to grouping, the moment that
+/// stream's last range completes.  Both paths share this one pipeline,
+/// so the sharded/serial byte-identity proof covers them both.
 ///
-/// Protocol: construct over a live BundleView (the view must outlive the
-/// plan — chunks alias its lines), call `run_chunk` for every chunk
-/// (thread-safe across distinct chunks), and `stitch` each stream exactly
-/// once after all of its chunks ran.  `run_chunk` maintains the
-/// `mine.lines` / `mine.scan.prefilter_skipped` instruments; the
-/// constructor stamps `mine.lines_expected` and the scan-backend counter
-/// exactly as one `mine()` call would.
+/// The plan lists the input once: a directory's regular files (symlinks
+/// followed, dotfiles included) with their sizes and (dev, inode), or an
+/// in-memory bundle's streams.  Each stream becomes the ranges of its
+/// files in logrotate order; a chunk is one range of a large file or a
+/// run of whole small files.  A chunk reads its files itself, through a
+/// descriptor that must still hold the listed inode, up to the listed
+/// size: a file unlinked, replaced or unreadable by then is reported
+/// once as a kUnreadableFile record and left out, one truncated since is
+/// mined as it now is, and bytes appended since are not read.
+///
+/// Protocol: call `run_chunk` for every chunk (thread-safe across
+/// distinct chunks), and `stitch` each stream exactly once after all of
+/// its ranges ran.  An in-memory plan aliases the bundle's lines, which
+/// must outlive it.  `run_chunk` maintains the `mine.lines` /
+/// `mine.bytes` / `mine.scan.prefilter_skipped` instruments; the
+/// constructor adds the planned bytes to `mine.bytes_expected`.
 class MinePlan {
  public:
-  MinePlan(const logging::BundleView& view, const MinerOptions& options);
+  /// Lists `dir`.  Throws std::runtime_error if it cannot be listed.
+  MinePlan(const std::filesystem::path& dir, const MinerOptions& options);
+  MinePlan(const logging::LogBundle& bundle, const MinerOptions& options);
   ~MinePlan();
   MinePlan(MinePlan&&) noexcept;
   MinePlan& operator=(MinePlan&&) noexcept;
 
   [[nodiscard]] std::size_t stream_count() const;
   [[nodiscard]] std::size_t chunk_count() const;
-  /// The stream chunk `chunk` belongs to.
-  [[nodiscard]] std::size_t stream_of(std::size_t chunk) const;
-  /// How many chunks stream `stream` was split into.
-  [[nodiscard]] std::size_t chunks_of(std::size_t stream) const;
-  /// Streams are in logical-name order (rotated families reassembled).
-  [[nodiscard]] const std::string& stream_name(std::size_t stream) const;
-  [[nodiscard]] std::size_t stream_lines(std::size_t stream) const;
-  /// The interned stream-name pool every produced batch shares.
-  [[nodiscard]] const std::shared_ptr<const StringInterner>& interner() const;
+  /// The stream of each range chunk `chunk` mines, in the order it mines
+  /// them.
+  [[nodiscard]] std::span<const std::size_t> streams_of(
+      std::size_t chunk) const;
+  /// How many ranges stream `stream` (in logical-name order, rotated
+  /// families reassembled) was split into.
+  [[nodiscard]] std::size_t ranges_of(std::size_t stream) const;
 
-  /// Mines one chunk (mutates only that chunk's slot).
+  /// Reads and mines one chunk's ranges (mutates only their slots).
   void run_chunk(std::size_t chunk);
   /// Resolves stream-wide state and returns the stitched stream; consumes
-  /// the stream's chunk outputs and pre-diagnostics.
-  [[nodiscard]] MinedStream stitch(std::size_t stream);
+  /// the stream's range outputs.  Appends one kUnreadableFile record per
+  /// file of the stream that could not be read to `unreadable`, and
+  /// returns nullopt when none could.
+  [[nodiscard]] std::optional<MinedStream> stitch(
+      std::size_t stream, std::vector<logging::Diagnostic>& unreadable);
 
  private:
   struct Impl;
@@ -139,21 +154,19 @@ class LogMiner {
   explicit LogMiner(MinerOptions options = {}) : options_(options) {}
 
   [[nodiscard]] MineResult mine(const logging::LogBundle& bundle) const;
-  /// Zero-copy path: mines mmap-backed (or adapted) line views directly.
-  [[nodiscard]] MineResult mine(const logging::BundleView& view) const;
-  /// Mines a directory through the mmap-backed view layer.  Unreadable
-  /// files become kUnreadableFile diagnostics instead of throwing.
+  /// Mines a directory, reading inside the chunk tasks.  Unreadable files
+  /// become kUnreadableFile diagnostics instead of throwing.
   [[nodiscard]] MineResult mine_directory(
       const std::filesystem::path& dir) const;
 
-  /// Mines one stream in isolation (exposed for unit tests).
+  /// Mines one stream in isolation, as one chunk (exposed for unit
+  /// tests and the coverage lint).
   [[nodiscard]] MinedStream mine_stream(
       const std::string& name, const std::vector<std::string>& lines) const;
-  [[nodiscard]] MinedStream mine_stream(
-      const std::string& name,
-      std::span<const std::string_view> lines) const;
 
  private:
+  [[nodiscard]] MineResult run(MinePlan plan) const;
+
   MinerOptions options_;
 };
 

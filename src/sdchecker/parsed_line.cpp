@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "common/simd.hpp"
 #include "logging/timestamp.hpp"
 
 namespace sdc::checker {
@@ -80,19 +79,10 @@ std::optional<ParsedLine> parse_line(std::string_view line) {
   const std::string_view level = rest.substr(0, level_end);
   rest.remove_prefix(level_end);
   while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-  // Logger class up to ": ".  Hunt colons with the vectorized scanner
-  // and confirm the trailing space — identical to rest.find(": "), but
-  // the scan runs at SIMD width (logger names contain no ':', so the
-  // first confirmed hit is almost always the first colon).
-  std::size_t sep = std::string_view::npos;
-  for (std::size_t colon = simd::find_byte(rest, ':');
-       colon != std::string_view::npos;
-       colon = simd::find_byte(rest, ':', colon + 1)) {
-    if (colon + 1 < rest.size() && rest[colon + 1] == ' ') {
-      sep = colon;
-      break;
-    }
-  }
+  // Logger class up to ": ".  The search hunts colons with memchr and
+  // confirms the space (logger names contain no ':', so the first hit is
+  // almost always the separator).
+  const std::size_t sep = rest.find(": ");
   if (sep == std::string_view::npos || sep == 0) return std::nullopt;
   ParsedLine out;
   out.epoch_ms = *ts;

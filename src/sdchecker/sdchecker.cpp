@@ -93,24 +93,15 @@ std::vector<const Anomaly*> AnalysisResult::anomalies_of(
 }
 
 AnalysisResult SdChecker::analyze(const logging::LogBundle& bundle) const {
-  return analyze(logging::BundleView::from_bundle(bundle));
-}
-
-AnalysisResult SdChecker::analyze(const logging::BundleView& view) const {
-  return run(view, {});
+  return run(MinePlan(bundle, options_.miner_options()));
 }
 
 AnalysisResult SdChecker::analyze_directory(
     const std::filesystem::path& dir) const {
-  std::vector<logging::Diagnostic> io_diagnostics;
-  const logging::BundleView view =
-      logging::BundleView::read_from_directory(dir, &io_diagnostics);
-  return run(view, std::move(io_diagnostics));
+  return run(MinePlan(dir, options_.miner_options()));
 }
 
-AnalysisResult SdChecker::run(
-    const logging::BundleView& view,
-    std::vector<logging::Diagnostic> io_diagnostics) const {
+AnalysisResult SdChecker::run(MinePlan plan) const {
   const std::size_t shards = options_.effective_analyze_shards();
   const std::size_t workers = std::max(options_.threads, shards);
   std::optional<ThreadPool> pool;
@@ -119,8 +110,7 @@ AnalysisResult SdChecker::run(
     // The caller waits for the pool only inside this span, so a trace
     // attributes none of the wait to the caller's own work.
     const auto span = obs::Tracer::global().span("mine.total");
-    pipeline.emplace(view, std::move(io_diagnostics),
-                     options_.miner_options(), shards);
+    pipeline.emplace(std::move(plan), shards);
     const auto run_chunk = [&pipeline](std::size_t chunk) {
       pipeline->run_chunk(chunk);
     };
@@ -246,14 +236,10 @@ AnalysisResult finalize_analysis(std::vector<AppTable> tables,
   return result;
 }
 
-CorpusPipeline::CorpusPipeline(const logging::BundleView& view,
-                               std::vector<logging::Diagnostic> io_diagnostics,
-                               const MinerOptions& options,
-                               std::size_t shards)
-    : plan_(view, options),
-      io_diagnostics_(std::move(io_diagnostics)),
+CorpusPipeline::CorpusPipeline(MinePlan plan, std::size_t shards)
+    : plan_(std::move(plan)),
       streams_(plan_.stream_count()),
-      chunks_left_(
+      ranges_left_(
           std::make_unique<std::atomic<std::size_t>[]>(plan_.stream_count())),
       streams_left_(plan_.stream_count()) {
   static obs::Counter& shards_counter =
@@ -264,7 +250,7 @@ CorpusPipeline::CorpusPipeline(const logging::BundleView& view,
     shards_.push_back(std::make_unique<Shard>());
   }
   for (std::size_t s = 0; s < plan_.stream_count(); ++s) {
-    chunks_left_[s].store(plan_.chunks_of(s), std::memory_order_relaxed);
+    ranges_left_[s].store(plan_.ranges_of(s), std::memory_order_relaxed);
   }
 }
 
@@ -281,43 +267,50 @@ bool CorpusPipeline::run_chunk(std::size_t chunk) {
       fail();
     }
   }
-  const std::size_t stream = plan_.stream_of(chunk);
-  if (chunks_left_[stream].fetch_sub(1, std::memory_order_acq_rel) != 1) {
-    return false;
-  }
-  // This chunk completed its stream: stitch it and hand its events to
-  // grouping now, while other chunks are still mining.
-  if (!failed_.load(std::memory_order_acquire)) {
-    try {
-      stitch_and_group(stream);
-    } catch (...) {
-      fail();
+  bool completed_corpus = false;
+  for (const std::size_t stream : plan_.streams_of(chunk)) {
+    if (ranges_left_[stream].fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      continue;
+    }
+    // This chunk completed the stream: stitch it and hand its events to
+    // grouping now, while other chunks are still mining.
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        stitch_and_group(stream);
+      } catch (...) {
+        fail();
+      }
+    }
+    if (streams_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      completed_corpus = true;
     }
   }
-  return streams_left_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  return completed_corpus;
 }
 
 void CorpusPipeline::stitch_and_group(std::size_t stream) {
-  MinedStream stitched = [&] {
+  StreamMeta& meta = streams_[stream];
+  std::optional<MinedStream> stitched = [&] {
     const auto span = obs::Tracer::global().span("mine.stitch");
-    return plan_.stitch(stream);
+    return plan_.stitch(stream, meta.unreadable);
   }();
+  if (!stitched) return;
   {
     const auto span = obs::Tracer::global().span("analyze.group");
     const std::size_t count = shards_.size();
     for (std::size_t s = 0; s < count; ++s) {
       MutexLock lock(shards_[s]->mu);
       const std::size_t unattributed =
-          apply_batch_to_shard(stitched.events, shards_[s]->apps, s, count);
+          apply_batch_to_shard(stitched->events, shards_[s]->apps, s, count);
       unattributed_.fetch_add(unattributed, std::memory_order_relaxed);
     }
   }
-  StreamMeta& meta = streams_[stream];
-  meta.lines_total = stitched.lines_total;
-  meta.lines_unparsed = stitched.lines_unparsed;
-  meta.events = stitched.events.size();
-  meta.diagnostics = std::move(stitched.diagnostics);
-  meta.diag_counts = stitched.diag_counts;
+  meta.mined = true;
+  meta.lines_total = stitched->lines_total;
+  meta.lines_unparsed = stitched->lines_unparsed;
+  meta.events = stitched->events.size();
+  meta.diagnostics = std::move(stitched->diagnostics);
+  meta.diag_counts = stitched->diag_counts;
 }
 
 AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
@@ -336,17 +329,20 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
   AnalysisResult result = finalize_analysis(std::move(tables), pool);
   result.events_unattributed = unattributed_.load(std::memory_order_relaxed);
 
-  result.diagnostics = std::move(io_diagnostics_);
-  for (const logging::Diagnostic& diagnostic : result.diagnostics) {
-    result.diag_counts.add(diagnostic);
-  }
+  std::size_t streams_mined = 0;
   for (StreamMeta& meta : streams_) {
+    for (logging::Diagnostic& diagnostic : meta.unreadable) {
+      result.diag_counts.add(diagnostic);
+      result.diagnostics.push_back(std::move(diagnostic));
+    }
+    if (!meta.mined) continue;
+    ++streams_mined;
     result.lines_total += meta.lines_total;
     result.lines_unparsed += meta.lines_unparsed;
     result.events_total += meta.events;
     for (logging::Diagnostic& diagnostic : meta.diagnostics) {
-      // The mine.diagnostics counters cover stream findings only (I/O
-      // findings are bundle-level), as `LogMiner::mine` counts them.
+      // The mine.diagnostics counters cover stream findings only
+      // (unreadable files are bundle-level), as `LogMiner` counts them.
       obs::catalog_counter(obs::metric::kMineDiagnostics,
                            logging::diagnostic_kind_name(diagnostic.kind))
           .add(diagnostic.count);
@@ -357,7 +353,7 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
   // Report order is severity-then-class, independent of thread count;
   // the mining layer itself keeps discovery order.
   logging::sort_diagnostics(result.diagnostics);
-  streams_counter.add(streams_.size());
+  streams_counter.add(streams_mined);
   events_counter.add(result.events_total);
   return result;
 }

@@ -36,9 +36,9 @@ struct AnalyzeOptions {
   /// Worker threads for mining (1 = serial); streams are split into
   /// chunks only when this is above 1.
   std::size_t threads = 1;
-  /// Minimum lines per intra-stream mining chunk (see MinerOptions);
-  /// 0 disables intra-stream sharding.
-  std::size_t shard_grain = 8192;
+  /// Minimum bytes per mining chunk (see MinerOptions); 0 disables
+  /// splitting files and grouping them.
+  std::size_t shard_grain = MinerOptions{}.shard_grain;
   /// Grouping shards: the application tables stitched streams are folded
   /// into (1 = one table; 0 = one per hardware thread).  The analysis
   /// runs on one pool of `max(threads, effective_analyze_shards())`
@@ -110,18 +110,15 @@ class SdChecker {
   explicit SdChecker(AnalyzeOptions options = {}) : options_(options) {}
 
   [[nodiscard]] AnalysisResult analyze(const logging::LogBundle& bundle) const;
-  /// Zero-copy path over mmap-backed (or adapted) line views.
-  [[nodiscard]] AnalysisResult analyze(const logging::BundleView& view) const;
-  /// Reads `dir` on the calling thread (unreadable files become
-  /// diagnostics), then analyzes it.
+  /// Lists `dir` on the calling thread; its files are read inside the
+  /// mining tasks (unreadable files become diagnostics).
   [[nodiscard]] AnalysisResult analyze_directory(
       const std::filesystem::path& dir) const;
 
  private:
-  /// Runs one `CorpusPipeline` over `view`: its chunks on the pool (or
+  /// Runs one `CorpusPipeline` over `plan`: its chunks on the pool (or
   /// the calling thread), then finish on the same pool.
-  AnalysisResult run(const logging::BundleView& view,
-                     std::vector<logging::Diagnostic> io_diagnostics) const;
+  AnalysisResult run(MinePlan plan) const;
 
   AnalyzeOptions options_;
 };
@@ -158,42 +155,43 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 /// One corpus's analysis as schedulable pieces: the pipeline
 /// `SdChecker::analyze*` runs for one corpus and fleet mode (fleet.hpp)
 /// runs for many on one shared pool.  Mining is a `MinePlan`; the call
-/// that completes a stream's last chunk also stitches the stream and
+/// that completes a stream's last range also stitches the stream and
 /// folds its events into `shards` app-partitioned grouping tables
 /// (`apply_batch_to_shard`), so no corpus-wide sorted event list is
 /// built — `KindFirstTs::record` keeps the minimum and counts add, so
 /// batches apply in any order.  `finish` then finalizes once.
 ///
-/// Protocol: `view` must outlive the pipeline (chunks alias its lines).
-/// Call `run_chunk` once per chunk (thread-safe across chunks), then
-/// `finish` once: after every call returned, or right after the call
-/// that returned true, since every other call has done its work by
-/// then.
+/// Protocol: call `run_chunk` once per chunk (thread-safe across
+/// chunks), then `finish` once: after every call returned, or right
+/// after the call that returned true, since every other call has done
+/// its work by then.
 class CorpusPipeline {
  public:
-  CorpusPipeline(const logging::BundleView& view,
-                 std::vector<logging::Diagnostic> io_diagnostics,
-                 const MinerOptions& options, std::size_t shards);
+  CorpusPipeline(MinePlan plan, std::size_t shards);
 
   CorpusPipeline(const CorpusPipeline&) = delete;
   CorpusPipeline& operator=(const CorpusPipeline&) = delete;
 
   [[nodiscard]] std::size_t chunk_count() const { return plan_.chunk_count(); }
 
-  /// Mines one chunk; when it was its stream's last, stitches and groups
-  /// the stream.  Returns true for the call that completed the corpus's
-  /// last stream.  A failure is kept for `finish` to rethrow, and later
-  /// calls skip their work.
+  /// Reads and mines one chunk; for each stream whose last range it
+  /// mined, stitches and groups the stream.  Returns true for the call
+  /// that completed the corpus's last stream.  A failure is kept for
+  /// `finish` to rethrow, and later calls skip their work.
   bool run_chunk(std::size_t chunk);
 
   /// Finalizes the grouping tables on `pool` (nullptr = the calling
-  /// thread) and assembles the diagnostics: I/O findings first, then
-  /// each stream's in name order, then the severity sort.  Rethrows the
-  /// first failure of a `run_chunk` call.
+  /// thread) and assembles the diagnostics: unreadable files and every
+  /// stream's findings, in the severity sort.  Rethrows the first
+  /// failure of a `run_chunk` call.
   [[nodiscard]] AnalysisResult finish(ThreadPool* pool);
 
  private:
   struct StreamMeta {
+    /// False when none of the stream's files could be read.
+    bool mined = false;
+    /// kUnreadableFile records of the stream's files.
+    std::vector<logging::Diagnostic> unreadable;
     std::size_t lines_total = 0;
     std::size_t lines_unparsed = 0;
     std::size_t events = 0;
@@ -210,14 +208,13 @@ class CorpusPipeline {
   void stitch_and_group(std::size_t stream);
 
   MinePlan plan_;
-  std::vector<logging::Diagnostic> io_diagnostics_;
   /// Slot s is written only by the call that stitched stream s.
   std::vector<StreamMeta> streams_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Countdowns to "stream fully mined" / "corpus fully stitched".  The
-  /// acq_rel fetch_sub chains publish every chunk's output to whichever
-  /// call observes the last decrement.
-  std::unique_ptr<std::atomic<std::size_t>[]> chunks_left_;
+  /// Countdowns of ranges to "stream fully mined" and of streams to
+  /// "corpus fully stitched".  The acq_rel fetch_sub chains publish every
+  /// range's output to whichever call observes the last decrement.
+  std::unique_ptr<std::atomic<std::size_t>[]> ranges_left_;
   std::atomic<std::size_t> streams_left_;
   std::atomic<std::size_t> unattributed_{0};
   /// Set by the first failing call, which alone writes `error_`.

@@ -8,6 +8,7 @@ using logging::Diagnostic;
 using logging::DiagnosticKind;
 
 std::optional<ParsedLine> StreamCursor::feed(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   ++line_no_;
   auto parsed = parse_line(line);
   if (!parsed) {
@@ -58,26 +59,29 @@ void StreamCursor::note_regression(std::size_t line, std::int64_t jump_ms) {
 }
 
 void StreamCursor::join(const StreamCursor& next) {
+  const std::size_t base = line_no_;
   unparsed_ += next.unparsed_;
-  garbage_.join(next.garbage_);
-  cut_.join(next.cut_);
+  garbage_.join(next.garbage_, base);
+  cut_.join(next.cut_, base);
   // A jump backwards across the seam precedes every jump inside `next`.
   if (next.first_ts_ && last_ts_ &&
       *last_ts_ - *next.first_ts_ > kSkewBudgetMs) {
-    note_regression(next.first_parsed_line_, *last_ts_ - *next.first_ts_);
+    note_regression(base + next.first_parsed_line_,
+                    *last_ts_ - *next.first_ts_);
   }
-  regression_.join(next.regression_);
+  regression_.join(next.regression_, base);
   regression_max_ms_ = std::max(regression_max_ms_, next.regression_max_ms_);
   if (next.last_ts_) last_ts_ = next.last_ts_;
-  if (!first_ts_) {
+  if (!first_ts_ && next.first_ts_) {
     first_ts_ = next.first_ts_;
-    first_parsed_line_ = next.first_parsed_line_;
+    first_parsed_line_ = base + next.first_parsed_line_;
   }
   if (kind_ == StreamKind::kUnknown) kind_ = next.kind_;
   if (!bound_app_) bound_app_ = next.bound_app_;
   if (!first_container_) first_container_ = next.first_container_;
   // Our open run continues into the run at `next`'s first line.
-  for (const Run& run : next.runs_) {
+  for (Run run : next.runs_) {
+    run.start += base;
     if (!runs_.empty() && runs_.back().start + runs_.back().len == run.start) {
       runs_.back().len += run.len;
       runs_.back().last_plain = run.last_plain;
@@ -85,7 +89,7 @@ void StreamCursor::join(const StreamCursor& next) {
       runs_.push_back(run);
     }
   }
-  line_no_ = next.line_no_;
+  line_no_ = base + next.line_no_;
   std::erase_if(runs_, [this](const Run& run) { return !retained(run); });
 }
 

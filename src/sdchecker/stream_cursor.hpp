@@ -43,25 +43,22 @@ inline constexpr std::size_t kUnparsableBurstMin = 4;
 
 class StreamCursor {
  public:
-  /// A cursor over the lines after line `base_line` (lines are 1-based;
-  /// a whole stream, or its first chunk, starts at base 0).
-  explicit StreamCursor(std::size_t base_line = 0) noexcept
-      : base_(base_line), line_no_(base_line) {}
-
-  /// Consumes the stream's next line.  Returns it parsed (the views
-  /// point into `line`), or nullopt when it is unparsable.
+  /// Consumes the stream's next line; a trailing '\r' (CRLF-terminated
+  /// logs) is not part of it.  Returns it parsed (the views point into
+  /// `line`), or nullopt when it is unparsable.
   std::optional<ParsedLine> feed(std::string_view line);
 
-  /// Appends `next`, the cursor over the lines right after this one's
-  /// (built with `base_line == line_no()`).  Unparsable runs and
-  /// backwards jumps across the seam come out as one cursor fed every
-  /// line would record them.
+  /// Appends `next`, a cursor over the lines right after this one's,
+  /// numbered from 1 as if it began the stream: its line numbers are
+  /// rebased onto this cursor's.  Unparsable runs and backwards jumps
+  /// across the seam come out as one cursor fed every line would record
+  /// them.
   void join(const StreamCursor& next);
 
   /// Appends the stream's diagnostics as it stands now, its last line
   /// being the last line fed, in a fixed order: garbage summary,
   /// cut-line summary, head tear, bursts by position, tail tear,
-  /// regression summary.  Meaningful for whole-stream cursors (base 0).
+  /// regression summary.
   void render(const std::string& stream,
               std::vector<logging::Diagnostic>& out) const;
 
@@ -111,8 +108,9 @@ class StreamCursor {
     void note(std::size_t line) {
       if (count++ == 0) first_line = line;
     }
-    void join(const Tally& next) {
-      if (count == 0) first_line = next.first_line;
+    /// Appends `next`, whose lines follow line `base`.
+    void join(const Tally& next, std::size_t base) {
+      if (count == 0 && next.count > 0) first_line = base + next.first_line;
       count += next.count;
     }
   };
@@ -124,12 +122,11 @@ class StreamCursor {
   /// join seam).  Shorter closed runs are dropped, so a long-running
   /// follow cursor stays bounded.
   [[nodiscard]] bool retained(const Run& run) const {
-    return run.len >= kUnparsableBurstMin || run.start == base_ + 1 ||
+    return run.len >= kUnparsableBurstMin || run.start == 1 ||
            run.start + run.len == line_no_ + 1;
   }
 
-  std::size_t base_;
-  std::size_t line_no_;
+  std::size_t line_no_ = 0;
   std::size_t unparsed_ = 0;
   /// Retained runs in line order; the last one is open while it ends at
   /// `line_no_`.

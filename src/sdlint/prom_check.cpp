@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/simd.hpp"
 #include "logging/diagnostics.hpp"
 #include "obs/http_server.hpp"
 #include "obs/prom_export.hpp"
@@ -133,14 +132,6 @@ std::vector<Finding> check_real_prom() {
           static_cast<logging::DiagnosticKind>(i)));
     }
     out.push_back(std::move(diag));
-
-    FamilySuffixes backends{"mine.scan.backend.<name>", {}};
-    for (const simd::ScanBackend backend :
-         {simd::ScanBackend::kScalar, simd::ScanBackend::kSwar,
-          simd::ScanBackend::kSse2, simd::ScanBackend::kAvx2}) {
-      backends.suffixes.emplace_back(simd::scan_backend_name(backend));
-    }
-    out.push_back(std::move(backends));
 
     FamilySuffixes delay{"sdc.delay.<component>", {}};
     for (const checker::DelayComponentSpec& spec :

@@ -120,13 +120,13 @@ TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
   const std::size_t serial_unattributed =
       apply_batch_to_shard(mined.events, serial, 0, 1);
 
-  const logging::BundleView view = logging::BundleView::from_bundle(logs);
-  MinePlan plan(view, MinerOptions{.threads = 4, .shard_grain = 64});
+  MinePlan plan(logs, MinerOptions{.threads = 4, .shard_grain = 64});
   for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
   std::vector<AppTable> sharded(4);
   std::size_t unattributed = 0;
+  std::vector<logging::Diagnostic> unreadable;
   for (std::size_t stream = plan.stream_count(); stream-- > 0;) {
-    const MinedStream stitched = plan.stitch(stream);
+    const MinedStream stitched = *plan.stitch(stream, unreadable);
     for (std::size_t s = 0; s < sharded.size(); ++s) {
       unattributed +=
           apply_batch_to_shard(stitched.events, sharded[s], s, sharded.size());

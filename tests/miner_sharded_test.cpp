@@ -1,4 +1,4 @@
-// Sharded-mining equivalence and the zero-copy view layer.
+// Sharded-mining equivalence and the byte-range reader.
 //
 // The contract of intra-stream sharding is that it is *invisible*: the
 // sharded miner must produce the same events, ids, diagnostics and
@@ -6,16 +6,23 @@
 // chunks (shard_grain far below stream length) to exercise every stitch
 // rule: FIRST_LOG synthesis across a chunk boundary, kind classification
 // landing in a late chunk, and id binding discovered after events were
-// already extracted in earlier chunks.
+// already extracted in earlier chunks.  The reader's own contract is that
+// ranges tiling a file hand out its lines exactly once, whatever the
+// seams: every split offset of a set of edge files is tried.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 
 #include "common/thread_pool.hpp"
-#include "logging/log_view.hpp"
+#include "logging/line_reader.hpp"
 #include "logging/timestamp.hpp"
+#include "obs/metric_catalog.hpp"
+#include "sdchecker/corpus_mutator.hpp"
 #include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdchecker/stream_cursor.hpp"
@@ -134,16 +141,17 @@ std::string cursor_state(const StreamCursor& cursor) {
   return out;
 }
 
-/// Joins cursors over lines [0, i), [i, j) and [j, n) for every pair of
-/// seams and expects each join to equal one cursor fed every line;
-/// returns that cursor's state.
+/// Joins cursors over lines [0, i), [i, j) and [j, n) — each numbered
+/// from its own first line, as a chunk's is — for every pair of seams
+/// and expects each join to equal one cursor fed every line; returns
+/// that cursor's state.
 std::string expect_any_seams_equal_one_cursor(
     const std::vector<std::string>& lines) {
   StreamCursor whole;
   for (const auto& text : lines) whole.feed(text);
   const std::string expected = cursor_state(whole);
   const auto cursor_over = [&lines](std::size_t begin, std::size_t end) {
-    StreamCursor cursor(begin);
+    StreamCursor cursor;
     for (std::size_t i = begin; i < end; ++i) cursor.feed(lines[i]);
     return cursor;
   };
@@ -282,62 +290,243 @@ TEST(ShardedMiner, AnalysisIdenticalThroughSdChecker) {
   }
 }
 
-// --- view layer --------------------------------------------------------------
+// --- byte-range reader -------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// Fresh (pre-cleaned) scratch directory for one test.
+fs::path scratch_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+void write_bytes(const fs::path& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// What `read_line_range` hands out for one range of a file.
+struct RangeRead {
+  std::vector<std::string> lines;
+  std::uint64_t consumed = 0;
+};
+
+RangeRead read_range(const fs::path& path, std::uint64_t begin,
+                     std::uint64_t end, std::size_t block_size) {
+  RangeRead out;
+  std::vector<char> block(block_size);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  EXPECT_GE(fd, 0) << path;
+  const auto consumed = logging::read_line_range(
+      fd, begin, end, fs::file_size(path), block,
+      [&out](std::string_view line) { out.lines.emplace_back(line); });
+  ::close(fd);
+  EXPECT_TRUE(consumed.has_value());
+  out.consumed = consumed.value_or(0);
+  return out;
+}
+
+/// A cursor fed `lines`.
+StreamCursor cursor_of(const std::vector<std::string>& lines) {
+  StreamCursor cursor;
+  for (const std::string& text : lines) cursor.feed(text);
+  return cursor;
+}
+
+/// The seam property on one file's bytes: for every split offset k (or
+/// each of `seams`, when given), ranges [0, k) and [k, n) hand out the
+/// lines of one range [0, n), each once, and consume every byte; their
+/// cursors joined equal one cursor over [0, n); and both equal
+/// `LogBundle::read_from_directory`'s lines (which strips the '\r' the
+/// cursor strips).  `block_size` below the line lengths makes every line
+/// span reads.
+void expect_any_seam_reads_like_bundle(
+    const std::string& name, std::string_view bytes, std::size_t block_size,
+    std::vector<std::uint64_t> seams = {}) {
+  const fs::path dir = scratch_dir("sdc_range_seams");
+  const fs::path path = dir / name;
+  write_bytes(path, bytes);
+  const std::uint64_t n = bytes.size();
+  const RangeRead whole = read_range(path, 0, n, block_size);
+  EXPECT_EQ(whole.consumed, n) << name;
+
+  const logging::LogBundle bundle = logging::LogBundle::read_from_directory(dir);
+  const std::vector<std::string>& expected = bundle.lines(name);
+  ASSERT_EQ(whole.lines.size(), expected.size()) << name;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    std::string_view line = whole.lines[i];
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    EXPECT_EQ(line, expected[i]) << name << " line " << i;
+  }
+  const std::string one_cursor = cursor_state(cursor_of(whole.lines));
+  EXPECT_EQ(cursor_state(cursor_of(expected)), one_cursor) << name;
+
+  if (seams.empty()) {
+    for (std::uint64_t k = 0; k <= n; ++k) seams.push_back(k);
+  }
+  for (const std::uint64_t k : seams) {
+    const RangeRead head = read_range(path, 0, k, block_size);
+    const RangeRead tail = read_range(path, k, n, block_size);
+    EXPECT_EQ(head.consumed + tail.consumed, n) << name << " seam " << k;
+    std::vector<std::string> joined = head.lines;
+    joined.insert(joined.end(), tail.lines.begin(), tail.lines.end());
+    EXPECT_EQ(joined, whole.lines) << name << " seam " << k;
+    StreamCursor cursor = cursor_of(head.lines);
+    cursor.join(cursor_of(tail.lines));
+    EXPECT_EQ(cursor_state(cursor), one_cursor) << name << " seam " << k;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(RangeReader, AnySeamReadsEdgeFilesLikeBundle) {
+  const std::string cls = "org.apache.spark.deploy.yarn.ApplicationMaster";
+  const std::string logged =
+      line(0, cls, "Registering application_1499100000000_0042") + "\r\n" +
+      "\tat org.example.Frame.run(Frame.java:1)\n" + line(10, cls, "step") +
+      "\r\n" + std::string("\x01\x02\0junk\x03\n", 9) +
+      line(5000, cls, "later") + "\n" + line(100, cls, "clock stepped back");
+  const std::pair<const char*, std::string> rows[] = {
+      {"getline.log", "a\nbb\n\nccc\r\nfinal"},
+      {"crlf-tail.log", "line one\nline two\r\nline three"},
+      {"empty.log", ""},
+      {"newline-only.log", "\n"},
+      {"empty-lines.log", "\n\n\nx\n\n"},
+      {"crlf.log", "x\r\ny\r\n\r\nzz\r\n"},
+      {"nul.log", std::string("ab\0c\n\0\n\0\0x\0", 12)},
+      {"terminated.log", "one\ntwo\n"},
+      {"logged.log", logged},
+  };
+  for (const auto& [name, bytes] : rows) {
+    for (const std::size_t block_size : {1u, 3u, 64u}) {
+      expect_any_seam_reads_like_bundle(name, bytes, block_size);
+    }
+  }
+}
+
+TEST(RangeReader, LineLongerThanTheReadBlock) {
+  // One line longer than a real read block between two short ones; the
+  // seams that matter sit at the block edges and the newlines.
+  const std::uint64_t block = logging::kReadBlock;
+  const std::string bytes =
+      "head\n" + std::string(block + 100, 'x') + "\ntail";
+  const std::uint64_t n = bytes.size();
+  expect_any_seam_reads_like_bundle(
+      "long.log", bytes, block,
+      {0, 4, 5, 6, block - 1, block, block + 1, n - 6, n - 5, n - 4, n - 1,
+       n});
+}
+
+TEST(RangeReader, RotatedFamilyWithUnterminatedMiddleSegmentMinesLikeBundle) {
+  // The middle segment's last line has no newline: it is a whole line of
+  // that segment, never glued to the first line of the next one.
+  const fs::path dir = scratch_dir("sdc_range_rotated");
+  const std::string rm_app =
+      "org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl";
+  const auto rm_line = [&](int i) {
+    return line(i * 10, rm_app,
+                "application_1499100000000_000" + std::to_string(1 + i % 3) +
+                    " State change from NEW_SAVING to SUBMITTED on event = "
+                    "APP_NEW_SAVED");
+  };
+  write_bytes(dir / "rm.log.2", rm_line(0) + "\n" + rm_line(1) + "\n");
+  write_bytes(dir / "rm.log.1", rm_line(2) + "\n" + rm_line(3));
+  write_bytes(dir / "rm.log", rm_line(4) + "\r\n" + rm_line(5) + "\n");
+  const MineResult via_bundle = LogMiner(MinerOptions{1}).mine(
+      logging::LogBundle::read_from_directory(dir));
+  ASSERT_EQ(via_bundle.streams.size(), 1u);
+  EXPECT_EQ(via_bundle.lines_total, 6u);
+  for (const MinerOptions options :
+       {MinerOptions{1}, MinerOptions{4, 1}, MinerOptions{3, 7},
+        MinerOptions{8, 2}, MinerOptions{4, 0}}) {
+    expect_same_events(via_bundle, LogMiner(options).mine_directory(dir));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(RangeReader, EveryDamageClassMinesLikeBundle) {
+  // Every corpus-mutator damage class (torn heads and tails, rotated
+  // segments, NUL-bearing garbage, clock steps, interleaving) read from
+  // disk — in one range per file and in ranges of a few bytes — mines
+  // exactly as the in-memory bundle does.
+  const logging::LogBundle golden =
+      logging::LogBundle::read_from_directory(corpus_dir());
+  const fs::path dir = fs::temp_directory_path() / "sdc_range_damage";
+  for (const std::uint64_t seed : {42ull, 20170703ull}) {
+    for (const MutationClass cls : all_mutation_classes()) {
+      const logging::LogBundle mutated = apply_mutation(golden, cls, seed);
+      fs::remove_all(dir);
+      mutated.write_to_directory(dir);
+      const MineResult in_memory = LogMiner(MinerOptions{1}).mine(mutated);
+      EXPECT_GT(in_memory.lines_total, 0u) << mutation_class_name(cls);
+      for (const MinerOptions options :
+           {MinerOptions{1}, MinerOptions{4, 1}, MinerOptions{3, 64}}) {
+        SCOPED_TRACE(std::string(mutation_class_name(cls)) + " seed " +
+                     std::to_string(seed) + " grain " +
+                     std::to_string(options.shard_grain));
+        expect_same_events(in_memory, LogMiner(options).mine_directory(dir));
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
 
 TEST(LogView, FromBufferSplitsLikeGetline) {
-  const logging::LogView view =
-      logging::LogView::from_buffer("a\nbb\n\nccc\r\nfinal");
-  ASSERT_EQ(view.line_count(), 5u);
-  EXPECT_EQ(view.lines()[0], "a");
-  EXPECT_EQ(view.lines()[1], "bb");
-  EXPECT_EQ(view.lines()[2], "");
-  EXPECT_EQ(view.lines()[3], "ccc");  // '\r' stripped
-  EXPECT_EQ(view.lines()[4], "final");  // unterminated tail still counts
-  EXPECT_EQ(view.size_bytes(), 16u);
+  // The reader hands out the bytes between newlines, the unterminated
+  // tail included; the '\r' goes at the cursor, not here.
+  const fs::path dir = scratch_dir("sdc_range_getline");
+  write_bytes(dir / "a.log", "a\nbb\n\nccc\r\nfinal");
+  const RangeRead read = read_range(dir / "a.log", 0, 16, logging::kReadBlock);
+  EXPECT_EQ(read.lines,
+            (std::vector<std::string>{"a", "bb", "", "ccc\r", "final"}));
+  EXPECT_EQ(read.consumed, 16u);
+  const MineResult mined = LogMiner().mine_directory(dir);
+  EXPECT_EQ(mined.lines_total, 5u);
+  fs::remove_all(dir);
 }
 
 TEST(LogView, EmptyBuffer) {
-  EXPECT_EQ(logging::LogView::from_buffer("").line_count(), 0u);
-  EXPECT_EQ(logging::LogView{}.line_count(), 0u);
+  const fs::path dir = scratch_dir("sdc_range_empty");
+  write_bytes(dir / "empty.log", "");
+  const RangeRead read = read_range(dir / "empty.log", 0, 0, 64);
+  EXPECT_TRUE(read.lines.empty());
+  EXPECT_EQ(read.consumed, 0u);
+  // An empty file is still a stream, of no lines.
+  const MineResult mined = LogMiner().mine_directory(dir);
+  ASSERT_EQ(mined.streams.size(), 1u);
+  EXPECT_EQ(mined.streams[0].lines_total, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(LogView, FromFileMatchesBundleRead) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "sdc_log_view_test";
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream out(dir / "a.log", std::ios::binary);
-    out << "line one\nline two\r\nline three";
-  }
-  {
-    std::ofstream out(dir / "empty.log", std::ios::binary);
-  }
-  const logging::BundleView view =
-      logging::BundleView::read_from_directory(dir);
-  const logging::LogBundle bundle =
-      logging::LogBundle::read_from_directory(dir);
-  EXPECT_EQ(view.stream_count(), 2u);
-  ASSERT_TRUE(view.has_stream("a.log"));
-  const auto& lines = view.stream("a.log").lines();
-  const auto& bundle_lines = bundle.lines("a.log");
-  ASSERT_EQ(lines.size(), bundle_lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(lines[i], bundle_lines[i]);
-  }
-  EXPECT_EQ(view.stream("empty.log").line_count(), 0u);
-  EXPECT_EQ(view.stream("missing.log").line_count(), 0u);
-  std::filesystem::remove_all(dir);
+  const fs::path dir = scratch_dir("sdc_log_view_test");
+  write_bytes(dir / "a.log", "line one\nline two\r\nline three");
+  write_bytes(dir / "empty.log", "");
+  const MineResult via_bundle =
+      LogMiner().mine(logging::LogBundle::read_from_directory(dir));
+  const MineResult via_directory = LogMiner().mine_directory(dir);
+  expect_same_events(via_bundle, via_directory);
+  ASSERT_EQ(via_directory.streams.size(), 2u);
+  EXPECT_EQ(via_directory.streams[0].lines_total, 3u);
+  EXPECT_EQ(via_directory.streams[1].lines_total, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(BundleView, FromBundleIsZeroCopy) {
+  // An in-memory plan mines the bundle's own lines, planned and counted
+  // in bytes like a file's: each line with one newline.
   logging::LogBundle bundle;
   bundle.append("s.log", "hello world");
-  const logging::BundleView view = logging::BundleView::from_bundle(bundle);
-  ASSERT_EQ(view.stream("s.log").line_count(), 1u);
-  // The view aliases the bundle's own bytes — no copy was made.
-  EXPECT_EQ(view.stream("s.log").lines()[0].data(),
-            bundle.lines("s.log")[0].data());
-  EXPECT_EQ(view.total_lines(), 1u);
+  bundle.append("s.log", "second\r");
+  obs::Counter& bytes = obs::catalog_counter(obs::metric::kMineBytes);
+  obs::Gauge& expected = obs::catalog_gauge(obs::metric::kMineBytesExpected);
+  const std::uint64_t bytes_before = bytes.value();
+  const std::int64_t expected_before = expected.value();
+  const MineResult mined = LogMiner().mine(bundle);
+  EXPECT_EQ(mined.lines_total, 2u);
+  EXPECT_EQ(bytes.value() - bytes_before, 20u);
+  EXPECT_EQ(expected.value() - expected_before, 20);
 }
 
 TEST(BundleView, MmapDirectoryMinesIdenticallyToBundle) {

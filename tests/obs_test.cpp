@@ -431,7 +431,7 @@ TEST(Progress, UnknownTotalShowsRateOnly) {
   EXPECT_FALSE(meter.eta_s().has_value());
   const std::string line = meter.render();
   EXPECT_EQ(line.find('%'), std::string::npos);
-  EXPECT_NE(line.find("lines/s"), std::string::npos);
+  EXPECT_NE(line.find("bytes/s"), std::string::npos);
 }
 
 TEST(Progress, RenderContainsPercentAndEta) {
@@ -440,7 +440,7 @@ TEST(Progress, RenderContainsPercentAndEta) {
   meter.sample(123'000, 1.0);
   const std::string line = meter.render();
   EXPECT_NE(line.find('%'), std::string::npos);
-  EXPECT_NE(line.find("lines"), std::string::npos);
+  EXPECT_NE(line.find("bytes"), std::string::npos);
   EXPECT_NE(line.find("ETA"), std::string::npos);
 }
 

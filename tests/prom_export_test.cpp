@@ -57,12 +57,12 @@ TEST(PromName, EveryCatalogRowManglesStrictly) {
 TEST(PromRender, CountersAndGaugesCarryCatalogMetadata) {
   MetricsSnapshot snapshot;
   snapshot.counters["mine.lines"] = 42;
-  snapshot.gauges["mine.lines_expected"] = -3;
+  snapshot.gauges["mine.bytes_expected"] = -3;
   const std::string text = render_prom_text(snapshot);
   EXPECT_NE(text.find("# TYPE mine_lines counter\nmine_lines 42\n"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE mine_lines_expected gauge\n"
-                      "mine_lines_expected -3\n"),
+  EXPECT_NE(text.find("# TYPE mine_bytes_expected gauge\n"
+                      "mine_bytes_expected -3\n"),
             std::string::npos);
   // HELP text comes from the catalog row.
   EXPECT_NE(text.find("# HELP mine_lines log lines mined (all chunks)\n"),

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "logging/log_view.hpp"
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/parsed_line.hpp"
 #include "sdchecker/sdchecker.hpp"
@@ -141,7 +140,8 @@ TEST(RealWorld, CrlfCorpusParsesCleanly) {
   EXPECT_EQ(via_bundle.lines_total, 4u);
   EXPECT_EQ(via_bundle.lines_unparsed, 0u);
 
-  // The mmap-backed view path strips it too and mines identically.
+  // Mining the directory strips it too (in `StreamCursor::feed`) and
+  // mines identically.
   const AnalysisResult via_view = SdChecker().analyze_directory(dir);
   EXPECT_EQ(via_view.lines_unparsed, 0u);
   EXPECT_EQ(via_view.events_total, via_bundle.events_total);

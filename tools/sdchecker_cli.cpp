@@ -260,7 +260,7 @@ std::optional<std::vector<std::string>> finish_args(
 }
 
 /// Live mining progress on stderr (`--progress`), driven by the
-/// `mine.lines` / `mine.lines_expected` instruments: a poller thread
+/// `mine.bytes` / `mine.bytes_expected` instruments: a poller thread
 /// redraws a `\r` line at ~4 Hz.  Auto-off when stderr is not a TTY, so
 /// redirected runs stay clean.  The registry counters are cumulative, so
 /// the reporter measures against a baseline captured at start.
@@ -268,7 +268,7 @@ class ProgressReporter {
  public:
   ProgressReporter() {
     if (isatty(fileno(stderr)) == 0) return;
-    base_lines_ = lines().value();
+    base_bytes_ = bytes().value();
     base_expected_ = expected().value();
     thread_ = std::thread([this] { run(); });
   }
@@ -282,11 +282,11 @@ class ProgressReporter {
   ProgressReporter& operator=(const ProgressReporter&) = delete;
 
  private:
-  static sdc::obs::Counter& lines() {
-    return sdc::obs::MetricsRegistry::global().counter("mine.lines");
+  static sdc::obs::Counter& bytes() {
+    return sdc::obs::catalog_counter(sdc::obs::metric::kMineBytes);
   }
   static sdc::obs::Gauge& expected() {
-    return sdc::obs::MetricsRegistry::global().gauge("mine.lines_expected");
+    return sdc::obs::catalog_gauge(sdc::obs::metric::kMineBytesExpected);
   }
 
   void run() {
@@ -296,7 +296,7 @@ class ProgressReporter {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
       const std::int64_t total = expected().value() - base_expected_;
       meter.set_expected(total > 0 ? static_cast<std::uint64_t>(total) : 0);
-      meter.sample(lines().value() - base_lines_,
+      meter.sample(bytes().value() - base_bytes_,
                    std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count());
@@ -307,7 +307,7 @@ class ProgressReporter {
 
   std::atomic<bool> stop_{false};
   std::thread thread_;
-  std::uint64_t base_lines_ = 0;
+  std::uint64_t base_bytes_ = 0;
   std::int64_t base_expected_ = 0;
   bool drew_ = false;
 };
