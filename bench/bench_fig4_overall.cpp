@@ -94,7 +94,7 @@ void experiment() {
               out.analysis.aggregate.render_text().c_str());
 }
 
-// --- timed kernels: SDchecker mining throughput, serial vs parallel ---------
+// --- timed kernels: SDchecker analysis throughput, serial vs parallel -------
 
 const logging::LogBundle& shared_bundle() {
   static const logging::LogBundle bundle = [] {
@@ -111,9 +111,8 @@ void BM_MineLogs(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::size_t events = 0;
   for (auto _ : state) {
-    checker::LogMiner miner(checker::MinerOptions{threads});
-    const auto mined = miner.mine(bundle);
-    events = mined.events.size();
+    events = checker::SdChecker({.threads = threads}).analyze(bundle)
+                 .events_total;
     benchmark::DoNotOptimize(events);
   }
   state.counters["lines"] = static_cast<double>(bundle.total_lines());

@@ -7,18 +7,15 @@
 //     baseline to justify the hand-rolled parser)
 //   * discrete-event engine throughput (the simulator's own cost)
 //   * per-stage hot-path kernels — the mining pipeline decomposed into
-//     scan (newline split), parse, pre-filter, extract and merge, so a
+//     scan (newline split), parse, pre-filter and extract, so a
 //     regression localizes to one stage
-#include <memory>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/interner.hpp"
 #include "logging/line_reader.hpp"
 #include "sdchecker/extractor.hpp"
-#include "sdchecker/miner.hpp"
 #include "sdchecker/parsed_line.hpp"
 #include "simcore/engine.hpp"
 
@@ -82,8 +79,8 @@ void BM_MineThreads(benchmark::State& state) {
   const auto& bundle = big_bundle();
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    checker::LogMiner miner(checker::MinerOptions{threads});
-    benchmark::DoNotOptimize(miner.mine(bundle).events.size());
+    benchmark::DoNotOptimize(
+        checker::SdChecker({.threads = threads}).analyze(bundle).events_total);
   }
   state.counters["lines/s"] = benchmark::Counter(
       static_cast<double>(big_bundle().total_lines() * state.iterations()),
@@ -93,7 +90,7 @@ BENCHMARK(BM_MineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMill
 
 // --- per-stage hot-path kernels ---------------------------------------------
 // The mining pipeline, one stage per kernel: a throughput regression in
-// `BM_MineThreads` localizes to scan, parse, pre-filter, extract or merge.
+// `BM_MineThreads` localizes to scan, parse, pre-filter or extract.
 
 void BM_ScanStage(benchmark::State& state) {
   // Newline split over the flattened corpus in read-block pieces — the
@@ -156,14 +153,10 @@ void BM_ExtractStage(benchmark::State& state) {
   // Class dispatch + rule matching + id extraction into a columnar
   // batch, on pre-parsed lines (scan and parse excluded).
   const auto& parsed = parsed_corpus();
-  auto interner = std::make_shared<StringInterner>();
-  const std::uint32_t stream_id = interner->intern("bench.log");
-  const std::shared_ptr<const StringInterner> pool = interner;
   for (auto _ : state) {
-    checker::EventBatch batch(pool);
-    std::size_t line_no = 0;
+    checker::EventBatch batch;
     for (const checker::ParsedLine& line : parsed) {
-      checker::extract_event_into(line, stream_id, ++line_no, batch);
+      checker::extract_event_into(line, batch);
     }
     benchmark::DoNotOptimize(batch.size());
   }
@@ -172,39 +165,6 @@ void BM_ExtractStage(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ExtractStage)->Unit(benchmark::kMillisecond);
-
-void BM_MergeStage(benchmark::State& state) {
-  // K-way merge of sorted per-chunk batches — the stitch stage.  Runs
-  // are rebuilt by copy each iteration (merge consumes its input).
-  const auto runs = [] {
-    auto interner = std::make_shared<StringInterner>();
-    const std::uint32_t stream_id = interner->intern("bench.log");
-    const std::shared_ptr<const StringInterner> pool = interner;
-    const auto& parsed = parsed_corpus();
-    constexpr std::size_t kRuns = 8;
-    std::vector<checker::EventBatch> out;
-    for (std::size_t r = 0; r < kRuns; ++r) out.emplace_back(pool);
-    const std::size_t chunk = (parsed.size() + kRuns - 1) / kRuns;
-    std::size_t line_no = 0;
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-      checker::extract_event_into(parsed[i], stream_id, ++line_no,
-                                  out[i / chunk]);
-    }
-    for (auto& run : out) run.sort();
-    return out;
-  }();
-  std::size_t events = 0;
-  for (const auto& run : runs) events += run.size();
-  for (auto _ : state) {
-    std::vector<checker::EventBatch> copies = runs;
-    benchmark::DoNotOptimize(
-        checker::merge_event_batches(std::move(copies)).size());
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events * state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MergeStage)->Unit(benchmark::kMillisecond);
 
 void BM_ParseLineHandRolled(benchmark::State& state) {
   const std::string line =

@@ -10,22 +10,25 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
-#include "sdchecker/miner.hpp"
+#include "sdchecker/sdchecker.hpp"
 
 namespace {
 
 using namespace sdc;
 
 /// Measures allocation throughput from the RM log: allocated containers
-/// divided by the busy window (10th..90th percentile of ALLOCATED
-/// timestamps, scaled back to the full population) — robust to the idle
-/// head/tail around the burst.
+/// divided by the busy window (10th..90th percentile of the containers'
+/// ALLOCATED timestamps, scaled back to the full population) — robust to
+/// the idle head/tail around the burst.
 double allocation_throughput(const logging::LogBundle& logs) {
-  checker::LogMiner miner;
   std::vector<double> ts;
-  for (const auto event : miner.mine(logs).events) {
-    if (event.kind == checker::EventKind::kContainerAllocated) {
-      ts.push_back(static_cast<double>(event.ts_ms));
+  for (const auto& [app, timeline] :
+       checker::SdChecker().analyze(logs).timelines) {
+    for (const auto& [id, container] : timeline.containers) {
+      if (const auto allocated =
+              container.ts(checker::EventKind::kContainerAllocated)) {
+        ts.push_back(static_cast<double>(*allocated));
+      }
     }
   }
   if (ts.size() < 10) return 0.0;

@@ -165,21 +165,4 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for_chunked(
-    ThreadPool& pool, std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (grain == 0) {
-    const std::size_t shares = 4 * std::max<std::size_t>(pool.thread_count(), 1);
-    grain = (n + shares - 1) / shares;
-  }
-  if (grain < 1) grain = 1;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  parallel_for(pool, chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    body(begin, end);
-  });
-}
-
 }  // namespace sdc

@@ -2,7 +2,7 @@
 // (one shard per log file), the fleet-mode multi-corpus pipeline, and
 // the benchmark harness for parameter sweeps.  Tasks are plain
 // `std::function<void()>`; use `parallel_for` for the common
-// chunked-index pattern.
+// index-loop pattern.
 //
 // Nested fan-out (ISSUE 10): a task running on the pool may itself call
 // `parallel_for` on the *same* pool.  The waiting side never blocks
@@ -34,9 +34,10 @@ namespace sdc {
 /// Raw atomic sinks the pool mirrors its activity into (`pool.tasks`,
 /// `pool.help_while_wait`, `pool.queue_depth` in the metric catalog).
 /// The common layer cannot depend on obs, so the obs side installs
-/// pointers to its instruments' storage once at process start
-/// (`obs::attach_thread_pool_metrics`); null sinks cost one relaxed
-/// load per task.  Totals are process-wide across every pool instance.
+/// pointers to its instruments' storage when the global metrics registry
+/// is created (`obs::MetricsRegistry::global`); null sinks cost one
+/// relaxed load per task.  Totals are process-wide across every pool
+/// instance.
 struct ThreadPoolMetricSinks {
   std::atomic<std::uint64_t>* tasks = nullptr;
   std::atomic<std::uint64_t>* help_while_wait = nullptr;
@@ -95,15 +96,5 @@ class ThreadPool {
 /// (its own shards or anything else pending) instead of blocking.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// Runs `body(begin, end)` over [0, n) split into contiguous chunks of at
-/// least `grain` indices (one chunk per worker share otherwise), blocking
-/// until done.  `grain` bounds per-task overhead for cheap loop bodies;
-/// grain = 0 means `n / (4 * threads)` rounded up.  Exceptions are
-/// rethrown as in `parallel_for`; nested calls are safe as in
-/// `parallel_for`.
-void parallel_for_chunked(
-    ThreadPool& pool, std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace sdc

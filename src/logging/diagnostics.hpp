@@ -6,7 +6,7 @@
 // pipeline accumulates typed `Diagnostic` records with per-kind counts,
 // so an analysis can *complete* on a damaged corpus while stating exactly
 // what was dropped or suspect.  The records flow LogBundle/MinePlan ->
-// LogMiner -> AnalysisResult -> report/JSON/CLI exit status.
+// CorpusPipeline -> AnalysisResult -> report/JSON/CLI exit status.
 #pragma once
 
 #include <array>

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
-
 namespace sdc::obs {
 namespace {
 
@@ -28,7 +26,6 @@ constexpr MetricSpec kCatalog[] = {
     kMineEvents,
     kMineStreams,
     kMineDiagnostics,
-    kMineScanPrefilterSkipped,
     kIncrementalLines,
     kIncrementalAppsRetired,
     kFollowPolls,
@@ -137,16 +134,7 @@ Histogram& catalog_histogram(const MetricSpec& family,
       std::move(upper_edges));
 }
 
-void attach_thread_pool_metrics() {
-  ThreadPoolMetricSinks sinks;
-  sinks.tasks = &catalog_counter(metric::kPoolTasks).raw();
-  sinks.help_while_wait = &catalog_counter(metric::kPoolHelpWhileWait).raw();
-  sinks.queue_depth = &catalog_gauge(metric::kPoolQueueDepth).raw();
-  set_thread_pool_metric_sinks(sinks);
-}
-
 void register_catalog_baseline() {
-  attach_thread_pool_metrics();
   for (const MetricSpec& row : kCatalog) {
     if (row.is_family()) continue;  // members appear as they occur
     switch (row.kind) {

@@ -122,10 +122,6 @@ inline constexpr MetricSpec kMineDiagnostics{
     "mine.diagnostics.<kind>", MetricKind::kCounter, "occurrences",
     "per-kind corpus diagnostics (`unreadable-file`, `binary-garbage`, "
     "...)"};
-inline constexpr MetricSpec kMineScanPrefilterSkipped{
-    "mine.scan.prefilter_skipped", MetricKind::kCounter, "lines",
-    "parsed lines rejected by the shortest-rule length pre-filter before "
-    "extraction"};
 
 // --- incremental / follow ----------------------------------------------------
 inline constexpr MetricSpec kIncrementalLines{
@@ -248,16 +244,8 @@ Histogram& catalog_histogram(const MetricSpec& family,
 /// Registers every non-family catalog row (zero-valued) in the global
 /// registry.  The observability server calls this at start so a
 /// `/metrics` scrape always carries the full catalog vocabulary, not
-/// just the instruments the process happened to touch first.  Also
-/// attaches the thread-pool metric sinks (below), so pool activity shows
-/// up in the same scrape for free.
+/// just the instruments the process happened to touch first.
 void register_catalog_baseline();
-
-/// Points the common-layer thread pool at the `pool.tasks` /
-/// `pool.help_while_wait` / `pool.queue_depth` catalog instruments
-/// (common cannot depend on obs, so the wiring runs in this direction).
-/// Idempotent; called by register_catalog_baseline and by fleet mode.
-void attach_thread_pool_metrics();
 
 /// Renders the docs/OBSERVABILITY.md metric table (markdown, including
 /// the header row) from the catalog.  The committed table between the

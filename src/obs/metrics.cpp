@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/metric_catalog.hpp"
 
 namespace sdc::obs {
 
@@ -104,8 +106,21 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // The common-layer pool cannot depend on obs, so the registry points
+  // the pool's sinks at its own `pool.*` instruments as it is created —
+  // directly, since `catalog_counter` would re-enter this initializer.
+  // Never destroyed, so the sinks stay valid for every pool.
+  static MetricsRegistry* const registry = [] {
+    auto* created = new MetricsRegistry();
+    ThreadPoolMetricSinks sinks;
+    sinks.tasks = &created->counter(metric::kPoolTasks.name).raw();
+    sinks.help_while_wait =
+        &created->counter(metric::kPoolHelpWhileWait.name).raw();
+    sinks.queue_depth = &created->gauge(metric::kPoolQueueDepth.name).raw();
+    set_thread_pool_metric_sinks(sinks);
+    return created;
+  }();
+  return *registry;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

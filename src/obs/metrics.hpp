@@ -44,7 +44,7 @@ class Counter {
 
   /// The instrument's storage, for cross-layer sinks: lower layers that
   /// cannot depend on obs (the thread pool) are handed this atomic and
-  /// update it directly (see obs::attach_thread_pool_metrics).
+  /// update it directly (see MetricsRegistry::global).
   [[nodiscard]] std::atomic<std::uint64_t>& raw() noexcept { return value_; }
 
  private:
@@ -137,7 +137,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry every instrumentation point uses.
+  /// The process-wide registry every instrumentation point uses.  From
+  /// its creation on, every thread pool counts into its `pool.*` rows.
   static MetricsRegistry& global();
 
   Counter& counter(std::string_view name) SDC_EXCLUDES(mutex_);

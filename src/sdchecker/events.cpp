@@ -1,8 +1,5 @@
 #include "sdchecker/events.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 namespace sdc::checker {
 
 std::string_view event_name(EventKind kind) {
@@ -83,13 +80,10 @@ std::optional<EventKind> event_from_name(std::string_view name) {
 }
 
 void EventBatch::push(EventKind kind, std::int64_t ts_ms,
-                      std::uint32_t stream_id, std::size_t line_no,
                       const std::optional<ApplicationId>& app,
                       const std::optional<ContainerId>& container) {
   kinds_.push_back(static_cast<std::uint8_t>(kind));
   ts_.push_back(ts_ms);
-  streams_.push_back(stream_id);
-  lines_.push_back(line_no);
   std::uint8_t flags = 0;
   if (app) flags |= kHasApp;
   if (container) flags |= kHasContainer;
@@ -101,18 +95,26 @@ void EventBatch::push(EventKind kind, std::int64_t ts_ms,
 void EventBatch::append_row(const EventBatch& src, std::size_t i) {
   kinds_.push_back(src.kinds_[i]);
   ts_.push_back(src.ts_[i]);
-  streams_.push_back(src.streams_[i]);
-  lines_.push_back(src.lines_[i]);
   flags_.push_back(src.flags_[i]);
   apps_.push_back(src.apps_[i]);
   containers_.push_back(src.containers_[i]);
 }
 
+void EventBatch::append(EventBatch&& src) {
+  const auto append_column = [](auto& column, const auto& from) {
+    column.insert(column.end(), from.begin(), from.end());
+  };
+  append_column(kinds_, src.kinds_);
+  append_column(ts_, src.ts_);
+  append_column(flags_, src.flags_);
+  append_column(apps_, src.apps_);
+  append_column(containers_, src.containers_);
+  src = EventBatch();
+}
+
 void EventBatch::reserve(std::size_t n) {
   kinds_.reserve(n);
   ts_.reserve(n);
-  streams_.reserve(n);
-  lines_.reserve(n);
   flags_.reserve(n);
   apps_.reserve(n);
   containers_.reserve(n);
@@ -121,8 +123,6 @@ void EventBatch::reserve(std::size_t n) {
 void EventBatch::clear() {
   kinds_.clear();
   ts_.clear();
-  streams_.clear();
-  lines_.clear();
   flags_.clear();
   apps_.clear();
   containers_.clear();
@@ -134,82 +134,7 @@ EventBatch::View EventBatch::operator[](std::size_t i) const {
   view.ts_ms = ts_[i];
   if ((flags_[i] & kHasApp) != 0) view.app = apps_[i];
   if ((flags_[i] & kHasContainer) != 0) view.container = containers_[i];
-  view.stream = pool_->name(streams_[i]);
-  view.line_no = lines_[i];
   return view;
-}
-
-bool EventBatch::row_less(const EventBatch& a, std::size_t i,
-                          const EventBatch& b, std::size_t j) {
-  if (a.ts_[i] != b.ts_[j]) return a.ts_[i] < b.ts_[j];
-  if (a.streams_[i] != b.streams_[j] || a.pool_ != b.pool_) {
-    const std::string_view an = a.pool_->name(a.streams_[i]);
-    const std::string_view bn = b.pool_->name(b.streams_[j]);
-    if (an != bn) return an < bn;
-  }
-  if (a.lines_[i] != b.lines_[j]) return a.lines_[i] < b.lines_[j];
-  return a.kinds_[i] < b.kinds_[j];
-}
-
-void EventBatch::sort() {
-  const std::size_t n = size();
-  if (n < 2) return;
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t i, std::uint32_t j) {
-              return row_less(*this, i, *this, j);
-            });
-  const auto gather = [&order, n](auto& column) {
-    std::remove_reference_t<decltype(column)> out;
-    out.reserve(n);
-    for (const std::uint32_t i : order) out.push_back(column[i]);
-    column = std::move(out);
-  };
-  gather(kinds_);
-  gather(ts_);
-  gather(streams_);
-  gather(lines_);
-  gather(flags_);
-  gather(apps_);
-  gather(containers_);
-}
-
-EventBatch merge_event_batches(std::vector<EventBatch> runs) {
-  std::erase_if(runs, [](const EventBatch& run) { return run.empty(); });
-  if (runs.empty()) return {};
-  if (runs.size() == 1) return std::move(runs.front());
-
-  struct Cursor {
-    const EventBatch* run;
-    std::size_t pos;
-  };
-  // Min-heap on the cursor's current row.
-  const auto heap_greater = [](const Cursor& a, const Cursor& b) {
-    return EventBatch::row_less(*b.run, b.pos, *a.run, a.pos);
-  };
-  std::size_t total = 0;
-  std::vector<Cursor> heap;
-  heap.reserve(runs.size());
-  for (const EventBatch& run : runs) {
-    total += run.size();
-    heap.push_back(Cursor{&run, 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), heap_greater);
-
-  EventBatch out(runs.front().pool());
-  out.reserve(total);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_greater);
-    Cursor& top = heap.back();
-    out.append_row(*top.run, top.pos);
-    if (++top.pos < top.run->size()) {
-      std::push_heap(heap.begin(), heap.end(), heap_greater);
-    } else {
-      heap.pop_back();
-    }
-  }
-  return out;
 }
 
 bool is_container_event(EventKind kind) {

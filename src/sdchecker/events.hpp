@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/interner.hpp"
 
 namespace sdc::checker {
 
@@ -70,19 +68,14 @@ bool is_container_event(EventKind kind);
 
 /// Columnar (structure-of-arrays) storage of extracted scheduling
 /// events — the one event representation of the pipeline.  One parallel
-/// array per field; the stream name is an id into a shared
-/// `StringInterner` pool instead of a per-event `std::string`, so
-/// pushing an event allocates nothing and the sort and k-way-merge keys
-/// (ts, stream, line, kind) are read from contiguous arrays.
+/// array per field (kind, timestamp, id flags, application, container),
+/// so pushing an event allocates nothing and grouping reads contiguous
+/// arrays.  Rows carry no order: grouping keeps each kind's minimum
+/// timestamp and adds counts, so a batch applies the same in any order.
 /// `operator[]` materializes a row `View` (`events[i].kind`, range-for).
 class EventBatch {
  public:
-  EventBatch() = default;
-  explicit EventBatch(std::shared_ptr<const StringInterner> pool)
-      : pool_(std::move(pool)) {}
-
-  /// One event.  `stream` resolves through the pool and stays valid for
-  /// the pool's lifetime.
+  /// One event.
   struct View {
     EventKind kind = EventKind::kAppSubmitted;
     std::int64_t ts_ms = 0;
@@ -91,44 +84,31 @@ class EventBatch {
     std::optional<ApplicationId> app;
     /// Owning container, for container-scoped events.
     std::optional<ContainerId> container;
-    /// Which log stream produced the event (file name).
-    std::string_view stream;
-    /// 1-based line number within the stream.
-    std::size_t line_no = 0;
   };
 
-  void push(EventKind kind, std::int64_t ts_ms, std::uint32_t stream_id,
-            std::size_t line_no, const std::optional<ApplicationId>& app,
+  void push(EventKind kind, std::int64_t ts_ms,
+            const std::optional<ApplicationId>& app,
             const std::optional<ContainerId>& container);
 
-  /// Copies row `i` of `src` (which must share this batch's pool).
+  /// Copies row `i` of `src`.
   void append_row(const EventBatch& src, std::size_t i);
+  /// Appends every row of `src` after this batch's rows and releases
+  /// `src`'s storage.
+  void append(EventBatch&& src);
 
   [[nodiscard]] std::size_t size() const { return kinds_.size(); }
   [[nodiscard]] bool empty() const { return kinds_.empty(); }
   void reserve(std::size_t n);
   void clear();
-  /// Adds `base` to every row's line number: rows numbered within a
-  /// chunk become rows of the stream whose first `base` lines precede it.
-  void rebase_lines(std::size_t base) {
-    for (std::size_t& line : lines_) line += base;
-  }
 
   [[nodiscard]] View operator[](std::size_t i) const;
 
-  // Columnar accessors — the grouping stage and the merge comparator
-  // read these directly instead of materializing Views.
+  // Columnar accessors — the grouping stage reads these directly instead
+  // of materializing Views.
   [[nodiscard]] EventKind kind_at(std::size_t i) const {
     return static_cast<EventKind>(kinds_[i]);
   }
   [[nodiscard]] std::int64_t ts_at(std::size_t i) const { return ts_[i]; }
-  [[nodiscard]] std::uint32_t stream_id_at(std::size_t i) const {
-    return streams_[i];
-  }
-  [[nodiscard]] std::string_view stream_name(std::size_t i) const {
-    return pool_->name(streams_[i]);
-  }
-  [[nodiscard]] std::size_t line_at(std::size_t i) const { return lines_[i]; }
   [[nodiscard]] bool has_app(std::size_t i) const {
     return (flags_[i] & kHasApp) != 0;
   }
@@ -150,22 +130,6 @@ class EventBatch {
   void set_container(std::size_t i, const ContainerId& container) {
     containers_[i] = container;
     flags_[i] |= kHasContainer;
-  }
-
-  /// Strict weak order on rows: (ts, stream, line, kind) — the
-  /// deterministic total order of `MineResult::events`; the final kind
-  /// tiebreak places a synthesized FIRST_LOG ahead of a real event
-  /// extracted from the same line.  Stream order is by *name*; equal ids
-  /// short-circuit the string compare.
-  [[nodiscard]] static bool row_less(const EventBatch& a, std::size_t i,
-                                     const EventBatch& b, std::size_t j);
-
-  /// Sorts rows into `row_less` order via an index sort plus one gather
-  /// pass per column (cache-linear; rows never move pairwise).
-  void sort();
-
-  [[nodiscard]] const std::shared_ptr<const StringInterner>& pool() const {
-    return pool_;
   }
 
   /// Input iterator yielding Views by value — enough for range-for and
@@ -206,20 +170,13 @@ class EventBatch {
   static constexpr std::uint8_t kHasApp = 1;
   static constexpr std::uint8_t kHasContainer = 2;
 
-  std::shared_ptr<const StringInterner> pool_;
   std::vector<std::uint8_t> kinds_;
   std::vector<std::int64_t> ts_;
-  std::vector<std::uint32_t> streams_;
-  std::vector<std::size_t> lines_;
   std::vector<std::uint8_t> flags_;
   /// Absent ids keep a default-constructed placeholder so every column
   /// stays index-aligned.
   std::vector<ApplicationId> apps_;
   std::vector<ContainerId> containers_;
 };
-
-/// K-way merges already-sorted batches (all sharing one pool) into one
-/// batch in `row_less` order.
-[[nodiscard]] EventBatch merge_event_batches(std::vector<EventBatch> runs);
 
 }  // namespace sdc::checker

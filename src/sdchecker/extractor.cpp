@@ -221,13 +221,11 @@ bool rule_matches(const ExtractorRule& rule, std::string_view message) {
 }
 
 bool apply_rule(const ExtractorRule& rule, const ParsedLine& line,
-                std::uint32_t stream_id, std::size_t line_no,
                 EventBatch& batch) {
   if (!rule_matches(rule, line.message)) return false;
   const auto hit = hit_with_ids(rule, line.message);
   if (!hit) return false;
-  batch.push(rule.emits, line.epoch_ms, stream_id, line_no, hit->app,
-             hit->container);
+  batch.push(rule.emits, line.epoch_ms, hit->app, hit->container);
   return true;
 }
 
@@ -382,14 +380,12 @@ StreamKind classify_line(const ParsedLine& line) {
   return entry == nullptr ? StreamKind::kUnknown : entry->kind;
 }
 
-bool extract_event_into(const ParsedLine& line, std::uint32_t stream_id,
-                        std::size_t line_no, EventBatch& batch) {
+bool extract_event_into(const ParsedLine& line, EventBatch& batch) {
   const ClassDispatch* entry = dispatchable_class(line);
   if (entry == nullptr) return false;
   const auto hit = match_class_rules(*entry, line.message);
   if (!hit) return false;
-  batch.push(hit->rule->emits, line.epoch_ms, stream_id, line_no, hit->app,
-             hit->container);
+  batch.push(hit->rule->emits, line.epoch_ms, hit->app, hit->container);
   return true;
 }
 

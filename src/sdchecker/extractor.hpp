@@ -93,16 +93,14 @@ bool rule_matches(const ExtractorRule& rule, std::string_view message);
 /// rule fires.  Exposed so sdlint can probe rules outside the global
 /// dispatch table.
 bool apply_rule(const ExtractorRule& rule, const ParsedLine& line,
-                std::uint32_t stream_id, std::size_t line_no,
                 EventBatch& batch);
 
 /// Extracts the scheduling event from one parsed line, if it is one of
-/// the identified messages, and appends it to `batch` carrying the
-/// interned `stream_id` and `line_no`.  Returns true when an event was
-/// appended.  FIRST_LOG events (messages 9/13) are *not* produced here —
-/// they are a per-stream property (see `StreamCursor::first_log_kind`).
-bool extract_event_into(const ParsedLine& line, std::uint32_t stream_id,
-                        std::size_t line_no, EventBatch& batch);
+/// the identified messages, and appends it to `batch`.  Returns true
+/// when an event was appended.  FIRST_LOG events (messages 9/13) are
+/// *not* produced here — they are a per-stream property (see
+/// `StreamCursor::first_log_kind`).
+bool extract_event_into(const ParsedLine& line, EventBatch& batch);
 
 /// Classifies one line's daemon kind from its logger class (kUnknown when
 /// the class is not diagnostic).

@@ -141,6 +141,9 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
     states.push_back(std::move(state));
   }
 
+  // The first metric lookup creates the registry, which attaches the
+  // pool's `pool.*` sinks: look up before the pool takes its first task.
+  static_cast<void>(FleetCounters::get());
   {
     ThreadPool pool(threads);
     for (const std::unique_ptr<CorpusState>& state : states) {

@@ -34,11 +34,10 @@ void IncrementalAnalyzer::feed(const std::string& stream,
     const std::optional<std::int64_t> first_ts =
         state.cursor.first_parsed_ts();
     if (first_log && first_ts) {
-      extracted_.push(*first_log, *first_ts, 0, 1, std::nullopt,
-                      std::nullopt);
+      extracted_.push(*first_log, *first_ts, std::nullopt, std::nullopt);
     }
   }
-  extract_event_into(*parsed, 0, state.cursor.line_no(), extracted_);
+  extract_event_into(*parsed, extracted_);
   // Counted here — once per extracted event, bound or not — so
   // `events_total` matches the batch miner, which counts every mined
   // event whether or not it ever attributes.
@@ -67,12 +66,15 @@ void IncrementalAnalyzer::resolve_or_park(StreamState& state,
     // Stream not bound yet: park for later — up to the cap.  A stream
     // that never binds must not grow without bound in a long-running
     // service; past the cap events are dropped, counted, and surfaced as
-    // one kUnboundStream diagnostic.
+    // one kUnboundStream diagnostic.  A dropped row is always from the
+    // line being fed: parked rows are only replayed once the stream is
+    // bound, and the synthesized FIRST_LOG, the stream's first event,
+    // always finds room.
     if (!state.parked) state.parked = std::make_unique<EventBatch>();
     if (parked_events_cap_ > 0 &&
         state.parked->size() >= parked_events_cap_) {
       if (state.parked_dropped++ == 0) {
-        state.parked_dropped_first_line = events.line_at(i);
+        state.parked_dropped_first_line = state.cursor.line_no();
       }
       return;
     }

@@ -134,8 +134,8 @@ class IncrementalAnalyzer {
   /// Typed corpus-health findings so far, in stream order — each
   /// stream's cursor rendered as the stream stands now (its last fed
   /// line is its last line), plus the unbound-stream record of a stream
-  /// whose parked events overflowed.  Once every line is fed this equals
-  /// `MineResult::diagnostics` of the same streams.
+  /// whose parked events overflowed.  Once every line is fed these are
+  /// the records `MinePlan::stitch` renders for the same streams.
   [[nodiscard]] std::vector<logging::Diagnostic> diagnostics() const;
 
  private:
@@ -172,9 +172,7 @@ class IncrementalAnalyzer {
   AppTable timelines_;
   FlatHashMap<ApplicationId, AppActivity, ApplicationIdHash> activity_;
   RetiredTable retired_;
-  /// One line's extracted events.  These batches and the parked ones
-  /// carry no name pool: their rows are only ever applied to timelines,
-  /// which never read the stream column.
+  /// One line's extracted events.
   EventBatch extracted_;
   std::uint64_t tick_ = 0;
   std::size_t lines_total_ = 0;

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "logging/line_reader.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
@@ -98,76 +97,22 @@ namespace {
 using logging::Diagnostic;
 using logging::DiagnosticKind;
 
-/// What one range of a stream learned on its own: its events (sorted,
-/// numbered from the range's first line) and the cursor over its lines,
-/// which the stitch pass joins in file order.
+/// What one range of a stream learned on its own: its events, in line
+/// order, and the cursor over its lines, which the stitch pass joins in
+/// file order.
 struct ChunkOut {
   EventBatch events;
-  /// Parsed lines whose message was too short for any extractor rule —
-  /// dispatch skipped entirely (aggregated into mine.scan.prefilter_skipped).
-  std::size_t prefilter_skipped = 0;
   StreamCursor cursor;
   /// The range's file could not be opened, was no longer the listed
   /// inode, or failed a read.
   bool unreadable = false;
 
-  /// Mines the stream's next line.  Events land in the columnar batch
-  /// carrying the interned `stream_id`.
-  void feed(std::string_view line, std::uint32_t stream_id) {
-    static const std::size_t shortest_rule_len = min_rule_message_len();
+  /// Mines the stream's next line.
+  void feed(std::string_view line) {
     const auto parsed = cursor.feed(line);
-    if (!parsed) return;
-    if (parsed->message.size() < shortest_rule_len) ++prefilter_skipped;
-    extract_event_into(*parsed, stream_id, cursor.line_no(), events);
+    if (parsed) extract_event_into(*parsed, events);
   }
 };
-
-/// Renders the joined stream's diagnostics, synthesizes FIRST_LOG,
-/// merges the range runs and binds stream-scoped events — semantically
-/// identical to a serial pass over the whole stream.
-MinedStream finish_stream(const std::string& name, std::uint32_t stream_id,
-                          const std::shared_ptr<const StringInterner>& pool,
-                          const StreamCursor& cursor,
-                          std::vector<EventBatch> runs,
-                          std::vector<Diagnostic> pre_diagnostics) {
-  MinedStream out;
-  out.name = name;
-  out.kind = cursor.kind();
-  out.lines_total = cursor.line_no();
-  out.lines_unparsed = cursor.lines_unparsed();
-  out.bound_app = cursor.bound_app();
-  out.bound_container = cursor.first_container();
-  out.diagnostics = std::move(pre_diagnostics);
-  cursor.render(name, out.diagnostics);
-  out.diag_counts = logging::count_diagnostics(out.diagnostics);
-
-  // Synthesize FIRST_LOG (messages 9/13) from the first parseable line
-  // of instance logs — appended as its own single-event run and placed
-  // by the merge (it sorts ahead of any same-line real event via the
-  // kind tiebreak), not front-inserted.
-  const std::optional<EventKind> first_log = cursor.first_log_kind();
-  const std::optional<std::int64_t> first_ts = cursor.first_parsed_ts();
-  if (first_log && first_ts) {
-    EventBatch first_run(pool);
-    first_run.push(*first_log, *first_ts, stream_id, 1, std::nullopt,
-                   std::nullopt);
-    runs.push_back(std::move(first_run));
-  }
-  out.events = merge_event_batches(std::move(runs));
-
-  // Resolve stream-scoped events against the bound ids.
-  const bool bind_container =
-      out.bound_container && out.kind == StreamKind::kExecutor;
-  for (std::size_t i = 0; i < out.events.size(); ++i) {
-    if (out.bound_app && !out.events.has_app(i)) {
-      out.events.set_app(i, *out.bound_app);
-    }
-    if (bind_container && !out.events.has_container(i)) {
-      out.events.set_container(i, *out.bound_container);
-    }
-  }
-  return out;
-}
 
 /// One file of a stream: a listed file, or one in-memory stream.
 struct Member {
@@ -183,7 +128,6 @@ struct Member {
 
 struct Stream {
   std::string name;
-  std::uint32_t id = 0;
   /// In logrotate order.
   std::vector<Member> members;
 };
@@ -267,31 +211,16 @@ std::optional<std::uint64_t> read_listed_range(
                                   std::forward<OnLine>(on_line));
 }
 
-/// Cached per-kind diagnostic counters ("mine.diagnostics.<kind>").
-obs::Counter& diagnostic_counter(DiagnosticKind kind) {
-  static const auto& counters = *[] {
-    auto* out = new std::array<obs::Counter*, logging::kDiagnosticKindCount>{};
-    for (std::size_t i = 0; i < out->size(); ++i) {
-      (*out)[i] = &obs::catalog_counter(
-          obs::metric::kMineDiagnostics,
-          logging::diagnostic_kind_name(static_cast<DiagnosticKind>(i)));
-    }
-    return out;
-  }();
-  return *counters[static_cast<std::size_t>(kind)];
-}
-
 }  // namespace
 
 /// The plan: logical streams (rotations reassembled) of listed files or
-/// in-memory streams, the frozen interner, the ranges grouped into
-/// chunks, and one output slot per range.  The types live in this file's
-/// anonymous namespace; Impl is defined and used only here.
+/// in-memory streams, the ranges grouped into chunks, and one output slot
+/// per range.  The types live in this file's anonymous namespace; Impl is
+/// defined and used only here.
 struct MinePlan::Impl {
   /// The listed directory; empty for in-memory input.
   std::filesystem::path dir;
   std::vector<Stream> streams;
-  std::shared_ptr<const StringInterner> pool;
   std::vector<Range> ranges;
   /// The stream of each range.
   std::vector<std::size_t> range_stream;
@@ -302,16 +231,13 @@ struct MinePlan::Impl {
   std::vector<ChunkOut> outs;
   obs::Counter& lines_counter;
   obs::Counter& bytes_counter;
-  obs::Counter& prefilter_counter;
 
   Impl()
       : lines_counter(obs::catalog_counter(obs::metric::kMineLines)),
-        bytes_counter(obs::catalog_counter(obs::metric::kMineBytes)),
-        prefilter_counter(
-            obs::catalog_counter(obs::metric::kMineScanPrefilterSkipped)) {}
+        bytes_counter(obs::catalog_counter(obs::metric::kMineBytes)) {}
 
   /// Streams from `members` (file names and sizes), in base-name order
-  /// with rotated families reassembled; interns their names.
+  /// with rotated families reassembled.
   void add_streams(std::vector<Member> members);
   /// Splits every member into ranges and groups the ranges into chunks.
   void plan(const MinerOptions& options);
@@ -322,22 +248,14 @@ void MinePlan::Impl::add_streams(std::vector<Member> members) {
   std::vector<std::string_view> names;
   names.reserve(members.size());
   for (const Member& member : members) names.push_back(member.name);
-  auto building = std::make_shared<StringInterner>();
   for (RotationFamily& family : rotation_families(names)) {
     Stream stream;
     stream.name = std::move(family.base);
-    stream.id = building->intern(stream.name);
     for (const std::size_t m : family.members) {
       stream.members.push_back(std::move(members[m]));
     }
     streams.push_back(std::move(stream));
   }
-  // One string pool for the whole mine: every batch stores interned
-  // stream ids; the pool is frozen (const) before the workers start, so
-  // sharing it across mining threads is read-only.  Streams are in name
-  // order, so id order equals name order and the merge comparator almost
-  // never touches the strings.
-  pool = std::move(building);
 }
 
 void MinePlan::Impl::plan(const MinerOptions& options) {
@@ -418,10 +336,7 @@ void MinePlan::Impl::mine_range(std::size_t r) {
   const Stream& stream = streams[range_stream[r]];
   const Member& member = stream.members[range.member];
   ChunkOut out;
-  out.events = EventBatch(pool);
-  const auto feed = [&out, &stream](std::string_view line) {
-    out.feed(line, stream.id);
-  };
+  const auto feed = [&out](std::string_view line) { out.feed(line); };
   std::uint64_t consumed = 0;
   if (member.lines != nullptr) {
     for (std::uint64_t i = range.begin; i < range.end; ++i) {
@@ -436,14 +351,9 @@ void MinePlan::Impl::mine_range(std::size_t r) {
     out.unreadable = !read;
     consumed = read.value_or(0);
   }
-  // Ranges emit sorted runs; within one stream the order reduces to
-  // (ts, line, kind), and a constant line rebase keeps it.  Columnar
-  // index sort — the keys are contiguous arrays.
-  out.events.sort();
   if (!out.unreadable) {
     lines_counter.add(out.cursor.line_no());
     bytes_counter.add(consumed);
-    prefilter_counter.add(out.prefilter_skipped);
   }
   outs[r] = std::move(out);
 }
@@ -523,103 +433,55 @@ std::optional<MinedStream> MinePlan::stitch(
                    "LogView: cannot read " + (impl_->dir / name).string()});
   }
   if (read.empty()) return std::nullopt;
-  std::vector<Diagnostic> pre_diagnostics;
+  MinedStream out;
+  out.name = plan.name;
   if (read.size() > 1 || read.front() != plan.name) {
-    pre_diagnostics.push_back(rotation_gap(plan.name, read));
+    out.diagnostics.push_back(rotation_gap(plan.name, read));
   }
 
+  // Sized once, room for FIRST_LOG included, and each range's rows are
+  // released as they are copied in: the stream's rows are held at most
+  // twice.
+  std::size_t rows = 1;
+  for (std::size_t r = first; r < last; ++r) {
+    if (!lost[impl_->ranges[r].member]) rows += impl_->outs[r].events.size();
+  }
+  out.events.reserve(rows);
   StreamCursor cursor;
-  std::vector<EventBatch> runs;
-  runs.reserve(last - first + 1);
   for (std::size_t r = first; r < last; ++r) {
     if (lost[impl_->ranges[r].member]) continue;
-    ChunkOut& out = impl_->outs[r];
-    out.events.rebase_lines(cursor.line_no());
-    cursor.join(out.cursor);
-    runs.push_back(std::move(out.events));
+    ChunkOut& range = impl_->outs[r];
+    cursor.join(range.cursor);
+    out.events.append(std::move(range.events));
   }
-  return finish_stream(plan.name, plan.id, impl_->pool, cursor,
-                       std::move(runs), std::move(pre_diagnostics));
-}
+  out.kind = cursor.kind();
+  out.lines_total = cursor.line_no();
+  out.lines_unparsed = cursor.lines_unparsed();
+  out.bound_app = cursor.bound_app();
+  out.bound_container = cursor.first_container();
+  cursor.render(plan.name, out.diagnostics);
+  out.diag_counts = logging::count_diagnostics(out.diagnostics);
 
-MinedStream LogMiner::mine_stream(const std::string& name,
-                                  const std::vector<std::string>& lines) const {
-  auto pool = std::make_shared<StringInterner>();
-  const std::uint32_t stream_id = pool->intern(name);
-  const std::shared_ptr<const StringInterner> frozen = std::move(pool);
-  ChunkOut out;
-  out.events = EventBatch(frozen);
-  for (const std::string& line : lines) out.feed(line, stream_id);
-  out.events.sort();
-  std::vector<EventBatch> runs;
-  runs.push_back(std::move(out.events));
-  return finish_stream(name, stream_id, frozen, out.cursor, std::move(runs),
-                       {});
-}
-
-MineResult LogMiner::run(MinePlan plan) const {
-  const auto total_span = obs::Tracer::global().span("mine.total");
-  static obs::Counter& events_counter =
-      obs::catalog_counter(obs::metric::kMineEvents);
-  static obs::Counter& streams_counter =
-      obs::catalog_counter(obs::metric::kMineStreams);
-
-  if (options_.threads > 1 && plan.chunk_count() > 1) {
-    ThreadPool pool(options_.threads);
-    parallel_for(pool, plan.chunk_count(),
-                 [&plan](std::size_t c) { plan.run_chunk(c); });
-  } else {
-    for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
+  // Synthesize FIRST_LOG (messages 9/13) from the first parseable line
+  // of instance logs.
+  const std::optional<EventKind> first_log = cursor.first_log_kind();
+  const std::optional<std::int64_t> first_ts = cursor.first_parsed_ts();
+  if (first_log && first_ts) {
+    out.events.push(*first_log, *first_ts, std::nullopt, std::nullopt);
   }
 
-  MineResult result;
-  result.streams.reserve(plan.stream_count());
-  std::vector<Diagnostic> stream_diagnostics;
-  std::vector<EventBatch> runs;
-  runs.reserve(plan.stream_count());
-  {
-    const auto stitch_span = obs::Tracer::global().span("mine.stitch");
-    for (std::size_t s = 0; s < plan.stream_count(); ++s) {
-      std::optional<MinedStream> stream = plan.stitch(s, result.diagnostics);
-      if (!stream) continue;
-      result.lines_total += stream->lines_total;
-      result.lines_unparsed += stream->lines_unparsed;
-      stream_diagnostics.insert(stream_diagnostics.end(),
-                                stream->diagnostics.begin(),
-                                stream->diagnostics.end());
-      result.diag_counts += stream->diag_counts;
-      // Per-stream runs are already sorted; move them out (no per-event
-      // copies) and k-way merge instead of re-sorting globally.
-      runs.push_back(std::move(stream->events));
-      result.streams.push_back(std::move(*stream));
+  // Resolve stream-scoped events against the bound ids.
+  const bool bind_container =
+      out.bound_container && out.kind == StreamKind::kExecutor;
+  for (std::size_t i = 0; i < out.events.size(); ++i) {
+    if (out.bound_app && !out.events.has_app(i)) {
+      out.events.set_app(i, *out.bound_app);
+    }
+    if (bind_container && !out.events.has_container(i)) {
+      out.events.set_container(i, *out.bound_container);
     }
   }
-  {
-    const auto merge_span = obs::Tracer::global().span("mine.merge");
-    result.events = merge_event_batches(std::move(runs));
-  }
-  streams_counter.add(result.streams.size());
-  events_counter.add(result.events.size());
-  // The mine.diagnostics counters cover stream findings only; the
-  // unreadable-file records ahead of them are bundle-level.
-  for (const Diagnostic& diagnostic : result.diagnostics) {
-    result.diag_counts.add(diagnostic);
-  }
-  for (const Diagnostic& diagnostic : stream_diagnostics) {
-    diagnostic_counter(diagnostic.kind).add(diagnostic.count);
-  }
-  result.diagnostics.insert(result.diagnostics.end(),
-                            std::make_move_iterator(stream_diagnostics.begin()),
-                            std::make_move_iterator(stream_diagnostics.end()));
-  return result;
-}
-
-MineResult LogMiner::mine(const logging::LogBundle& bundle) const {
-  return run(MinePlan(bundle, options_));
-}
-
-MineResult LogMiner::mine_directory(const std::filesystem::path& dir) const {
-  return run(MinePlan(dir, options_));
+  return out;
 }
 
 }  // namespace sdc::checker

@@ -22,10 +22,11 @@
 // its file, `pread`s its range (logging/line_reader.hpp) and feeds every
 // line straight to a `StreamCursor` (stream_cursor.hpp), so no serial
 // read pass precedes the tasks and no byte outlives its block.  A stitch
-// pass joins the chunk cursors in file order, rebasing their line
-// numbers, which makes the sharded result — events *and* diagnostics —
-// identical to a serial pass.  Each chunk emits a sorted event run; runs
-// are combined by k-way merge instead of a global sort.
+// pass joins the chunk cursors in file order, which makes the sharded
+// result — events *and* diagnostics — identical to a serial pass.
+// Events are never sorted: a stream's events are its ranges' rows in
+// file order, because grouping keeps each kind's earliest timestamp and
+// per-application order comes from those timestamps (paper §III-C).
 #pragma once
 
 #include <cstddef>
@@ -55,14 +56,13 @@ struct MinerOptions {
   std::size_t shard_grain = std::size_t{1} << 20;
 };
 
-/// Per-stream mining outcome (diagnostics and tests).
+/// One stitched stream: its events, ids and health.
 struct MinedStream {
   std::string name;
   StreamKind kind = StreamKind::kUnknown;
-  /// Events sorted by (ts, line, kind), in columnar storage (see
-  /// EventBatch).  `LogMiner::mine` moves these into
-  /// `MineResult::events`; they stay populated when `mine_stream` is
-  /// called directly.
+  /// Every range's rows in file order, then the synthesized FIRST_LOG
+  /// row, with stream-scoped rows bound to the stream's ids — the same
+  /// rows in the same order for any chunking.
   EventBatch events;
   std::size_t lines_total = 0;
   std::size_t lines_unparsed = 0;
@@ -75,26 +75,10 @@ struct MinedStream {
   logging::DiagnosticCounts diag_counts;
 };
 
-struct MineResult {
-  /// All events, ids resolved, sorted by (ts, stream, line), in columnar
-  /// storage sharing one interned stream-name pool.
-  EventBatch events;
-  /// Every stream with at least one readable file, in name order.
-  std::vector<MinedStream> streams;
-  std::size_t lines_total = 0;
-  std::size_t lines_unparsed = 0;
-  /// Bundle-level findings (unreadable files) followed by every stream's
-  /// findings in stream order.
-  std::vector<logging::Diagnostic> diagnostics;
-  logging::DiagnosticCounts diag_counts;
-};
-
 /// One corpus's mining work decomposed into schedulable pieces, planned
-/// from file sizes alone: `LogMiner::mine` runs it start-to-finish, and
-/// `CorpusPipeline` (sdchecker.hpp) — what `analyze` and fleet mode run —
-/// stitches each stream, handing its events to grouping, the moment that
-/// stream's last range completes.  Both paths share this one pipeline,
-/// so the sharded/serial byte-identity proof covers them both.
+/// from file sizes alone.  `CorpusPipeline` (sdchecker.hpp) — what
+/// `analyze` and fleet mode run — stitches each stream, handing its
+/// events to grouping, the moment that stream's last range completes.
 ///
 /// The plan lists the input once: a directory's regular files (symlinks
 /// followed, dotfiles included) with their sizes and (dev, inode), or an
@@ -109,9 +93,9 @@ struct MineResult {
 /// Protocol: call `run_chunk` for every chunk (thread-safe across
 /// distinct chunks), and `stitch` each stream exactly once after all of
 /// its ranges ran.  An in-memory plan aliases the bundle's lines, which
-/// must outlive it.  `run_chunk` maintains the `mine.lines` /
-/// `mine.bytes` / `mine.scan.prefilter_skipped` instruments; the
-/// constructor adds the planned bytes to `mine.bytes_expected`.
+/// must outlive it.  `run_chunk` maintains the `mine.lines` and
+/// `mine.bytes` instruments; the constructor adds the planned bytes to
+/// `mine.bytes_expected`.
 class MinePlan {
  public:
   /// Lists `dir`.  Throws std::runtime_error if it cannot be listed.
@@ -143,31 +127,6 @@ class MinePlan {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// Mines a whole corpus into one sorted event list (k-way merged from
-/// the per-stream runs).  `SdChecker` does not need the merged list — it
-/// runs `CorpusPipeline` — so this serves the coverage lint and tests of
-/// the mining layer.
-class LogMiner {
- public:
-  explicit LogMiner(MinerOptions options = {}) : options_(options) {}
-
-  [[nodiscard]] MineResult mine(const logging::LogBundle& bundle) const;
-  /// Mines a directory, reading inside the chunk tasks.  Unreadable files
-  /// become kUnreadableFile diagnostics instead of throwing.
-  [[nodiscard]] MineResult mine_directory(
-      const std::filesystem::path& dir) const;
-
-  /// Mines one stream in isolation, as one chunk (exposed for unit
-  /// tests and the coverage lint).
-  [[nodiscard]] MinedStream mine_stream(
-      const std::string& name, const std::vector<std::string>& lines) const;
-
- private:
-  [[nodiscard]] MineResult run(MinePlan plan) const;
-
-  MinerOptions options_;
 };
 
 /// Splits a rotated-segment file name: "rm.log.3" -> {"rm.log", 3}

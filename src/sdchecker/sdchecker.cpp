@@ -342,7 +342,7 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
     result.events_total += meta.events;
     for (logging::Diagnostic& diagnostic : meta.diagnostics) {
       // The mine.diagnostics counters cover stream findings only
-      // (unreadable files are bundle-level), as `LogMiner` counts them.
+      // (unreadable files are bundle-level); this is their one count.
       obs::catalog_counter(obs::metric::kMineDiagnostics,
                            logging::diagnostic_kind_name(diagnostic.kind))
           .add(diagnostic.count);

@@ -157,9 +157,10 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 /// runs for many on one shared pool.  Mining is a `MinePlan`; the call
 /// that completes a stream's last range also stitches the stream and
 /// folds its events into `shards` app-partitioned grouping tables
-/// (`apply_batch_to_shard`), so no corpus-wide sorted event list is
-/// built — `KindFirstTs::record` keeps the minimum and counts add, so
-/// batches apply in any order.  `finish` then finalizes once.
+/// (`apply_batch_to_shard`), so events are neither sorted nor merged
+/// into a corpus-wide list — `KindFirstTs::record` keeps the minimum
+/// and counts add, so batches apply in any order.  `finish` then
+/// finalizes once.
 ///
 /// Protocol: call `run_chunk` once per chunk (thread-safe across
 /// chunks), then `finish` once: after every call returned, or right

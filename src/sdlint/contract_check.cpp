@@ -218,7 +218,7 @@ std::vector<Finding> check_contract(
     parsed.logger = line.logger;
     parsed.message = line.message;
     checker::EventBatch extracted;
-    if (!checker::apply_rule(rule, parsed, 0, 1, extracted)) {
+    if (!checker::apply_rule(rule, parsed, extracted)) {
       findings.push_back(make_finding(
           "contract.no-id", line.name,
           "rule " + std::string(rule.klass) + "/" + std::string(rule.token) +

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "sdchecker/events.hpp"
@@ -199,16 +200,23 @@ std::vector<Finding> check_coverage(
   const std::vector<ComposedStream> corpus =
       compose_corpus(machines, milestone_groups, findings);
 
-  const checker::LogMiner miner{{.threads = 1}};
-  std::set<checker::EventKind> mined;
-  std::map<std::string, std::set<checker::EventKind>> mined_per_stream;
+  // Mine the corpus as `analyze` does: plan it, run every chunk, stitch
+  // every stream.
+  logging::LogBundle bundle;
   for (const ComposedStream& stream : corpus) {
-    const checker::MinedStream result =
-        miner.mine_stream(stream.name, stream.lines);
-    for (const auto event : result.events) {
-      mined.insert(event.kind);
-      mined_per_stream[stream.name].insert(event.kind);
+    for (const std::string& line : stream.lines) {
+      bundle.append(stream.name, line);
     }
+  }
+  checker::MinePlan plan(bundle, {.threads = 1});
+  for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
+  std::set<checker::EventKind> mined;
+  std::vector<logging::Diagnostic> unreadable;
+  for (std::size_t s = 0; s < plan.stream_count(); ++s) {
+    const std::optional<checker::MinedStream> stream =
+        plan.stitch(s, unreadable);
+    if (!stream) continue;
+    for (const auto event : stream->events) mined.insert(event.kind);
   }
 
   // All 14 Table-I kinds must be reachable from the declared tables.

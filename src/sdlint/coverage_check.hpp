@@ -3,7 +3,7 @@
 // From the declared tables alone, sdlint composes a synthetic log corpus
 // — per-machine edge-coverage walks (a BFS path from INIT to every
 // transition, fresh canonical ids per walk) plus every milestone spec in
-// emission order — and runs the *production* LogMiner over it.  All 14
+// emission order — and mines it with the *production* MinePlan.  All 14
 // Table-I event kinds must be mined, and every declared `emits` must
 // materialize on its stream.  This catches protocol breaks the per-line
 // contract check cannot see: classification failures, stream binding,

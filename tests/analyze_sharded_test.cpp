@@ -14,6 +14,7 @@
 
 #include "common/thread_pool.hpp"
 #include "harness/scenario.hpp"
+#include "mine_helpers.hpp"
 #include "sdchecker/compare.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/incremental.hpp"
@@ -113,12 +114,14 @@ TEST(AnalyzeSharded, ShardRoutingIsTotalAndStable) {
 TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
   // What `CorpusPipeline` relies on: stitched streams applied to
   // app-partitioned tables in any completion order (here: reverse name
-  // order) group exactly like the corpus's merged events in one table.
+  // order) group exactly like every stream applied to one table in name
+  // order.
   const logging::LogBundle logs = make_corpus(5);
-  const MineResult mined = LogMiner().mine(logs);
   AppTable serial;
-  const std::size_t serial_unattributed =
-      apply_batch_to_shard(mined.events, serial, 0, 1);
+  std::size_t serial_unattributed = 0;
+  for (const MinedStream& stream : mine(logs).streams) {
+    serial_unattributed += apply_batch_to_shard(stream.events, serial, 0, 1);
+  }
 
   MinePlan plan(logs, MinerOptions{.threads = 4, .shard_grain = 64});
   for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);

@@ -253,6 +253,7 @@ TEST(Incremental, ParkedCapDropsCountAndDiagnose) {
     if (diagnostic.kind == logging::DiagnosticKind::kUnboundStream) {
       ++unbound;
       EXPECT_EQ(diagnostic.stream, "executor.log");
+      EXPECT_EQ(diagnostic.line_no, 2u);  // the dropped FIRST_TASK's line
       EXPECT_EQ(diagnostic.count, 1u);  // one drop
       EXPECT_NE(diagnostic.detail.find("parked-event cap (1)"),
                 std::string::npos);

@@ -4,6 +4,7 @@
 
 #include "harness/scenario.hpp"
 #include "logging/timestamp.hpp"
+#include "mine_helpers.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "workloads/mr_app.hpp"
 
@@ -135,21 +136,16 @@ TEST(MinerRobustness, FirstLogUsesFileOrderNotMinTimestamp) {
                 line(100, cls,
                      "ApplicationAttemptId: appattempt_1499100000000_0001_"
                      "000001"));
-  const LogMiner miner;
-  const auto mined = miner.mine(bundle);
-  for (const auto event : mined.events) {
+  const MinedCorpus mined = mine(bundle);
+  ASSERT_EQ(mined.streams.size(), 1u);
+  bool saw_first_log = false;
+  for (const auto event : mined.streams[0].events) {
     if (event.kind == EventKind::kDriverFirstLog) {
+      saw_first_log = true;
       EXPECT_EQ(event.ts_ms, kEpoch + 500);
     }
   }
-}
-
-const MinedStream* stream_named(const MineResult& mined,
-                                const std::string& name) {
-  for (const MinedStream& stream : mined.streams) {
-    if (stream.name == name) return &stream;
-  }
-  return nullptr;
+  EXPECT_TRUE(saw_first_log);
 }
 
 TEST(MinerRobustness, RotatedSegmentsReassembledInLogrotateOrder) {
@@ -172,9 +168,9 @@ TEST(MinerRobustness, RotatedSegmentsReassembledInLogrotateOrder) {
                 line(400, cls,
                      "application_1499100000000_0001 State change from "
                      "ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED"));
-  const auto mined = LogMiner().mine(bundle);
+  const MinedCorpus mined = mine(bundle);
 
-  const MinedStream* rm = stream_named(mined, "rm.log");
+  const MinedStream* rm = mined.stream("rm.log");
   ASSERT_NE(rm, nullptr);
   EXPECT_EQ(mined.streams.size(), 1u);  // one logical stream, not three
   EXPECT_EQ(rm->lines_total, 3u);
@@ -203,14 +199,14 @@ TEST(MinerRobustness, MidLineTruncationDiagnosedPerStream) {
   bundle.append("rm.log", logging::format_epoch_ms(kEpoch + 100) + " INF");
   bundle.append("clean.log", line(50, "com.example.Fine", "all good"));
 
-  const auto mined = LogMiner().mine(bundle);
-  const MinedStream* rm = stream_named(mined, "rm.log");
+  const MinedCorpus mined = mine(bundle);
+  const MinedStream* rm = mined.stream("rm.log");
   ASSERT_NE(rm, nullptr);
   EXPECT_EQ(rm->diag_counts.of(logging::DiagnosticKind::kTruncatedLine), 1u);
   EXPECT_EQ(rm->lines_unparsed, 1u);
 
   // The clean stream is untouched: no diagnostics, same parse results.
-  const MinedStream* clean = stream_named(mined, "clean.log");
+  const MinedStream* clean = mined.stream("clean.log");
   ASSERT_NE(clean, nullptr);
   EXPECT_EQ(clean->diag_counts.total(), 0u);
   EXPECT_EQ(clean->lines_unparsed, 0u);
@@ -227,8 +223,8 @@ TEST(MinerRobustness, HeadTearDiagnosedAsTruncation) {
   // The stream begins mid-line: the head was rotated away mid-write.
   bundle.append("nm.log", "ate change from LOCALIZING to LOCALIZED");
   bundle.append("nm.log", line(10, "com.example.Nm", "healthy line"));
-  const auto mined = LogMiner().mine(bundle);
-  const MinedStream* nm = stream_named(mined, "nm.log");
+  const MinedCorpus mined = mine(bundle);
+  const MinedStream* nm = mined.stream("nm.log");
   ASSERT_NE(nm, nullptr);
   EXPECT_EQ(nm->diag_counts.of(logging::DiagnosticKind::kTruncatedLine), 1u);
 }
@@ -247,8 +243,8 @@ TEST(MinerRobustness, GarbageBytesDiagnosedEventsSurvive) {
                 line(300, cls,
                      "application_1499100000000_0001 State change from "
                      "SUBMITTED to ACCEPTED on event = APP_ACCEPTED"));
-  const auto mined = LogMiner().mine(bundle);
-  const MinedStream* rm = stream_named(mined, "rm.log");
+  const MinedCorpus mined = mine(bundle);
+  const MinedStream* rm = mined.stream("rm.log");
   ASSERT_NE(rm, nullptr);
   EXPECT_EQ(rm->diag_counts.of(logging::DiagnosticKind::kBinaryGarbage), 2u);
   EXPECT_EQ(rm->lines_unparsed, 2u);
@@ -265,9 +261,8 @@ TEST(MinerRobustness, TimestampRegressionBeyondBudgetDiagnosed) {
   logging::LogBundle bundle;
   bundle.append("app.log", line(5000, "com.example.A", "later"));
   bundle.append("app.log", line(0, "com.example.A", "clock stepped back"));
-  const LogMiner miner;
-  const auto mined = miner.mine(bundle);
-  const MinedStream* app = stream_named(mined, "app.log");
+  const MinedCorpus mined = mine(bundle);
+  const MinedStream* app = mined.stream("app.log");
   ASSERT_NE(app, nullptr);
   EXPECT_EQ(
       app->diag_counts.of(logging::DiagnosticKind::kTimestampRegression), 1u);
@@ -276,7 +271,7 @@ TEST(MinerRobustness, TimestampRegressionBeyondBudgetDiagnosed) {
   logging::LogBundle jitter;
   jitter.append("app.log", line(500, "com.example.A", "later"));
   jitter.append("app.log", line(0, "com.example.A", "small jitter"));
-  const auto mined_jitter = miner.mine(jitter);
+  const MinedCorpus mined_jitter = mine(jitter);
   EXPECT_EQ(mined_jitter.diag_counts.of(
                 logging::DiagnosticKind::kTimestampRegression),
             0u);

@@ -2,28 +2,32 @@
 //
 // The contract of intra-stream sharding is that it is *invisible*: the
 // sharded miner must produce the same events, ids, diagnostics and
-// ordering as a serial pass, on any corpus.  These tests force many tiny
-// chunks (shard_grain far below stream length) to exercise every stitch
-// rule: FIRST_LOG synthesis across a chunk boundary, kind classification
-// landing in a late chunk, and id binding discovered after events were
-// already extracted in earlier chunks.  The reader's own contract is that
-// ranges tiling a file hand out its lines exactly once, whatever the
-// seams: every split offset of a set of edge files is tried.
+// per-stream row order as a serial pass, on any corpus.  These tests
+// force many tiny chunks (shard_grain far below stream length) to
+// exercise every stitch rule: FIRST_LOG synthesis across a chunk
+// boundary, kind classification landing in a late chunk, and id binding
+// discovered after events were already extracted in earlier chunks.
+// The reader's own contract is that ranges tiling a file hand out its
+// lines exactly once, whatever the seams: every split offset of a set of
+// edge files is tried.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/thread_pool.hpp"
 #include "logging/line_reader.hpp"
 #include "logging/timestamp.hpp"
+#include "mine_helpers.hpp"
 #include "obs/metric_catalog.hpp"
 #include "sdchecker/corpus_mutator.hpp"
-#include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdchecker/stream_cursor.hpp"
 
@@ -47,53 +51,6 @@ std::filesystem::path corpus_dir() {
   return std::filesystem::path("testdata") / "golden_small";
 }
 
-void expect_same_events(const MineResult& a, const MineResult& b) {
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const auto x = a.events[i];
-    const auto y = b.events[i];
-    EXPECT_EQ(x.kind, y.kind) << "event " << i;
-    EXPECT_EQ(x.ts_ms, y.ts_ms) << "event " << i;
-    EXPECT_EQ(x.stream, y.stream) << "event " << i;
-    EXPECT_EQ(x.line_no, y.line_no) << "event " << i;
-    EXPECT_EQ(x.app.has_value(), y.app.has_value()) << "event " << i;
-    if (x.app && y.app) {
-      EXPECT_EQ(*x.app, *y.app) << "event " << i;
-    }
-    EXPECT_EQ(x.container.has_value(), y.container.has_value()) << "event " << i;
-    if (x.container && y.container) {
-      EXPECT_EQ(*x.container, *y.container) << "event " << i;
-    }
-  }
-  EXPECT_EQ(a.lines_total, b.lines_total);
-  EXPECT_EQ(a.lines_unparsed, b.lines_unparsed);
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t s = 0; s < a.streams.size(); ++s) {
-    EXPECT_EQ(a.streams[s].name, b.streams[s].name);
-    EXPECT_EQ(a.streams[s].kind, b.streams[s].kind);
-    EXPECT_EQ(a.streams[s].lines_unparsed, b.streams[s].lines_unparsed);
-    EXPECT_EQ(a.streams[s].bound_app, b.streams[s].bound_app);
-    EXPECT_EQ(a.streams[s].bound_container, b.streams[s].bound_container);
-    // Diagnostics are part of the sharding-invisibility contract: the
-    // stitch pass must fold per-chunk provisional state into the exact
-    // records a serial pass emits.
-    ASSERT_EQ(a.streams[s].diagnostics.size(), b.streams[s].diagnostics.size())
-        << a.streams[s].name;
-    for (std::size_t d = 0; d < a.streams[s].diagnostics.size(); ++d) {
-      const logging::Diagnostic& x = a.streams[s].diagnostics[d];
-      const logging::Diagnostic& y = b.streams[s].diagnostics[d];
-      EXPECT_EQ(x.kind, y.kind) << a.streams[s].name << " diag " << d;
-      EXPECT_EQ(x.line_no, y.line_no) << a.streams[s].name << " diag " << d;
-      EXPECT_EQ(x.count, y.count) << a.streams[s].name << " diag " << d;
-      EXPECT_EQ(x.detail, y.detail) << a.streams[s].name << " diag " << d;
-    }
-  }
-  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
-  for (std::size_t i = 0; i < logging::kDiagnosticKindCount; ++i) {
-    EXPECT_EQ(a.diag_counts.by_kind[i], b.diag_counts.by_kind[i]);
-  }
-}
-
 TEST(ShardedMiner, DamagedCorpusDiagnosticsIdenticalToSerial) {
   // A stream with garbage, a truncated tail, a long unparsable burst and
   // a clock step, mined with chunk grain 1 — every diagnostic summary
@@ -110,9 +67,9 @@ TEST(ShardedMiner, DamagedCorpusDiagnosticsIdenticalToSerial) {
   bundle.append("sick.log", line(5000, cls, "resumes"));
   bundle.append("sick.log", line(100, cls, "clock stepped back"));
   bundle.append("sick.log", logging::format_epoch_ms(kEpoch + 200) + " INF");
-  const MineResult serial = LogMiner(MinerOptions{1}).mine(bundle);
-  const MineResult sharded = LogMiner(MinerOptions{4, 1}).mine(bundle);
-  expect_same_events(serial, sharded);
+  const MinedCorpus serial = mine(bundle, MinerOptions{1});
+  const MinedCorpus sharded = mine(bundle, MinerOptions{4, 1});
+  expect_same_mine(serial, sharded);
   using logging::DiagnosticKind;
   EXPECT_EQ(serial.diag_counts.of(DiagnosticKind::kBinaryGarbage), 1u);
   EXPECT_GE(serial.diag_counts.of(DiagnosticKind::kUnparsableBurst), 1u);
@@ -206,12 +163,11 @@ TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
 
 TEST(ShardedMiner, GoldenCorpusIdenticalToSerial) {
   const auto dir = corpus_dir();
-  const MineResult serial = LogMiner(MinerOptions{1}).mine_directory(dir);
+  const MinedCorpus serial = mine_directory(dir, MinerOptions{1});
   // grain=2 forces dozens of chunks per stream.
-  const MineResult sharded =
-      LogMiner(MinerOptions{4, 2}).mine_directory(dir);
-  expect_same_events(serial, sharded);
-  EXPECT_GT(serial.events.size(), 0u);
+  const MinedCorpus sharded = mine_directory(dir, MinerOptions{4, 2});
+  expect_same_mine(serial, sharded);
+  EXPECT_GT(serial.events, 0u);
 }
 
 TEST(ShardedMiner, StitchResolvesLateBindingAcrossChunks) {
@@ -229,15 +185,15 @@ TEST(ShardedMiner, StitchResolvesLateBindingAcrossChunks) {
                 line(800, backend,
                      "Connecting to driver for container "
                      "container_1499100000000_0001_01_000002"));
-  const MineResult serial = LogMiner(MinerOptions{1}).mine(bundle);
-  const MineResult sharded = LogMiner(MinerOptions{4, 1}).mine(bundle);
-  expect_same_events(serial, sharded);
+  const MinedCorpus serial = mine(bundle, MinerOptions{1});
+  const MinedCorpus sharded = mine(bundle, MinerOptions{4, 1});
+  expect_same_mine(serial, sharded);
   // FIRST_LOG synthesized from the first *parsed* line, bound to the
   // container discovered three chunks later.
   ASSERT_EQ(sharded.streams.size(), 1u);
   ASSERT_TRUE(sharded.streams[0].bound_container.has_value());
   bool saw_first_log = false;
-  for (const auto event : sharded.events) {
+  for (const auto event : sharded.streams[0].events) {
     if (event.kind == EventKind::kExecutorFirstLog) {
       saw_first_log = true;
       EXPECT_EQ(event.ts_ms, kEpoch + 500);
@@ -250,8 +206,8 @@ TEST(ShardedMiner, StitchResolvesLateBindingAcrossChunks) {
 
 TEST(ShardedMiner, OutOfOrderTimestampsMergeIdentically) {
   // Within-stream timestamps are not monotonic (clock steps, buffered
-  // writes); per-chunk sorted runs + k-way merge must equal the serial
-  // global sort.
+  // writes); the stitched stream keeps its rows in file order at any
+  // grain, with no sort.
   logging::LogBundle bundle;
   const std::string rm_app =
       "org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl";
@@ -264,12 +220,17 @@ TEST(ShardedMiner, OutOfOrderTimestampsMergeIdentically) {
                            " State change from NEW_SAVING to SUBMITTED on "
                            "event = APP_NEW_SAVED"));
   }
-  const MineResult serial = LogMiner(MinerOptions{1}).mine(bundle);
-  const MineResult sharded = LogMiner(MinerOptions{3, 4}).mine(bundle);
-  expect_same_events(serial, sharded);
-  for (std::size_t i = 1; i < sharded.events.size(); ++i) {
-    EXPECT_FALSE(
-        EventBatch::row_less(sharded.events, i, sharded.events, i - 1));
+  const MinedCorpus serial = mine(bundle, MinerOptions{1});
+  const MinedCorpus sharded = mine(bundle, MinerOptions{3, 4});
+  expect_same_mine(serial, sharded);
+  // Row i is line i's event, scrambled timestamp and all.
+  ASSERT_EQ(sharded.streams.size(), 1u);
+  const EventBatch& events = sharded.streams[0].events;
+  ASSERT_EQ(events.size(), 50u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events.ts_at(i),
+              kEpoch + static_cast<std::int64_t>((i * 37) % 200))
+        << "event " << i;
   }
 }
 
@@ -294,12 +255,15 @@ TEST(ShardedMiner, AnalysisIdenticalThroughSdChecker) {
 
 namespace fs = std::filesystem;
 
-/// Fresh (pre-cleaned) scratch directory for one test.
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+/// A new, empty scratch directory of this call's own (`mkdtemp`), so
+/// tests that run concurrently never share one.
+fs::path scratch_dir(const std::string& prefix) {
+  std::string pattern =
+      (fs::temp_directory_path() / (prefix + ".XXXXXX")).string();
+  if (::mkdtemp(pattern.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp " << pattern << ": " << std::strerror(errno);
+  }
+  return pattern;
 }
 
 void write_bytes(const fs::path& path, std::string_view bytes) {
@@ -433,14 +397,14 @@ TEST(RangeReader, RotatedFamilyWithUnterminatedMiddleSegmentMinesLikeBundle) {
   write_bytes(dir / "rm.log.2", rm_line(0) + "\n" + rm_line(1) + "\n");
   write_bytes(dir / "rm.log.1", rm_line(2) + "\n" + rm_line(3));
   write_bytes(dir / "rm.log", rm_line(4) + "\r\n" + rm_line(5) + "\n");
-  const MineResult via_bundle = LogMiner(MinerOptions{1}).mine(
-      logging::LogBundle::read_from_directory(dir));
+  const MinedCorpus via_bundle =
+      mine(logging::LogBundle::read_from_directory(dir), MinerOptions{1});
   ASSERT_EQ(via_bundle.streams.size(), 1u);
   EXPECT_EQ(via_bundle.lines_total, 6u);
   for (const MinerOptions options :
        {MinerOptions{1}, MinerOptions{4, 1}, MinerOptions{3, 7},
         MinerOptions{8, 2}, MinerOptions{4, 0}}) {
-    expect_same_events(via_bundle, LogMiner(options).mine_directory(dir));
+    expect_same_mine(via_bundle, mine_directory(dir, options));
   }
   fs::remove_all(dir);
 }
@@ -452,20 +416,20 @@ TEST(RangeReader, EveryDamageClassMinesLikeBundle) {
   // exactly as the in-memory bundle does.
   const logging::LogBundle golden =
       logging::LogBundle::read_from_directory(corpus_dir());
-  const fs::path dir = fs::temp_directory_path() / "sdc_range_damage";
+  const fs::path dir = scratch_dir("sdc_range_damage");
   for (const std::uint64_t seed : {42ull, 20170703ull}) {
     for (const MutationClass cls : all_mutation_classes()) {
       const logging::LogBundle mutated = apply_mutation(golden, cls, seed);
       fs::remove_all(dir);
       mutated.write_to_directory(dir);
-      const MineResult in_memory = LogMiner(MinerOptions{1}).mine(mutated);
+      const MinedCorpus in_memory = mine(mutated, MinerOptions{1});
       EXPECT_GT(in_memory.lines_total, 0u) << mutation_class_name(cls);
       for (const MinerOptions options :
            {MinerOptions{1}, MinerOptions{4, 1}, MinerOptions{3, 64}}) {
         SCOPED_TRACE(std::string(mutation_class_name(cls)) + " seed " +
                      std::to_string(seed) + " grain " +
                      std::to_string(options.shard_grain));
-        expect_same_events(in_memory, LogMiner(options).mine_directory(dir));
+        expect_same_mine(in_memory, mine_directory(dir, options));
       }
     }
   }
@@ -481,7 +445,7 @@ TEST(LogView, FromBufferSplitsLikeGetline) {
   EXPECT_EQ(read.lines,
             (std::vector<std::string>{"a", "bb", "", "ccc\r", "final"}));
   EXPECT_EQ(read.consumed, 16u);
-  const MineResult mined = LogMiner().mine_directory(dir);
+  const MinedCorpus mined = mine_directory(dir);
   EXPECT_EQ(mined.lines_total, 5u);
   fs::remove_all(dir);
 }
@@ -493,7 +457,7 @@ TEST(LogView, EmptyBuffer) {
   EXPECT_TRUE(read.lines.empty());
   EXPECT_EQ(read.consumed, 0u);
   // An empty file is still a stream, of no lines.
-  const MineResult mined = LogMiner().mine_directory(dir);
+  const MinedCorpus mined = mine_directory(dir);
   ASSERT_EQ(mined.streams.size(), 1u);
   EXPECT_EQ(mined.streams[0].lines_total, 0u);
   fs::remove_all(dir);
@@ -503,10 +467,10 @@ TEST(LogView, FromFileMatchesBundleRead) {
   const fs::path dir = scratch_dir("sdc_log_view_test");
   write_bytes(dir / "a.log", "line one\nline two\r\nline three");
   write_bytes(dir / "empty.log", "");
-  const MineResult via_bundle =
-      LogMiner().mine(logging::LogBundle::read_from_directory(dir));
-  const MineResult via_directory = LogMiner().mine_directory(dir);
-  expect_same_events(via_bundle, via_directory);
+  const MinedCorpus via_bundle =
+      mine(logging::LogBundle::read_from_directory(dir));
+  const MinedCorpus via_directory = mine_directory(dir);
+  expect_same_mine(via_bundle, via_directory);
   ASSERT_EQ(via_directory.streams.size(), 2u);
   EXPECT_EQ(via_directory.streams[0].lines_total, 3u);
   EXPECT_EQ(via_directory.streams[1].lines_total, 0u);
@@ -523,7 +487,7 @@ TEST(BundleView, FromBundleIsZeroCopy) {
   obs::Gauge& expected = obs::catalog_gauge(obs::metric::kMineBytesExpected);
   const std::uint64_t bytes_before = bytes.value();
   const std::int64_t expected_before = expected.value();
-  const MineResult mined = LogMiner().mine(bundle);
+  const MinedCorpus mined = mine(bundle);
   EXPECT_EQ(mined.lines_total, 2u);
   EXPECT_EQ(bytes.value() - bytes_before, 20u);
   EXPECT_EQ(expected.value() - expected_before, 20);
@@ -531,24 +495,13 @@ TEST(BundleView, FromBundleIsZeroCopy) {
 
 TEST(BundleView, MmapDirectoryMinesIdenticallyToBundle) {
   const auto dir = corpus_dir();
-  const MineResult via_bundle =
-      LogMiner(MinerOptions{1}).mine(logging::LogBundle::read_from_directory(dir));
-  const MineResult via_view = LogMiner(MinerOptions{1}).mine_directory(dir);
-  expect_same_events(via_bundle, via_view);
+  const MinedCorpus via_bundle =
+      mine(logging::LogBundle::read_from_directory(dir), MinerOptions{1});
+  const MinedCorpus via_view = mine_directory(dir, MinerOptions{1});
+  expect_same_mine(via_bundle, via_view);
 }
 
-// --- parallel_for_chunked ----------------------------------------------------
-
-TEST(ParallelForChunked, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for_chunked(pool, hits.size(), 7,
-                       [&](std::size_t begin, std::size_t end) {
-                         ASSERT_LE(begin, end);
-                         for (std::size_t i = begin; i < end; ++i) ++hits[i];
-                       });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
+// --- parallel_for ------------------------------------------------------------
 
 TEST(ParallelForChunked, SurvivesRapidPoolChurn) {
   // Regression: parallel_for used to notify its completion condvar after
@@ -564,19 +517,6 @@ TEST(ParallelForChunked, SurvivesRapidPoolChurn) {
     });
     ASSERT_EQ(sum.load(), 28);
   }
-}
-
-TEST(ParallelForChunked, ZeroGrainAutoSizesAndZeroNIsNoop) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> covered{0};
-  parallel_for_chunked(pool, 100, 0, [&](std::size_t begin, std::size_t end) {
-    covered += end - begin;
-  });
-  EXPECT_EQ(covered.load(), 100u);
-  bool called = false;
-  parallel_for_chunked(pool, 0, 8,
-                       [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 // Table-I message extraction.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/parsed_line.hpp"
 
@@ -188,15 +186,10 @@ TEST(Extractor, ClassifyByLoggerClass) {
 // --- event extraction (Table I) ------------------------------------------------------
 
 std::optional<EventBatch::View> extract(const std::string& line) {
-  static const auto pool = [] {
-    auto building = std::make_shared<StringInterner>();
-    building->intern("test.log");
-    return std::shared_ptr<const StringInterner>(std::move(building));
-  }();
   const auto parsed = parse_line(line);
   if (!parsed) return std::nullopt;
-  EventBatch batch(pool);
-  if (!extract_event_into(*parsed, 0, 1, batch)) return std::nullopt;
+  EventBatch batch;
+  if (!extract_event_into(*parsed, batch)) return std::nullopt;
   return batch[0];
 }
 

@@ -7,10 +7,10 @@
 
 #include "logging/log_bundle.hpp"
 #include "logging/timestamp.hpp"
+#include "mine_helpers.hpp"
 #include "sdchecker/decompose.hpp"
 #include "sdchecker/graph.hpp"
 #include "sdchecker/grouping.hpp"
-#include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
@@ -131,8 +131,7 @@ logging::LogBundle make_golden_bundle() {
 
 TEST(Miner, StreamKindsAndBinding) {
   const auto bundle = make_golden_bundle();
-  LogMiner miner;
-  const MineResult mined = miner.mine(bundle);
+  const MinedCorpus mined = mine(bundle);
   // driver.log, exec1.log, exec2.log, nm-node01.cluster.log, rm.log
   ASSERT_EQ(mined.streams.size(), 5u);
   std::map<std::string, StreamKind> kinds;
@@ -146,14 +145,16 @@ TEST(Miner, StreamKindsAndBinding) {
 
 TEST(Miner, SynthesizesFirstLogEvents) {
   const auto bundle = make_golden_bundle();
-  const MineResult mined = LogMiner().mine(bundle);
+  const MinedCorpus mined = mine(bundle);
   std::int64_t driver_first = -1;
   std::int64_t exec_first_min = -1;
-  for (const auto e : mined.events) {
-    if (e.kind == EventKind::kDriverFirstLog) driver_first = e.ts_ms;
-    if (e.kind == EventKind::kExecutorFirstLog &&
-        (exec_first_min < 0 || e.ts_ms < exec_first_min)) {
-      exec_first_min = e.ts_ms;
+  for (const MinedStream& stream : mined.streams) {
+    for (const auto e : stream.events) {
+      if (e.kind == EventKind::kDriverFirstLog) driver_first = e.ts_ms;
+      if (e.kind == EventKind::kExecutorFirstLog &&
+          (exec_first_min < 0 || e.ts_ms < exec_first_min)) {
+        exec_first_min = e.ts_ms;
+      }
     }
   }
   EXPECT_EQ(driver_first, kEpoch + 1500);
@@ -162,7 +163,7 @@ TEST(Miner, SynthesizesFirstLogEvents) {
 
 TEST(Miner, BindsExecutorStreamToContainer) {
   const auto bundle = make_golden_bundle();
-  const MineResult mined = LogMiner().mine(bundle);
+  const MinedCorpus mined = mine(bundle);
   for (const MinedStream& stream : mined.streams) {
     if (stream.name == "exec1.log") {
       EXPECT_EQ(stream.kind, StreamKind::kExecutor);
@@ -181,30 +182,16 @@ TEST(Miner, BindsExecutorStreamToContainer) {
 
 TEST(Miner, ParallelMiningMatchesSerial) {
   const auto bundle = make_golden_bundle();
-  const MineResult serial = LogMiner(MinerOptions{1}).mine(bundle);
-  const MineResult parallel = LogMiner(MinerOptions{4}).mine(bundle);
-  ASSERT_EQ(serial.events.size(), parallel.events.size());
-  for (std::size_t i = 0; i < serial.events.size(); ++i) {
-    EXPECT_EQ(serial.events[i].kind, parallel.events[i].kind);
-    EXPECT_EQ(serial.events[i].ts_ms, parallel.events[i].ts_ms);
-    EXPECT_EQ(serial.events[i].stream, parallel.events[i].stream);
-  }
-  EXPECT_EQ(serial.lines_total, parallel.lines_total);
+  expect_same_mine(mine(bundle, MinerOptions{1}),
+                   mine(bundle, MinerOptions{4}));
 }
 
 TEST(Miner, CountsUnparsableLines) {
   logging::LogBundle bundle = make_golden_bundle();
   bundle.append("rm.log", "corrupted line without structure");
   bundle.append("rm.log", "\tat org.apache.Something(Stack.java:1)");
-  const MineResult mined = LogMiner().mine(bundle);
+  const MinedCorpus mined = mine(bundle);
   EXPECT_EQ(mined.lines_unparsed, 2u);
-}
-
-TEST(Miner, EventsSortedByTimestamp) {
-  const MineResult mined = LogMiner().mine(make_golden_bundle());
-  for (std::size_t i = 1; i < mined.events.size(); ++i) {
-    EXPECT_LE(mined.events[i - 1].ts_ms, mined.events[i].ts_ms);
-  }
 }
 
 // --- grouping ------------------------------------------------------------------

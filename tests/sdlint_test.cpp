@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "common/log_contract.hpp"
+#include "mine_helpers.hpp"
 #include "obs/metric_catalog.hpp"
 #include "sdchecker/corpus_mutator.hpp"
 #include "sdchecker/extractor.hpp"
-#include "sdchecker/miner.hpp"
 #include "sdlint/contract_check.hpp"
 #include "sdlint/coverage_check.hpp"
 #include "sdlint/diag_check.hpp"
@@ -353,11 +353,10 @@ TEST(SdlintIntrospection, ComposedCorpusMinesAllFourteenTable1Kinds) {
   const auto corpus =
       lint::compose_corpus(yarn::machine_descriptors(), groups, findings);
   EXPECT_TRUE(findings.empty());
-  const checker::LogMiner miner{{.threads = 1}};
   std::vector<bool> seen(15, false);
   for (const auto& stream : corpus) {
     for (const auto& event :
-         miner.mine_stream(stream.name, stream.lines).events) {
+         checker::mine_lines(stream.name, stream.lines).events) {
       const std::int32_t number = checker::table1_number(event.kind);
       if (number > 0) seen[static_cast<std::size_t>(number)] = true;
     }
@@ -381,8 +380,7 @@ std::string log4j(std::string_view clazz, std::string_view message) {
 }
 
 TEST(RegisterPhraseRegression, SparkLineExtractsExactlyOneRegister) {
-  const checker::LogMiner miner;
-  const auto mined = miner.mine_stream(
+  const auto mined = checker::mine_lines(
       "driver.log",
       std::vector<std::string>{
           log4j(spark::kAmClass, "ApplicationAttemptId: "
@@ -397,8 +395,7 @@ TEST(RegisterPhraseRegression, SparkLineExtractsExactlyOneRegister) {
 }
 
 TEST(RegisterPhraseRegression, MrLineExtractsExactlyOneRegister) {
-  const checker::LogMiner miner;
-  const auto mined = miner.mine_stream(
+  const auto mined = checker::mine_lines(
       "mram.log",
       std::vector<std::string>{
           log4j(workloads::kMrAmClass,

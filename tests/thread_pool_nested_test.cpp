@@ -112,19 +112,5 @@ TEST(ThreadPoolNested, CorpusShardStress) {
   EXPECT_EQ(total.load(), 12u * 2u * 8u);
 }
 
-TEST(ThreadPoolNested, ChunkedNestedFanOut) {
-  ThreadPool pool(3);
-  std::atomic<std::uint64_t> covered{0};
-  parallel_for_chunked(pool, 1000, 64, [&](std::size_t begin,
-                                           std::size_t end) {
-    parallel_for_chunked(pool, end - begin, 16,
-                         [&](std::size_t inner_begin, std::size_t inner_end) {
-                           covered.fetch_add(inner_end - inner_begin,
-                                             std::memory_order_relaxed);
-                         });
-  });
-  EXPECT_EQ(covered.load(), 1000u);
-}
-
 }  // namespace
 }  // namespace sdc
