@@ -4,6 +4,7 @@
 //
 //   ./quickstart [log_dir]
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "harness/scenario.hpp"
@@ -35,13 +36,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.events_executed),
               result.logs.total_lines());
 
-  // --- 2. Drop the logs on disk (what a real deployment gives you) --------
-  result.logs.write_to_directory(log_dir);
-  std::printf("  logs written to %s\n", log_dir.c_str());
+  checker::AnalysisResult analysis;
+  try {
+    // --- 2. Drop the logs on disk (what a real deployment gives you) ------
+    result.logs.write_to_directory(log_dir);
+    std::printf("  logs written to %s\n", log_dir.c_str());
 
-  // --- 3. Mine with SDchecker ---------------------------------------------
-  checker::SdChecker sdchecker({.threads = 2});
-  checker::AnalysisResult analysis = sdchecker.analyze_directory(log_dir);
+    // --- 3. Mine with SDchecker -------------------------------------------
+    checker::SdChecker sdchecker({.threads = 2});
+    analysis = sdchecker.analyze_directory(log_dir);
+  } catch (const std::exception& e) {
+    // `log_dir` names a file, or cannot be written or listed.
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
   std::printf("\nSDchecker: %zu lines mined, %zu events, %zu applications\n\n",
               analysis.lines_total, analysis.events_total,
               analysis.timelines.size());

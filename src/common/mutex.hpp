@@ -20,7 +20,6 @@
 // is exactly the invariant predicate loops rely on.)
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -74,15 +73,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-  /// Timed wait: returns `std::cv_status::timeout` when `timeout` passed
-  /// without a notification.  Help-while-wait loops (thread_pool.cpp)
-  /// use this as a backstop so a waiter that raced an enqueue re-checks
-  /// the queue instead of sleeping on a notification that already fired.
-  template <class Rep, class Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& timeout) {
-    return cv_.wait_for(lock.lock_, timeout);
-  }
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 

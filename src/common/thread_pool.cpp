@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
 #include "common/mutex.hpp"
@@ -12,7 +11,6 @@ namespace {
 /// Process-wide metric sinks (see ThreadPoolMetricSinks).  Each pointer
 /// is installed/read atomically so installation can race running pools.
 std::atomic<std::atomic<std::uint64_t>*> g_tasks_sink{nullptr};
-std::atomic<std::atomic<std::uint64_t>*> g_help_sink{nullptr};
 std::atomic<std::atomic<std::int64_t>*> g_depth_sink{nullptr};
 
 inline void sink_add(std::atomic<std::atomic<std::uint64_t>*>& slot,
@@ -28,12 +26,14 @@ inline void depth_add(std::int64_t n) {
   }
 }
 
+/// The pool whose `worker_loop` runs on this thread (null off the pools).
+thread_local const ThreadPool* t_worker_of = nullptr;
+
 }  // namespace
 
 void set_thread_pool_metric_sinks(
     const ThreadPoolMetricSinks& sinks) noexcept {
   g_tasks_sink.store(sinks.tasks, std::memory_order_relaxed);
-  g_help_sink.store(sinks.help_while_wait, std::memory_order_relaxed);
   g_depth_sink.store(sinks.queue_depth, std::memory_order_relaxed);
 }
 
@@ -66,33 +66,13 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    MutexLock lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-  }
-  depth_add(-1);
-  sink_add(g_tasks_sink, 1);
-  sink_add(g_help_sink, 1);
-  task();
-  {
-    MutexLock lock(mu_);
-    --in_flight_;
-  }
-  cv_idle_.notify_all();
-  return true;
-}
-
 void ThreadPool::wait_idle() {
   MutexLock lock(mu_);
   while (!queue_.empty() || in_flight_ != 0) cv_idle_.wait(lock);
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   while (true) {
     std::function<void()> task;
     {
@@ -117,6 +97,10 @@ void ThreadPool::worker_loop() {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
+  if (t_worker_of == &pool) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   const std::size_t shards = std::min(n, pool.thread_count());
@@ -145,23 +129,8 @@ void parallel_for(ThreadPool& pool, std::size_t n,
       done_cv.notify_one();
     });
   }
-  // Help-while-wait: the caller may itself be a pool task (nested
-  // fan-out), in which case blocking here could deadlock — every worker
-  // could be parked in this same loop while the tasks they are waiting
-  // on sit in the queue behind them.  Instead the waiter drains queued
-  // work (its own shards or anyone else's) until the completion count
-  // arrives.  The timed wait backstops the unavoidable race where a
-  // task is enqueued right after try_run_one saw an empty queue.
-  while (true) {
-    {
-      MutexLock lock(done_mu);
-      if (done == shards) break;
-    }
-    if (pool.try_run_one()) continue;
-    MutexLock lock(done_mu);
-    if (done == shards) break;
-    done_cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
+  MutexLock lock(done_mu);
+  while (done != shards) done_cv.wait(lock);
   if (first_error) std::rethrow_exception(first_error);
 }
 

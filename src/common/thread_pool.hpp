@@ -1,16 +1,15 @@
-// A small fixed-size thread pool used by SDchecker's parallel log miner
-// (one shard per log file), the fleet-mode multi-corpus pipeline, and
-// the benchmark harness for parameter sweeps.  Tasks are plain
-// `std::function<void()>`; use `parallel_for` for the common
-// index-loop pattern.
+// A small fixed-size thread pool: `analyze` runs a corpus's mining
+// chunks and its per-app finalize on one, fleet mode runs every corpus's
+// tasks on one shared pool, and the follow service finalizes its
+// snapshots on one.  Tasks are plain `std::function<void()>`; use
+// `parallel_for` for the common index-loop pattern.
 //
-// Nested fan-out (ISSUE 10): a task running on the pool may itself call
-// `parallel_for` on the *same* pool.  The waiting side never blocks
-// while the queue has work — it pops and executes queued tasks instead
-// (help-while-wait, `try_run_one`), so an inner fan-out issued from a
-// fully-occupied pool still makes progress where a blocking wait would
-// deadlock.  A short timed wait backstops the race between "queue looked
-// empty" and "a task was enqueued right after".
+// No task waits on its own pool: a `parallel_for` issued from a worker
+// of the same pool runs its loop inline on that worker, and only a
+// thread outside the pool blocks for shard tasks.  A worker that blocked
+// instead could deadlock a fully occupied pool, its shards queued behind
+// it.  Fleet mode finalizes each corpus serially on the worker whose
+// chunk completed it, so its tasks never nest at all.
 //
 // Lock discipline is declared with Clang Thread Safety annotations
 // (common/thread_annotations.hpp): every shared member is GUARDED_BY
@@ -31,8 +30,8 @@
 
 namespace sdc {
 
-/// Raw atomic sinks the pool mirrors its activity into (`pool.tasks`,
-/// `pool.help_while_wait`, `pool.queue_depth` in the metric catalog).
+/// Raw atomic sinks the pool mirrors its activity into (`pool.tasks` and
+/// `pool.queue_depth` in the metric catalog).
 /// The common layer cannot depend on obs, so the obs side installs
 /// pointers to its instruments' storage when the global metrics registry
 /// is created (`obs::MetricsRegistry::global`); null sinks cost one
@@ -40,7 +39,6 @@ namespace sdc {
 /// instance.
 struct ThreadPoolMetricSinks {
   std::atomic<std::uint64_t>* tasks = nullptr;
-  std::atomic<std::uint64_t>* help_while_wait = nullptr;
   std::atomic<std::int64_t>* queue_depth = nullptr;
 };
 
@@ -61,13 +59,6 @@ class ThreadPool {
 
   /// Enqueues a task for asynchronous execution.
   void submit(std::function<void()> task) SDC_EXCLUDES(mu_);
-
-  /// Pops one queued task and runs it on the calling thread; returns
-  /// false when the queue was empty.  This is the help-while-wait
-  /// primitive: a caller that must wait for pool work (parallel_for, a
-  /// fleet corpus barrier) drains the queue instead of blocking, so
-  /// nested fan-out on one pool cannot deadlock.
-  bool try_run_one() SDC_EXCLUDES(mu_);
 
   /// Blocks until every submitted task has completed.
   void wait_idle() SDC_EXCLUDES(mu_);
@@ -92,8 +83,9 @@ class ThreadPool {
 
 /// Runs `body(i)` for i in [0, n) across the pool, blocking until done.
 /// Exceptions thrown by `body` are rethrown (first one wins) on the caller.
-/// Safe to call from inside a pool task: the waiter executes queued work
-/// (its own shards or anything else pending) instead of blocking.
+/// Called from a worker of `pool` itself, it runs the loop inline on that
+/// worker instead (an exception then ends the loop), so a nested call
+/// never waits on the pool it occupies.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 

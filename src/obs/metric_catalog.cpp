@@ -41,7 +41,6 @@ constexpr MetricSpec kCatalog[] = {
     kObsHttpLatencyMs,
     kObsHttpErrors,
     kPoolTasks,
-    kPoolHelpWhileWait,
     kPoolQueueDepth,
     kFleetCorpora,
     kFleetCorporaFailed,

@@ -179,12 +179,7 @@ inline constexpr MetricSpec kObsHttpErrors{
 // --- thread pool -------------------------------------------------------------
 inline constexpr MetricSpec kPoolTasks{
     "pool.tasks", MetricKind::kCounter, "tasks",
-    "tasks executed by thread-pool workers and help-while-wait helpers "
-    "(all pools in the process)"};
-inline constexpr MetricSpec kPoolHelpWhileWait{
-    "pool.help_while_wait", MetricKind::kCounter, "tasks",
-    "queued tasks a blocked `parallel_for` waiter executed inline instead "
-    "of sleeping (nested fan-out on one pool)"};
+    "tasks executed by thread-pool workers (all pools in the process)"};
 inline constexpr MetricSpec kPoolQueueDepth{
     "pool.queue_depth", MetricKind::kGauge, "tasks",
     "tasks currently queued across all thread pools"};

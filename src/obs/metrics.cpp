@@ -114,8 +114,6 @@ MetricsRegistry& MetricsRegistry::global() {
     auto* created = new MetricsRegistry();
     ThreadPoolMetricSinks sinks;
     sinks.tasks = &created->counter(metric::kPoolTasks.name).raw();
-    sinks.help_while_wait =
-        &created->counter(metric::kPoolHelpWhileWait.name).raw();
     sinks.queue_depth = &created->gauge(metric::kPoolQueueDepth.name).raw();
     set_thread_pool_metric_sinks(sinks);
     return created;

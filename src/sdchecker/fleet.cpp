@@ -34,20 +34,20 @@ struct FleetCounters {
 /// One corpus in flight.  An "open" task lists the directory, builds the
 /// corpus's `CorpusPipeline` and enqueues one task per chunk; the chunk
 /// task that completes the corpus's last stream finishes it — all on the
-/// one shared pool, no barriers between the phases.
+/// one shared pool, no barriers between the phases and no task waiting
+/// on another.
 struct CorpusState {
   std::filesystem::path dir;
   std::optional<CorpusPipeline> pipeline;
   CorpusResult out;
 };
 
-/// Runs on the thread that completed the corpus; the pipeline's finish
-/// runs its nested `parallel_for` on the shared pool (waiters help, so
-/// this cannot deadlock).
-void finish_corpus(CorpusState& state, ThreadPool& pool) {
+/// Runs on the worker that completed the corpus and finalizes it there:
+/// the other workers stay busy with other corpora's chunks.
+void finish_corpus(CorpusState& state) {
   const FleetCounters& counters = FleetCounters::get();
   try {
-    const AnalysisResult result = state.pipeline->finish(&pool);
+    const AnalysisResult result = state.pipeline->finish(nullptr);
     state.out.apps = result.timelines.size();
     state.out.events = result.events_total;
     state.out.lines = result.lines_total;
@@ -76,12 +76,12 @@ void open_corpus(CorpusState& state, ThreadPool& pool,
   }
   const std::size_t chunks = state.pipeline->chunk_count();
   if (chunks == 0) {
-    finish_corpus(state, pool);
+    finish_corpus(state);
     return;
   }
   for (std::size_t c = 0; c < chunks; ++c) {
-    pool.submit([&state, &pool, c] {
-      if (state.pipeline->run_chunk(c)) finish_corpus(state, pool);
+    pool.submit([&state, c] {
+      if (state.pipeline->run_chunk(c)) finish_corpus(state);
     });
   }
 }

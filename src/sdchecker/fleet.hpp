@@ -12,10 +12,9 @@
 // the moment a stream's last chunk is mined, that stream is stitched and
 // its events are folded into the corpus's grouping tables while other
 // chunks — of this corpus and of others — are still mining.  The task
-// that completes a corpus's last stream finishes it, fanning out
-// per-app decomposition on the same pool (nested `parallel_for` is safe:
-// waiters help drain the queue instead of blocking — see
-// thread_pool.hpp).
+// that completes a corpus's last stream finalizes it on its own worker,
+// while the other workers keep mining: no task ever waits on the pool
+// (see thread_pool.hpp).
 //
 // Determinism: each corpus's `analysis_json` is byte-identical to a
 // standalone `sdchecker analyze --json` of the same directory for any

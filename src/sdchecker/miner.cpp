@@ -361,6 +361,7 @@ void MinePlan::Impl::mine_range(std::size_t r) {
 MinePlan::MinePlan(const std::filesystem::path& dir,
                    const MinerOptions& options)
     : impl_(std::make_unique<Impl>()) {
+  const auto span = obs::Tracer::global().span("mine.plan");
   impl_->dir = dir;
   impl_->add_streams(list_directory(dir));
   impl_->plan(options);
@@ -369,6 +370,7 @@ MinePlan::MinePlan(const std::filesystem::path& dir,
 MinePlan::MinePlan(const logging::LogBundle& bundle,
                    const MinerOptions& options)
     : impl_(std::make_unique<Impl>()) {
+  const auto span = obs::Tracer::global().span("mine.plan");
   std::vector<Member> members;
   for (const std::string& name : bundle.stream_names()) {
     Member member;

@@ -121,7 +121,13 @@ AnalysisResult SdChecker::run(MinePlan plan) const {
       for (std::size_t c = 0; c < pipeline->chunk_count(); ++c) run_chunk(c);
     }
   }
-  return pipeline->finish(pool ? &*pool : nullptr);
+  AnalysisResult result = pipeline->finish(pool ? &*pool : nullptr);
+  {
+    const auto span = obs::Tracer::global().span("analyze.teardown");
+    pipeline.reset();
+    pool.reset();
+  }
+  return result;
 }
 
 std::vector<AnalysisResult::Completeness> AnalysisResult::completeness()
@@ -327,6 +333,7 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
     tables.push_back(std::move(shard->apps));
   }
   AnalysisResult result = finalize_analysis(std::move(tables), pool);
+  const auto span = obs::Tracer::global().span("analyze.assemble");
   result.events_unattributed = unattributed_.load(std::memory_order_relaxed);
 
   std::size_t streams_mined = 0;

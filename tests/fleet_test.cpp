@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "obs/tracer.hpp"
 #include "sdchecker/compare.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/fleet.hpp"
@@ -92,6 +93,53 @@ TEST(Fleet, ThreadAndShardCountsDoNotChangeBytes) {
             << " corpus=" << fleet.corpora[i].name;
       }
     }
+  }
+  fs::remove_all(root);
+}
+
+TEST(Fleet, FinalizeSpanHoldsOnlyItsOwnCorpus) {
+  // A corpus finalizes on the worker that completed it, so its
+  // `analyze.finalize` span times that corpus alone: no mining,
+  // stitching or grouping of other corpora runs inside it.
+  const fs::path root = write_fleet_root("sdc_fleet_finalize_spans", 8);
+  obs::Tracer& tracer = obs::Tracer::global();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    tracer.clear();
+    tracer.set_enabled(true);
+    FleetOptions options;
+    options.threads = threads;
+    const FleetResult fleet = analyze_fleet(root, options);
+    tracer.set_enabled(false);
+    const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+    tracer.clear();
+    ASSERT_EQ(fleet.failed(), 0u);
+
+    std::vector<const obs::SpanRecord*> finalizes;
+    std::size_t plans = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name == "analyze.finalize") finalizes.push_back(&span);
+      plans += span.name == "mine.plan";
+    }
+    EXPECT_EQ(finalizes.size(), 8u) << "threads=" << threads;
+    EXPECT_EQ(plans, 8u) << "threads=" << threads;
+    // Spans on one track nest or are disjoint, so a span that overlaps a
+    // finalize runs inside it; one that only touches its ends does not.
+    std::size_t nested = 0;
+    for (const obs::SpanRecord* finalize : finalizes) {
+      const std::uint64_t end = finalize->start_us + finalize->dur_us;
+      for (const obs::SpanRecord& span : spans) {
+        if (span.track != finalize->track ||
+            (span.name != "mine.chunk" && span.name != "mine.stitch" &&
+             span.name != "analyze.group")) {
+          continue;
+        }
+        if (span.start_us < end &&
+            finalize->start_us < span.start_us + span.dur_us) {
+          ++nested;
+        }
+      }
+    }
+    EXPECT_EQ(nested, 0u) << "threads=" << threads;
   }
   fs::remove_all(root);
 }

@@ -387,6 +387,19 @@ TEST(ShardedMinerSpans, WorkersEmitWellFormedSpansOnDistinctTracks) {
   // than one pool thread must have mined chunks and grouped streams.
   EXPECT_GT(tracks_of(spans, "mine.chunk").size(), 1u);
   EXPECT_GT(tracks_of(spans, "analyze.group").size(), 1u);
+  // Listing and planning, diagnostics assembly and teardown run once, on
+  // the calling thread.
+  const std::set<std::uint32_t> caller = {Tracer::current_track()};
+  for (const std::string_view name :
+       {"mine.plan", "analyze.assemble", "analyze.teardown"}) {
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [&](const SpanRecord& span) {
+                              return span.name == name;
+                            }),
+              1)
+        << name;
+    EXPECT_EQ(tracks_of(spans, name), caller) << name;
+  }
   expect_well_formed(spans);
 
   // One thread: no pool at all.

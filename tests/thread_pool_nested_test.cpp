@@ -1,17 +1,16 @@
-// Nested fan-out on one ThreadPool (help-while-wait).
-//
-// Fleet mode finalizes a corpus from inside a pool task and that
-// finalize itself calls `parallel_for` on the same pool — so a waiter
-// must never block while the tasks it waits for sit in the queue behind
-// it.  The first test is the exact scenario that deadlocked under the
-// old blocking wait: a single-worker pool whose only worker issues an
-// inner `parallel_for`.  The stress tests run the corpus×shard shape on
-// a multi-worker pool and are part of the TSan CI job.
+// Nested `parallel_for` on one ThreadPool: a call from a worker of the
+// same pool runs its loop inline on that worker, so no task ever waits
+// on the pool it occupies.  A blocking wait there deadlocks a fully
+// occupied pool — the first test is that scenario, a single-worker pool
+// whose only worker issues an inner `parallel_for`.  The others check
+// that nested calls complete, run inline and propagate exceptions, and
+// run an oversubscribed outer fan-out; the TSan CI job repeats them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 
 #include "common/thread_pool.hpp"
 
@@ -19,9 +18,9 @@ namespace sdc {
 namespace {
 
 TEST(ThreadPoolNested, InnerParallelForFromSingleWorkerCompletes) {
-  // Pre help-while-wait this deadlocked: the only worker parked in the
-  // inner wait while the inner shard task sat queued behind it.  (A
-  // regression hangs the test; ctest's timeout turns that into a fail.)
+  // A blocking inner wait deadlocks here: the only worker would park
+  // while the inner shard task sat queued behind it.  (A regression
+  // hangs the test; ctest's timeout turns that into a fail.)
   ThreadPool pool(1);
   std::atomic<int> sum{0};
   pool.submit([&] {
@@ -71,35 +70,42 @@ TEST(ThreadPoolNested, InnerExceptionPropagatesThroughNestedWaits) {
                std::runtime_error);
 }
 
-TEST(ThreadPoolNested, HelpWhileWaitFeedsMetricSinks) {
+TEST(ThreadPoolNested, NestedCallRunsInlineOnTheWorker) {
   std::atomic<std::uint64_t> tasks{0};
-  std::atomic<std::uint64_t> help{0};
   std::atomic<std::int64_t> depth{0};
   ThreadPoolMetricSinks sinks;
   sinks.tasks = &tasks;
-  sinks.help_while_wait = &help;
   sinks.queue_depth = &depth;
   set_thread_pool_metric_sinks(sinks);
+  std::thread::id outer;
+  std::atomic<int> inner_elsewhere{0};
+  std::atomic<int> inner_runs{0};
   {
-    ThreadPool pool(1);
-    pool.submit([&] { parallel_for(pool, 8, [](std::size_t) {}); });
+    ThreadPool pool(4);
+    pool.submit([&] {
+      outer = std::this_thread::get_id();
+      parallel_for(pool, 8, [&](std::size_t) {
+        inner_runs.fetch_add(1, std::memory_order_relaxed);
+        if (std::this_thread::get_id() != outer) {
+          inner_elsewhere.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    });
     pool.wait_idle();
   }
   // Detach before the local atomics go out of scope.
   set_thread_pool_metric_sinks(ThreadPoolMetricSinks{});
-  // The outer task plus at least one inner shard ran...
-  EXPECT_GE(tasks.load(), 2u);
-  // ...and with one worker occupied by the outer task, every inner
-  // shard can only have run on the help-while-wait path.
-  EXPECT_GE(help.load(), 1u);
-  // Every submit was balanced by a pop.
+  EXPECT_EQ(inner_runs.load(), 8);
+  EXPECT_EQ(inner_elsewhere.load(), 0);
+  // Only the outer task went through the queue...
+  EXPECT_EQ(tasks.load(), 1u);
+  // ...and every submit was balanced by a pop.
   EXPECT_EQ(depth.load(), 0);
 }
 
 TEST(ThreadPoolNested, CorpusShardStress) {
-  // The fleet shape, oversubscribed: more outer tasks than workers, two
-  // inner waves each (stitch + finalize), checked for lost or doubled
-  // work.  Run under TSan in CI.
+  // More outer tasks than workers, each issuing two inner calls on the
+  // same pool, checked for lost or doubled work.  Run under TSan in CI.
   ThreadPool pool(4);
   std::atomic<std::uint64_t> total{0};
   parallel_for(pool, 12, [&](std::size_t) {
