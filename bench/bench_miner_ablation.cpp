@@ -1,7 +1,8 @@
 // Ablation benches for the design decisions called out in DESIGN.md §5:
 //
-//   * parallel log mining — one shard per log file across a thread pool
-//     (SDchecker-side scalability as clusters/log volumes grow)
+//   * parallel log mining — `analyze` at 1–8 threads, each file split
+//     into byte-range chunks (runs of small files grouped) mined on one
+//     pool (SDchecker-side scalability as clusters/log volumes grow)
 //   * log4j line parsing throughput (hand-rolled vs the std::regex the
 //     paper's description implies — we keep the regex variant here as the
 //     baseline to justify the hand-rolled parser)

@@ -11,7 +11,8 @@
 #      inputs instead of the defaults, so every delay distribution
 #      moves),
 #   4. a malformed baseline is a hard error (exit 1), not a silent pass.
-# Usage: scripts/fleet_smoke.sh [BUILD_DIR]  (default: build)
+# Usage: scripts/fleet_smoke.sh [BUILD_DIR]  (default: build; ctest runs
+# it as `fleet_smoke` with the build tree's path)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -38,7 +39,7 @@ for i in 0 1 2 3; do
 done
 
 # One fleet pass: per-corpus documents plus the summary baseline.
-ok_or_diag "$SDCHECKER" fleet "$ROOT" --threads 4 --shards 3 \
+ok_or_diag "$SDCHECKER" fleet "$ROOT" --threads 4 \
   --out-dir "$WORK/out" --json "$WORK/fleet.json"
 
 # 1. Byte parity: fleet output == standalone analyze, per corpus.

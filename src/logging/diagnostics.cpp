@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace sdc::logging {
 
@@ -43,6 +44,12 @@ std::size_t diagnostic_severity(DiagnosticKind kind) {
       return 2;
   }
   return 3;
+}
+
+Diagnostic unreadable_file(std::string stream,
+                           const std::filesystem::path& path) {
+  return Diagnostic{DiagnosticKind::kUnreadableFile, std::move(stream), 0, 1,
+                    "LogView: cannot read " + path.string()};
 }
 
 DiagnosticCounts count_diagnostics(const std::vector<Diagnostic>& diagnostics) {

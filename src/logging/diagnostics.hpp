@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,12 @@ struct Diagnostic {
   std::size_t count = 1;
   std::string detail;
 };
+
+/// The kUnreadableFile record of the file at `path`, read as stream
+/// `stream`.  Batch mining and follow both report an unreadable file
+/// with this one record, so their outputs agree byte for byte.
+[[nodiscard]] Diagnostic unreadable_file(std::string stream,
+                                         const std::filesystem::path& path);
 
 /// Per-kind occurrence totals (summed `Diagnostic::count`).
 struct DiagnosticCounts {

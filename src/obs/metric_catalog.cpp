@@ -47,7 +47,6 @@ constexpr MetricSpec kCatalog[] = {
     kFleetRegressions,
     kAnalyzeApps,
     kAnalyzeAnomalies,
-    kAnalyzeShards,
     kSdcDelay,
 };
 

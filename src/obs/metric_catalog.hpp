@@ -202,10 +202,6 @@ inline constexpr MetricSpec kAnalyzeApps{
 inline constexpr MetricSpec kAnalyzeAnomalies{
     "analyze.anomalies", MetricKind::kCounter, "findings",
     "anomaly findings"};
-inline constexpr MetricSpec kAnalyzeShards{
-    "analyze.shards", MetricKind::kCounter, "shards",
-    "grouping shards of analyzed corpora (`--analyze-shards`; fleet "
-    "`--shards`)"};
 inline constexpr MetricSpec kSdcDelay{
     "sdc.delay.<component>", MetricKind::kHistogram, "ms",
     "per-component delay samples in ms, one per delay-component catalog "

@@ -59,16 +59,16 @@ void finish_corpus(CorpusState& state) {
     state.out.error = e.what();
     counters.failed.add(1);
   }
-  // Drop the grouping tables as soon as the corpus is rendered — with
+  // Drop the application table as soon as the corpus is rendered — with
   // many corpora in flight this bounds peak memory to the active set,
   // not the fleet.
   state.pipeline.reset();
 }
 
 void open_corpus(CorpusState& state, ThreadPool& pool,
-                 const MinerOptions& options, std::size_t shards) {
+                 const MinerOptions& options) {
   try {
-    state.pipeline.emplace(MinePlan(state.dir, options), shards);
+    state.pipeline.emplace(MinePlan(state.dir, options));
   } catch (const std::exception& e) {
     state.out.error = e.what();
     FleetCounters::get().failed.add(1);
@@ -127,8 +127,6 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
   }
-  std::size_t shard_count = options.shards_per_corpus;
-  if (shard_count == 0) shard_count = std::min<std::size_t>(threads, 8);
 
   const MinerOptions mine_options{.threads = threads};
   std::vector<std::unique_ptr<CorpusState>> states;
@@ -148,8 +146,8 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
     ThreadPool pool(threads);
     for (const std::unique_ptr<CorpusState>& state : states) {
       CorpusState* raw = state.get();
-      pool.submit([raw, &pool, &mine_options, shard_count] {
-        open_corpus(*raw, pool, mine_options, shard_count);
+      pool.submit([raw, &pool, &mine_options] {
+        open_corpus(*raw, pool, mine_options);
       });
     }
     pool.wait_idle();
@@ -157,7 +155,6 @@ FleetResult analyze_fleet(const std::vector<std::filesystem::path>& corpora,
 
   FleetResult result;
   result.threads = threads;
-  result.shards_per_corpus = shard_count;
   result.corpora.reserve(states.size());
   for (std::unique_ptr<CorpusState>& state : states) {
     result.corpora.push_back(std::move(state->out));
@@ -219,7 +216,6 @@ std::string FleetResult::summary_json() const {
   w.field("corpora", static_cast<std::int64_t>(corpora.size()));
   w.field("failed", static_cast<std::int64_t>(failed()));
   w.field("threads", static_cast<std::int64_t>(threads));
-  w.field("shards_per_corpus", static_cast<std::int64_t>(shards_per_corpus));
   w.field("apps", static_cast<std::int64_t>(apps));
   w.field("events", static_cast<std::int64_t>(events));
   w.field("lines", static_cast<std::int64_t>(lines));

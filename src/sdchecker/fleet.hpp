@@ -7,18 +7,17 @@
 // chunk before finalize starts (a barrier), and corpora run one after
 // another (no overlap).  Fleet mode instead runs *everything* on one
 // ThreadPool: each corpus is the `CorpusPipeline` (sdchecker.hpp) that a
-// standalone `analyze` runs, with two-level sharding (corpus × chunk for
-// mining, corpus × app-shard for grouping) and no per-corpus barriers:
-// the moment a stream's last chunk is mined, that stream is stitched and
-// its events are folded into the corpus's grouping tables while other
-// chunks — of this corpus and of others — are still mining.  The task
-// that completes a corpus's last stream finalizes it on its own worker,
-// while the other workers keep mining: no task ever waits on the pool
-// (see thread_pool.hpp).
+// standalone `analyze` runs, split into corpus × chunk tasks with no
+// per-corpus barriers: the moment a stream's last chunk is mined, that
+// stream is stitched and its events are applied to the corpus's
+// application table while other chunks — of this corpus and of others —
+// are still mining.  The task that completes a corpus's last stream
+// finalizes it on its own worker, while the other workers keep mining:
+// no task ever waits on the pool (see thread_pool.hpp).
 //
 // Determinism: each corpus's `analysis_json` is byte-identical to a
 // standalone `sdchecker analyze --json` of the same directory for any
-// thread and shard count (the fleet parity test pins this down; see
+// thread count (the fleet parity test pins this down; see
 // `CorpusPipeline` for why completion order does not matter).
 #pragma once
 
@@ -36,9 +35,6 @@ namespace sdc::checker {
 struct FleetOptions {
   /// Worker threads for the shared pool; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Grouping shards per corpus; 0 = derived from `threads` (capped at 8
-  /// — shards beyond the thread count only add table-merge work).
-  std::size_t shards_per_corpus = 0;
 };
 
 /// One corpus's outcome.  `error` is empty on success; on failure every
@@ -63,7 +59,6 @@ struct FleetResult {
   /// in name order).
   std::vector<CorpusResult> corpora;
   std::size_t threads = 0;
-  std::size_t shards_per_corpus = 0;
   /// Per-component histograms summed across every successful corpus —
   /// what the regression gate compares against a baseline.
   std::vector<ComponentHistogram> components;

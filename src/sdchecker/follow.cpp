@@ -21,9 +21,6 @@
 namespace sdc::checker {
 namespace {
 
-using logging::Diagnostic;
-using logging::DiagnosticKind;
-
 struct FollowCounters {
   obs::Counter& polls;
   obs::Counter& bytes;
@@ -189,14 +186,11 @@ void FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
         ++stats.renamed_mid_poll;
         return;
       }
-      // Genuinely unreadable.  One diagnostic per stream, worded exactly
-      // as the batch miner's record for a file it cannot read, never
-      // repeated.
-      const std::filesystem::path path = dir_ / tail.physical;
-      unreadable_.emplace(
-          tail.physical,
-          Diagnostic{DiagnosticKind::kUnreadableFile, tail.physical, 0, 1,
-                     "LogView: cannot read " + path.string()});
+      // Genuinely unreadable.  One diagnostic per stream, the batch
+      // miner's record for a file it cannot read, never repeated.
+      unreadable_.emplace(tail.physical,
+                          logging::unreadable_file(tail.physical,
+                                                   dir_ / tail.physical));
       return;
     }
     // The name may have been renamed and recreated since the check: read

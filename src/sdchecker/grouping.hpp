@@ -11,9 +11,8 @@
 // open-addressing hash map — the hot event-application work is bit tests
 // and contiguous probes, never tree walks.  Because `record` keeps the
 // minimum timestamp and increments a count, applying events is
-// *commutative*: any partition of the event stream that routes each
-// application's events to exactly one shard (`timeline_shard`), applied
-// in any order, reproduces the serial timelines bit for bit.
+// *commutative*: events applied in any order reproduce the serial
+// timelines bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -179,9 +178,8 @@ struct AppTimeline {
   [[nodiscard]] std::optional<std::int64_t> max_worker_ts(EventKind kind) const;
 };
 
-/// Application hash for shard routing and the flat grouping tables.
-/// Self-contained (not `std::hash`) so routing is identical across
-/// platforms and runs — shard equivalence tests pin it down.
+/// Application hash for the flat grouping tables.  Self-contained (not
+/// `std::hash`) so table layout is identical across platforms and runs.
 struct ApplicationIdHash {
   std::size_t operator()(const ApplicationId& app) const noexcept {
     return static_cast<std::size_t>(
@@ -191,30 +189,14 @@ struct ApplicationIdHash {
 };
 
 /// Unordered application table used while grouping; the finalize stage
-/// merges tables into the deterministic app-ID order.
+/// sorts it into the deterministic app-ID order.
 using AppTable = FlatHashMap<ApplicationId, AppTimeline, ApplicationIdHash>;
 
-/// Applies row `i` of `events` to the timelines (the incremental
-/// analyzer's per-event path).  Returns false when the row carries no
-/// application id and cannot be attributed.
+/// Applies row `i` of `events` to its application's timeline.  Returns
+/// false when the row carries no application id and cannot be
+/// attributed.  Rows apply in any order to the same timelines (see the
+/// file comment), so `CorpusPipeline` applies each stream's rows as the
+/// stream finishes stitching, with no corpus-wide merge first.
 bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i);
-
-/// Which grouping shard owns `app` when grouping into `shards` tables.
-/// Container events follow their owning application, so one shard sees
-/// every event of a given application.
-[[nodiscard]] std::size_t timeline_shard(const ApplicationId& app,
-                                         std::size_t shards);
-
-/// One shard's pass over one batch: applies every event whose
-/// application routes to `shard` (of `shard_count`) into `apps`.
-/// Returns how many events carried no application id — counted by shard
-/// 0 only, so summing the return values over all shards and batches
-/// counts each such event once.  `CorpusPipeline` feeds each stream's
-/// batch through this as the stream finishes stitching, instead of
-/// merging the corpus's events first: `KindFirstTs::record` keeps the
-/// minimum timestamp, so applying batches in any order yields the same
-/// timelines.
-std::size_t apply_batch_to_shard(const EventBatch& events, AppTable& apps,
-                                 std::size_t shard, std::size_t shard_count);
 
 }  // namespace sdc::checker

@@ -145,9 +145,7 @@ Delays IncrementalAnalyzer::delays_for(const ApplicationId& app) const {
 
 AnalysisResult IncrementalAnalyzer::snapshot(ThreadPool* pool) const {
   const auto span = obs::Tracer::global().span("incremental.snapshot");
-  std::vector<AppTable> tables(1, timelines_);
-  AnalysisResult result =
-      finalize_analysis(std::move(tables), pool, retired_);
+  AnalysisResult result = finalize_analysis(timelines_, pool, retired_);
   result.lines_total = lines_total_;
   result.lines_unparsed = lines_unparsed_;
   result.events_total = events_total_;

@@ -95,7 +95,6 @@ std::vector<RotationFamily> rotation_families(
 namespace {
 
 using logging::Diagnostic;
-using logging::DiagnosticKind;
 
 /// What one range of a stream learned on its own: its events, in line
 /// order, and the cursor over its lines, which the stitch pass joins in
@@ -430,9 +429,7 @@ std::optional<MinedStream> MinePlan::stitch(
       read.push_back(name);
       continue;
     }
-    unreadable.push_back(
-        Diagnostic{DiagnosticKind::kUnreadableFile, name, 0, 1,
-                   "LogView: cannot read " + (impl_->dir / name).string()});
+    unreadable.push_back(logging::unreadable_file(name, impl_->dir / name));
   }
   if (read.empty()) return std::nullopt;
   MinedStream out;

@@ -102,15 +102,15 @@ AnalysisResult SdChecker::analyze_directory(
 }
 
 AnalysisResult SdChecker::run(MinePlan plan) const {
-  const std::size_t shards = options_.effective_analyze_shards();
-  const std::size_t workers = std::max(options_.threads, shards);
+  const std::size_t workers =
+      std::max(options_.threads, options_.effective_analyze_shards());
   std::optional<ThreadPool> pool;
   std::optional<CorpusPipeline> pipeline;
   {
     // The caller waits for the pool only inside this span, so a trace
     // attributes none of the wait to the caller's own work.
     const auto span = obs::Tracer::global().span("mine.total");
-    pipeline.emplace(std::move(plan), shards);
+    pipeline.emplace(std::move(plan));
     const auto run_chunk = [&pipeline](std::size_t chunk) {
       pipeline->run_chunk(chunk);
     };
@@ -191,24 +191,19 @@ std::string AnalysisResult::render_diagnostics() const {
   return out;
 }
 
-AnalysisResult finalize_analysis(std::vector<AppTable> tables,
-                                 ThreadPool* pool,
+AnalysisResult finalize_analysis(AppTable apps, ThreadPool* pool,
                                  const RetiredTable& retired) {
   const auto span = obs::Tracer::global().span("analyze.finalize");
   AnalysisResult result;
   {
-    // Fold the unordered tables into the result's sorted map; apps are
-    // disjoint across tables, so this is pure re-ordering.
+    // Move the unordered table into the result's sorted map.
     const auto merge_span = obs::Tracer::global().span("analyze.merge");
-    std::vector<std::pair<ApplicationId, AppTimeline*>> apps;
-    for (AppTable& table : tables) {
-      for (auto& [app, timeline] : table) {
-        apps.emplace_back(app, &timeline);
-      }
-    }
-    std::sort(apps.begin(), apps.end(),
+    std::vector<std::pair<ApplicationId, AppTimeline*>> sorted;
+    sorted.reserve(apps.size());
+    for (auto& [app, timeline] : apps) sorted.emplace_back(app, &timeline);
+    std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [app, timeline] : apps) {
+    for (auto& [app, timeline] : sorted) {
       result.timelines.emplace_hint(result.timelines.end(), app,
                                     std::move(*timeline));
     }
@@ -242,19 +237,12 @@ AnalysisResult finalize_analysis(std::vector<AppTable> tables,
   return result;
 }
 
-CorpusPipeline::CorpusPipeline(MinePlan plan, std::size_t shards)
+CorpusPipeline::CorpusPipeline(MinePlan plan)
     : plan_(std::move(plan)),
       streams_(plan_.stream_count()),
       ranges_left_(
           std::make_unique<std::atomic<std::size_t>[]>(plan_.stream_count())),
       streams_left_(plan_.stream_count()) {
-  static obs::Counter& shards_counter =
-      obs::catalog_counter(obs::metric::kAnalyzeShards);
-  shards_counter.add(shards);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   for (std::size_t s = 0; s < plan_.stream_count(); ++s) {
     ranges_left_[s].store(plan_.ranges_of(s), std::memory_order_relaxed);
   }
@@ -303,12 +291,10 @@ void CorpusPipeline::stitch_and_group(std::size_t stream) {
   if (!stitched) return;
   {
     const auto span = obs::Tracer::global().span("analyze.group");
-    const std::size_t count = shards_.size();
-    for (std::size_t s = 0; s < count; ++s) {
-      MutexLock lock(shards_[s]->mu);
-      const std::size_t unattributed =
-          apply_batch_to_shard(stitched->events, shards_[s]->apps, s, count);
-      unattributed_.fetch_add(unattributed, std::memory_order_relaxed);
+    const EventBatch& events = stitched->events;
+    MutexLock lock(mu_);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (!apply_event(apps_, events, i)) ++unattributed_;
     }
   }
   meta.mined = true;
@@ -326,15 +312,16 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
   static obs::Counter& events_counter =
       obs::catalog_counter(obs::metric::kMineEvents);
 
-  std::vector<AppTable> tables;
-  tables.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mu);
-    tables.push_back(std::move(shard->apps));
+  AppTable apps;
+  std::size_t unattributed = 0;
+  {
+    MutexLock lock(mu_);
+    apps = std::move(apps_);
+    unattributed = unattributed_;
   }
-  AnalysisResult result = finalize_analysis(std::move(tables), pool);
+  AnalysisResult result = finalize_analysis(std::move(apps), pool);
   const auto span = obs::Tracer::global().span("analyze.assemble");
-  result.events_unattributed = unattributed_.load(std::memory_order_relaxed);
+  result.events_unattributed = unattributed;
 
   std::size_t streams_mined = 0;
   for (StreamMeta& meta : streams_) {

@@ -39,11 +39,11 @@ struct AnalyzeOptions {
   /// Minimum bytes per mining chunk (see MinerOptions); 0 disables
   /// splitting files and grouping them.
   std::size_t shard_grain = MinerOptions{}.shard_grain;
-  /// Grouping shards: the application tables stitched streams are folded
-  /// into (1 = one table; 0 = one per hardware thread).  The analysis
-  /// runs on one pool of `max(threads, effective_analyze_shards())`
-  /// workers, and on the calling thread alone when that is 1.  Output is
-  /// byte-identical either way — finalize restores the app-ID order.
+  /// Workers for the per-application analysis (0 = one per hardware
+  /// thread).  The analysis runs on one pool of
+  /// `max(threads, effective_analyze_shards())` workers, and on the
+  /// calling thread alone when that is 1.  Output is byte-identical
+  /// either way — finalize restores the app-ID order.
   std::size_t analyze_shards = 1;
 
   /// `analyze_shards` with 0 resolved to the hardware concurrency.
@@ -139,16 +139,15 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 
 /// Runs the decomposition + anomaly + aggregation stages over grouped
 /// timelines (shared by `CorpusPipeline` and the incremental analyzer).
-/// `tables` hold disjoint applications in any order; they are folded
-/// into app-ID order, each app is decomposed and anomaly-checked on
-/// `pool` (nullptr = the calling thread), and the ordered merge then
-/// fills aggregates/delays/anomalies — byte-identical for any table
-/// split and any pool.  `retired` rows (apps disjoint from the tables)
-/// are folded into the delays/aggregate/anomaly outputs at their app-ID
-/// position; only `AnalysisResult::timelines` (and the reports derived
-/// from it) is limited to the still-resident applications.
-[[nodiscard]] AnalysisResult finalize_analysis(std::vector<AppTable> tables,
-                                               ThreadPool* pool,
+/// `apps` is folded into app-ID order, each app is decomposed and
+/// anomaly-checked on `pool` (nullptr = the calling thread), and the
+/// ordered merge then fills aggregates/delays/anomalies — byte-identical
+/// for any table layout and any pool.  `retired` rows (apps disjoint
+/// from `apps`) are folded into the delays/aggregate/anomaly outputs at
+/// their app-ID position; only `AnalysisResult::timelines` (and the
+/// reports derived from it) is limited to the still-resident
+/// applications.
+[[nodiscard]] AnalysisResult finalize_analysis(AppTable apps, ThreadPool* pool,
                                                const RetiredTable& retired =
                                                    {});
 
@@ -156,11 +155,11 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 /// `SdChecker::analyze*` runs for one corpus and fleet mode (fleet.hpp)
 /// runs for many on one shared pool.  Mining is a `MinePlan`; the call
 /// that completes a stream's last range also stitches the stream and
-/// folds its events into `shards` app-partitioned grouping tables
-/// (`apply_batch_to_shard`), so events are neither sorted nor merged
-/// into a corpus-wide list — `KindFirstTs::record` keeps the minimum
-/// and counts add, so batches apply in any order.  `finish` then
-/// finalizes once.
+/// applies each of its rows once to the corpus's one application table
+/// (`apply_event`), so events are neither sorted nor merged into a
+/// corpus-wide list — `KindFirstTs::record` keeps the minimum and
+/// counts add, so streams apply in any order.  `finish` then finalizes
+/// once.
 ///
 /// Protocol: call `run_chunk` once per chunk (thread-safe across
 /// chunks), then `finish` once: after every call returned, or right
@@ -168,7 +167,7 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 /// its work by then.
 class CorpusPipeline {
  public:
-  CorpusPipeline(MinePlan plan, std::size_t shards);
+  explicit CorpusPipeline(MinePlan plan);
 
   CorpusPipeline(const CorpusPipeline&) = delete;
   CorpusPipeline& operator=(const CorpusPipeline&) = delete;
@@ -181,7 +180,7 @@ class CorpusPipeline {
   /// `finish` to rethrow, and later calls skip their work.
   bool run_chunk(std::size_t chunk);
 
-  /// Finalizes the grouping tables on `pool` (nullptr = the calling
+  /// Finalizes the application table on `pool` (nullptr = the calling
   /// thread) and assembles the diagnostics: unreadable files and every
   /// stream's findings, in the severity sort.  Rethrows the first
   /// failure of a `run_chunk` call.
@@ -199,25 +198,21 @@ class CorpusPipeline {
     std::vector<logging::Diagnostic> diagnostics;
     logging::DiagnosticCounts diag_counts;
   };
-  /// A shard's lock is held for one batch application at a time, so two
-  /// streams finishing together contend per shard, not per corpus.
-  struct Shard {
-    Mutex mu;
-    AppTable apps SDC_GUARDED_BY(mu);
-  };
-
   void stitch_and_group(std::size_t stream);
 
   MinePlan plan_;
   /// Slot s is written only by the call that stitched stream s.
   std::vector<StreamMeta> streams_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Held while one stitched stream's rows are applied.
+  Mutex mu_;
+  AppTable apps_ SDC_GUARDED_BY(mu_);
+  /// Rows that carried no application id.
+  std::size_t unattributed_ SDC_GUARDED_BY(mu_) = 0;
   /// Countdowns of ranges to "stream fully mined" and of streams to
   /// "corpus fully stitched".  The acq_rel fetch_sub chains publish every
   /// range's output to whichever call observes the last decrement.
   std::unique_ptr<std::atomic<std::size_t>[]> ranges_left_;
   std::atomic<std::size_t> streams_left_;
-  std::atomic<std::size_t> unattributed_{0};
   /// Set by the first failing call, which alone writes `error_`.
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;

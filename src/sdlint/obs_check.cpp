@@ -90,10 +90,10 @@ std::vector<Finding> check_obs_vocabulary(
   std::vector<Finding> findings;
 
   const AppTimeline timeline = full_timeline();
-  std::vector<checker::AppTable> tables(1);
-  tables[0][timeline.app] = timeline;
+  checker::AppTable apps;
+  apps[timeline.app] = timeline;
   const checker::AnalysisResult result =
-      checker::finalize_analysis(std::move(tables), nullptr);
+      checker::finalize_analysis(std::move(apps), nullptr);
 
   // (a) Both directions between AggregateReport::metrics() and the
   // catalog.  A metric without a spec has no histogram name and no trace

@@ -1,14 +1,14 @@
-// Sharded-vs-serial equivalence for the analysis stage.
+// Parallel-vs-serial equivalence for the analysis stage.
 //
-// The whole point of the app-partitioned pipeline is that it is an
-// *invisible* optimization: every export byte, every diagnostic, every
-// aggregate percentile must match the serial stage exactly.  These tests
-// pin that down for several shard counts (including more shards than
-// apps), for repeated runs, and for the incremental analyzer's snapshot
-// fold.
+// The whole point of the parallel pipeline is that it is an *invisible*
+// optimization: every export byte, every diagnostic, every aggregate
+// percentile must match the serial stage exactly.  These tests pin that
+// down for several worker counts (including more workers than apps),
+// each racing stream completions from 64-byte chunks into the corpus's
+// one application table, for repeated runs, and for the incremental
+// analyzer's snapshot fold.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,11 +42,14 @@ logging::LogBundle make_corpus(int jobs) {
   return logs;
 }
 
+/// `workers` mining threads and analysis workers; above 1, the corpus
+/// splits into many chunks, so streams complete concurrently.
 AnalysisResult analyze_with_shards(const logging::LogBundle& logs,
-                                   std::size_t shards) {
-  AnalyzeOptions options;
-  options.analyze_shards = shards;
-  return SdChecker(options).analyze(logs);
+                                   std::size_t workers) {
+  return SdChecker({.threads = workers,
+                    .shard_grain = 64,
+                    .analyze_shards = workers})
+      .analyze(logs);
 }
 
 std::string diagnostics_fingerprint(const AnalysisResult& analysis) {
@@ -66,21 +69,21 @@ TEST(AnalyzeSharded, ShardCountsProduceByteIdenticalOutput) {
   const std::string serial_trace = scheduling_trace_json(serial);
   const std::string serial_diag = diagnostics_fingerprint(serial);
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{7}, std::size_t{16}}) {
-    const AnalysisResult sharded = analyze_with_shards(logs, shards);
-    EXPECT_EQ(analysis_json(sharded), serial_json) << "shards=" << shards;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}, std::size_t{16}}) {
+    const AnalysisResult sharded = analyze_with_shards(logs, workers);
+    EXPECT_EQ(analysis_json(sharded), serial_json) << "workers=" << workers;
     EXPECT_EQ(scheduling_trace_json(sharded), serial_trace)
-        << "shards=" << shards;
+        << "workers=" << workers;
     EXPECT_EQ(diagnostics_fingerprint(sharded), serial_diag)
-        << "shards=" << shards;
+        << "workers=" << workers;
     EXPECT_EQ(sharded.events_total, serial.events_total);
     EXPECT_EQ(sharded.events_unattributed, serial.events_unattributed);
     EXPECT_EQ(sharded.anomalies.size(), serial.anomalies.size());
     EXPECT_EQ(sharded.render_completeness(), serial.render_completeness());
     // The aggregate comparison must read as an exact identity.
     const ComparisonResult delta = compare(serial, sharded);
-    EXPECT_TRUE(delta.significant(1e-9).empty()) << "shards=" << shards;
+    EXPECT_TRUE(delta.significant(1e-9).empty()) << "workers=" << workers;
   }
 }
 
@@ -100,63 +103,54 @@ TEST(AnalyzeSharded, AutoShardCountResolvesToHardware) {
   EXPECT_EQ(options.effective_analyze_shards(), 5u);
 }
 
-TEST(AnalyzeSharded, ShardRoutingIsTotalAndStable) {
-  for (std::int32_t id = 1; id <= 200; ++id) {
-    const ApplicationId app{1499100000000 + id % 3, id};
-    for (const std::size_t shards : {1u, 2u, 7u, 16u}) {
-      const std::size_t shard = timeline_shard(app, shards);
-      EXPECT_LT(shard, shards);
-      EXPECT_EQ(shard, timeline_shard(app, shards));  // stable
-    }
-  }
-}
-
 TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
-  // What `CorpusPipeline` relies on: stitched streams applied to
-  // app-partitioned tables in any completion order (here: reverse name
-  // order) group exactly like every stream applied to one table in name
+  // What `CorpusPipeline` relies on: stitched streams applied to one
+  // table in any completion order (here: reverse name order, mined in
+  // 64-byte chunks) group exactly like every stream applied in name
   // order.
+  const auto group = [](const EventBatch& events, AppTable& apps) {
+    std::size_t unattributed = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (!apply_event(apps, events, i)) ++unattributed;
+    }
+    return unattributed;
+  };
+  const auto container_ids = [](const AppTimeline& timeline) {
+    std::vector<ContainerId> ids;
+    for (const auto& [id, container] : timeline.containers) ids.push_back(id);
+    return ids;
+  };
   const logging::LogBundle logs = make_corpus(5);
   AppTable serial;
   std::size_t serial_unattributed = 0;
   for (const MinedStream& stream : mine(logs).streams) {
-    serial_unattributed += apply_batch_to_shard(stream.events, serial, 0, 1);
+    serial_unattributed += group(stream.events, serial);
   }
 
   MinePlan plan(logs, MinerOptions{.threads = 4, .shard_grain = 64});
   for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
-  std::vector<AppTable> sharded(4);
+  AppTable reversed;
   std::size_t unattributed = 0;
   std::vector<logging::Diagnostic> unreadable;
   for (std::size_t stream = plan.stream_count(); stream-- > 0;) {
     const MinedStream stitched = *plan.stitch(stream, unreadable);
-    for (std::size_t s = 0; s < sharded.size(); ++s) {
-      unattributed +=
-          apply_batch_to_shard(stitched.events, sharded[s], s, sharded.size());
-    }
+    unattributed += group(stitched.events, reversed);
   }
   EXPECT_EQ(unattributed, serial_unattributed);
 
-  std::size_t total_apps = 0;
-  std::set<ApplicationId> seen;
-  for (std::size_t s = 0; s < sharded.size(); ++s) {
-    for (const auto& [app, timeline] : sharded[s]) {
-      ++total_apps;
-      EXPECT_TRUE(seen.insert(app).second) << "app in two shards";
-      EXPECT_EQ(timeline_shard(app, sharded.size()), s);
-      const auto it = serial.find(app);
-      ASSERT_NE(it, serial.end());
-      // Identical per-kind state: presence bits, first timestamps, and
-      // the container set.
-      EXPECT_EQ(timeline.first_ts.present_mask(),
-                it->second.first_ts.present_mask());
-      for (const auto& [kind, ts] : timeline.first_ts) {
-        EXPECT_EQ(ts, *it->second.ts(kind));
-      }
-      EXPECT_EQ(timeline.containers.size(), it->second.containers.size());
+  ASSERT_EQ(reversed.size(), serial.size());
+  for (const auto& [app, timeline] : reversed) {
+    const auto it = serial.find(app);
+    ASSERT_NE(it, serial.end());
+    // Identical per-kind state: presence bits, first timestamps, and
+    // the container set.
+    EXPECT_EQ(timeline.first_ts.present_mask(),
+              it->second.first_ts.present_mask());
+    for (const auto& [kind, ts] : timeline.first_ts) {
+      EXPECT_EQ(ts, *it->second.ts(kind));
     }
+    EXPECT_EQ(container_ids(timeline), container_ids(it->second));
   }
-  EXPECT_EQ(total_apps, serial.size());
 }
 
 TEST(AnalyzeSharded, IncrementalSnapshotShardedMatchesSerial) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 
+#include "golden_dir.hpp"
 #include "logging/log_bundle.hpp"
 #include "sdchecker/corpus_mutator.hpp"
 #include "sdchecker/export.hpp"
@@ -16,18 +17,9 @@
 namespace sdc::checker {
 namespace {
 
-std::filesystem::path corpus_dir() {
-  for (std::filesystem::path dir = std::filesystem::current_path();
-       !dir.empty() && dir != dir.root_path(); dir = dir.parent_path()) {
-    const auto candidate = dir / "testdata" / "golden_small";
-    if (std::filesystem::is_directory(candidate)) return candidate;
-  }
-  return std::filesystem::path("testdata") / "golden_small";
-}
-
 const logging::LogBundle& golden() {
   static const logging::LogBundle bundle =
-      logging::LogBundle::read_from_directory(corpus_dir());
+      logging::LogBundle::read_from_directory(golden_small_dir());
   return bundle;
 }
 

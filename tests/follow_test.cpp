@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "golden_dir.hpp"
 #include "harness/scenario.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
@@ -445,16 +446,6 @@ TEST(Follow, TruncationRestartsSegmentWithoutUnreadableSpam) {
   EXPECT_EQ(live.diag_counts.of(logging::DiagnosticKind::kUnreadableFile), 0u);
 }
 
-fs::path golden_small_dir() {
-  // Tests run from the build tree; the corpus lives in the source tree.
-  for (fs::path dir = fs::current_path();
-       !dir.empty() && dir != dir.root_path(); dir = dir.parent_path()) {
-    const auto candidate = dir / "testdata" / "golden_small";
-    if (fs::is_directory(candidate)) return candidate;
-  }
-  return fs::path("testdata") / "golden_small";
-}
-
 TEST(Follow, RenameAndRecreateBetweenScanAndReadMatchesBatch) {
   std::ifstream in(golden_small_dir() / "rm.log", std::ios::binary);
   const std::string text((std::istreambuf_iterator<char>(in)),
@@ -532,10 +523,7 @@ TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
   // batch over the directory without it, plus that record.
   fs::remove(secret);
   AnalysisResult batch = batch_analyze(dir);
-  batch.diagnostics.push_back(
-      logging::Diagnostic{logging::DiagnosticKind::kUnreadableFile,
-                          "secret.log", 0, 1,
-                          "LogView: cannot read " + secret.string()});
+  batch.diagnostics.push_back(logging::unreadable_file("secret.log", secret));
   batch.diag_counts = logging::count_diagnostics(batch.diagnostics);
   logging::sort_diagnostics(batch.diagnostics);
   EXPECT_EQ(analysis_json(live), analysis_json(batch));

@@ -9,26 +9,23 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "golden_dir.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdchecker/timeline.hpp"
 
 namespace sdc::checker {
 namespace {
 
-std::filesystem::path corpus_dir() {
-  // Tests run from the build tree; the corpus lives in the source tree.
-  for (std::filesystem::path dir = std::filesystem::current_path();
-       !dir.empty() && dir != dir.root_path(); dir = dir.parent_path()) {
-    const auto candidate = dir / "testdata" / "golden_small";
-    if (std::filesystem::is_directory(candidate)) return candidate;
-  }
-  return std::filesystem::path("testdata") / "golden_small";
-}
-
 class GoldenCorpus : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    result_ = new AnalysisResult(SdChecker().analyze_directory(corpus_dir()));
+    result_ =
+        new AnalysisResult(SdChecker().analyze_directory(golden_small_dir()));
+  }
+  // A set-up that threw left no result: fail each test instead of
+  // dereferencing null.
+  void SetUp() override {
+    ASSERT_NE(result_, nullptr) << "cannot analyze " << golden_small_dir();
   }
   static void TearDownTestSuite() {
     delete result_;

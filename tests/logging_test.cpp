@@ -1,5 +1,5 @@
 // Unit tests for src/logging: timestamp codec, record rendering, bundle
-// round-trips, logger clock/skew behaviour.
+// round-trips, the unreadable-file record, logger clock/skew behaviour.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,6 +7,7 @@
 #include <random>
 #include <string>
 
+#include "logging/diagnostics.hpp"
 #include "logging/log_bundle.hpp"
 #include "logging/logger.hpp"
 #include "logging/record.hpp"
@@ -195,6 +196,19 @@ TEST(LogBundle, MergeAppendsOnCollision) {
   ASSERT_EQ(a.lines("x.log").size(), 2u);
   EXPECT_EQ(a.lines("x.log")[1], "2");
   EXPECT_EQ(a.lines("y.log").size(), 1u);
+}
+
+// --- diagnostics -------------------------------------------------------------
+
+TEST(Diagnostic, UnreadableFileRecord) {
+  // Batch mining and follow both report a lost file with this record,
+  // and exports print its detail as is.
+  const Diagnostic record = unreadable_file("rm.log", "/logs/rm.log");
+  EXPECT_EQ(record.kind, DiagnosticKind::kUnreadableFile);
+  EXPECT_EQ(record.stream, "rm.log");
+  EXPECT_EQ(record.line_no, 0u);
+  EXPECT_EQ(record.count, 1u);
+  EXPECT_EQ(record.detail, "LogView: cannot read /logs/rm.log");
 }
 
 // --- logger -------------------------------------------------------------------

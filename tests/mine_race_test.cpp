@@ -83,7 +83,7 @@ fs::path write_corpus(const std::string& name) {
 AnalysisResult analyze_after(const fs::path& dir,
                              const std::function<void()>& change) {
   CorpusPipeline pipeline(
-      MinePlan(dir, MinerOptions{.threads = 4, .shard_grain = 512}), 2);
+      MinePlan(dir, MinerOptions{.threads = 4, .shard_grain = 512}));
   change();
   ThreadPool pool(4);
   parallel_for(pool, pipeline.chunk_count(),
@@ -97,9 +97,7 @@ std::string analyze_with_lost(const fs::path& dir,
                               const std::vector<std::string>& lost) {
   AnalysisResult result = SdChecker().analyze_directory(dir);
   for (const std::string& name : lost) {
-    result.diagnostics.push_back(
-        logging::Diagnostic{logging::DiagnosticKind::kUnreadableFile, name, 0,
-                            1, "LogView: cannot read " + (dir / name).string()});
+    result.diagnostics.push_back(logging::unreadable_file(name, dir / name));
   }
   result.diag_counts = logging::count_diagnostics(result.diagnostics);
   logging::sort_diagnostics(result.diagnostics);

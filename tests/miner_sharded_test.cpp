@@ -23,6 +23,7 @@
 #include <fstream>
 
 #include "common/thread_pool.hpp"
+#include "golden_dir.hpp"
 #include "logging/line_reader.hpp"
 #include "logging/timestamp.hpp"
 #include "mine_helpers.hpp"
@@ -40,15 +41,6 @@ std::string line(std::int64_t offset_ms, const std::string& cls,
                  const std::string& message) {
   return logging::format_epoch_ms(kEpoch + offset_ms) + " INFO  " + cls + ": " +
          message;
-}
-
-std::filesystem::path corpus_dir() {
-  for (std::filesystem::path dir = std::filesystem::current_path();
-       !dir.empty() && dir != dir.root_path(); dir = dir.parent_path()) {
-    const auto candidate = dir / "testdata" / "golden_small";
-    if (std::filesystem::is_directory(candidate)) return candidate;
-  }
-  return std::filesystem::path("testdata") / "golden_small";
 }
 
 TEST(ShardedMiner, DamagedCorpusDiagnosticsIdenticalToSerial) {
@@ -162,7 +154,7 @@ TEST(ShardedMiner, CursorJoinedAtAnySeamsEqualsOneCursor) {
 }
 
 TEST(ShardedMiner, GoldenCorpusIdenticalToSerial) {
-  const auto dir = corpus_dir();
+  const auto dir = golden_small_dir();
   const MinedCorpus serial = mine_directory(dir, MinerOptions{1});
   // grain=2 forces dozens of chunks per stream.
   const MinedCorpus sharded = mine_directory(dir, MinerOptions{4, 2});
@@ -235,7 +227,7 @@ TEST(ShardedMiner, OutOfOrderTimestampsMergeIdentically) {
 }
 
 TEST(ShardedMiner, AnalysisIdenticalThroughSdChecker) {
-  const auto dir = corpus_dir();
+  const auto dir = golden_small_dir();
   const AnalysisResult serial = SdChecker({.threads = 1}).analyze_directory(dir);
   const AnalysisResult sharded =
       SdChecker({.threads = 4, .shard_grain = 2}).analyze_directory(dir);
@@ -415,7 +407,7 @@ TEST(RangeReader, EveryDamageClassMinesLikeBundle) {
   // disk — in one range per file and in ranges of a few bytes — mines
   // exactly as the in-memory bundle does.
   const logging::LogBundle golden =
-      logging::LogBundle::read_from_directory(corpus_dir());
+      logging::LogBundle::read_from_directory(golden_small_dir());
   const fs::path dir = scratch_dir("sdc_range_damage");
   for (const std::uint64_t seed : {42ull, 20170703ull}) {
     for (const MutationClass cls : all_mutation_classes()) {
@@ -494,7 +486,7 @@ TEST(BundleView, FromBundleIsZeroCopy) {
 }
 
 TEST(BundleView, MmapDirectoryMinesIdenticallyToBundle) {
-  const auto dir = corpus_dir();
+  const auto dir = golden_small_dir();
   const MinedCorpus via_bundle =
       mine(logging::LogBundle::read_from_directory(dir), MinerOptions{1});
   const MinedCorpus via_view = mine_directory(dir, MinerOptions{1});

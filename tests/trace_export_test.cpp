@@ -64,12 +64,12 @@ AppTimeline full_timeline(std::int32_t app_seq) {
 }
 
 AnalysisResult analyze_timelines(std::vector<AppTimeline> timelines) {
-  std::vector<AppTable> tables(1);
+  AppTable apps;
   for (AppTimeline& t : timelines) {
     const ApplicationId app = t.app;
-    tables[0][app] = std::move(t);
+    apps[app] = std::move(t);
   }
-  return finalize_analysis(std::move(tables), nullptr);
+  return finalize_analysis(std::move(apps), nullptr);
 }
 
 std::size_t count_occurrences(const std::string& text,

@@ -87,9 +87,9 @@ int usage() {
                "[--threads N] [--analyze-shards N]\n"
                "  sdchecker timeline <log_dir> <application_id>\n"
                "  sdchecker diff <log_dir_a> <log_dir_b> [--threshold PCT]\n"
-               "  sdchecker fleet <root_dir> [--threads N] [--shards N] "
-               "[--json FILE]\n"
-               "            [--out-dir DIR] [--baseline FILE]\n"
+               "  sdchecker fleet <root_dir> [--threads N] [--json FILE] "
+               "[--out-dir DIR]\n"
+               "            [--baseline FILE]\n"
                "  sdchecker graph <log_dir> <application_id> [--out FILE]\n"
                "  sdchecker simulate <out_dir> [--jobs N] [--seed S] "
                "[--executors E]\n"
@@ -100,14 +100,14 @@ int usage() {
                "\n"
                "analysis flags:\n"
                "  --threads N         split mining into chunks for N workers\n"
-               "  --analyze-shards N  grouping shards (0 = one per hardware\n"
+               "  --analyze-shards N  workers for the per-application\n"
+               "                      analysis (0 = one per hardware\n"
                "                      thread); analysis runs on one pool of\n"
                "                      max(--threads, N) workers, and output\n"
                "                      is identical for any N (follow: the\n"
                "                      workers that finalize snapshots)\n"
                "\n"
                "fleet flags:\n"
-               "  --shards N          grouping shards per corpus (0 = auto)\n"
                "  --out-dir DIR       write each corpus's analysis JSON to\n"
                "                      DIR/<name>.json (byte-identical to\n"
                "                      'analyze --json' of that corpus)\n"
@@ -817,16 +817,13 @@ int cmd_diff(std::vector<std::string> args) {
 
 int cmd_fleet(std::vector<std::string> args) {
   checker::FleetOptions options;
-  if (!take_count(args, "--threads", options.threads) ||
-      !take_count(args, "--shards", options.shards_per_corpus)) {
-    return usage();
-  }
+  if (!take_count(args, "--threads", options.threads)) return usage();
   const auto json_path = flag_value(args, "--json");
   const auto out_dir = flag_value(args, "--out-dir");
   const auto baseline_path = flag_value(args, "--baseline");
   const auto positionals = finish_args(
       std::move(args), {"root_dir"},
-      {"--threads", "--shards", "--json", "--out-dir", "--baseline"});
+      {"--threads", "--json", "--out-dir", "--baseline"});
   if (!positionals) return usage();
 
   checker::FleetResult fleet;
@@ -838,8 +835,8 @@ int cmd_fleet(std::vector<std::string> args) {
     return 1;
   }
 
-  std::printf("fleet: %zu corpora on %zu threads, %zu shards/corpus\n\n",
-              fleet.corpora.size(), fleet.threads, fleet.shards_per_corpus);
+  std::printf("fleet: %zu corpora on %zu threads\n\n", fleet.corpora.size(),
+              fleet.threads);
   std::size_t diagnostics_total = 0;
   for (const checker::CorpusResult& corpus : fleet.corpora) {
     if (!corpus.error.empty()) {
