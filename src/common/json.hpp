@@ -3,6 +3,7 @@
 // the tool consumes logs, not JSON.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -43,6 +44,10 @@ class Writer {
     key(name);
     return value(v);
   }
+
+  /// Reserves room for a document of about `bytes`, so a caller that
+  /// can estimate its size writes it without regrowing.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   [[nodiscard]] const std::string& str() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }

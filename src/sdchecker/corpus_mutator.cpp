@@ -382,7 +382,7 @@ bool follow_matches_batch(const LogBundle& mutant,
   std::size_t rounds = 0;
   for (const RotationFamily& rotation : rotation_families(name_views)) {
     Family family;
-    family.base = rotation.base;
+    family.base = std::string(rotation.base);
     const std::size_t n = rotation.members.size();
     for (std::size_t i = 0; i < n; ++i) {
       const std::string& name = names[rotation.members[i]];

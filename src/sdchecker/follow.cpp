@@ -345,8 +345,10 @@ AnalysisResult FollowService::snapshot() const {
         names.push_back(tail.physical);
       }
     }
-    for (RotationFamily& family : rotation_families(names)) {
-      if (family.gap) result.diagnostics.push_back(std::move(*family.gap));
+    for (const RotationFamily& family : rotation_families(names)) {
+      if (auto gap = family.gap(names)) {
+        result.diagnostics.push_back(std::move(*gap));
+      }
     }
   }
   for (const auto& [name, diagnostic] : unreadable_) {

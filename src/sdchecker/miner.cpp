@@ -10,6 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "logging/line_reader.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
@@ -34,25 +35,34 @@ std::optional<RotationSuffix> split_rotation_suffix(std::string_view name) {
 
 namespace {
 
-/// The kRotationGap record of a family reassembled from `segments`, in
-/// logrotate order.
-logging::Diagnostic rotation_gap(const std::string& base,
-                                 std::span<const std::string_view> segments) {
+/// The kRotationGap record of a stream reassembled from `segments`, in
+/// logrotate order, or nullopt when it is one base file named `base`.
+std::optional<logging::Diagnostic> rotation_gap(
+    std::string_view base, std::span<const std::string_view> segments) {
+  if (segments.size() == 1 && segments.front() == base) return std::nullopt;
   std::string segment_list;
   for (const std::string_view segment : segments) {
     if (!segment_list.empty()) segment_list += ", ";
     segment_list += segment;
   }
   return logging::Diagnostic{
-      logging::DiagnosticKind::kRotationGap, base, 0, segments.size(),
+      logging::DiagnosticKind::kRotationGap, std::string(base), 0,
+      segments.size(),
       "reassembled " + std::to_string(segments.size()) +
           " rotated segments: " + segment_list};
 }
 
 }  // namespace
 
-std::vector<RotationFamily> rotation_families(
-    std::span<const std::string_view> names) {
+std::optional<logging::Diagnostic> RotationFamily::gap(
+    std::span<const std::string_view> names) const {
+  std::vector<std::string_view> segments;
+  segments.reserve(members.size());
+  for (const std::size_t member : members) segments.push_back(names[member]);
+  return rotation_gap(base, segments);
+}
+
+RotationFamilies rotation_families(std::span<const std::string_view> names) {
   struct Key {
     std::string_view base;
     bool live;
@@ -67,27 +77,20 @@ std::vector<RotationFamily> rotation_families(
                             : Key{names[i], true, 0, i});
   }
   std::sort(keys.begin(), keys.end(), [names](const Key& a, const Key& b) {
-    if (a.base != b.base) return a.base < b.base;
+    if (const int order = a.base.compare(b.base); order != 0) return order < 0;
     if (a.live != b.live) return b.live;
     if (a.index != b.index) return a.index > b.index;
     return names[a.member] < names[b.member];
   });
-  std::vector<RotationFamily> out;
+  RotationFamilies out;
+  out.order_.reserve(keys.size());
+  for (const Key& key : keys) out.order_.push_back(key.member);
+  const std::span<const std::size_t> order(out.order_);
   for (std::size_t k = 0; k < keys.size();) {
-    RotationFamily family;
-    family.base = std::string(keys[k].base);
     const std::size_t first = k;
-    for (; k < keys.size() && keys[k].base == keys[first].base; ++k) {
-      family.members.push_back(keys[k].member);
-    }
-    if (family.members.size() > 1 || !keys[first].live) {
-      std::vector<std::string_view> segments;
-      for (const std::size_t member : family.members) {
-        segments.push_back(names[member]);
-      }
-      family.gap = rotation_gap(family.base, segments);
-    }
-    out.push_back(std::move(family));
+    while (k < keys.size() && keys[k].base == keys[first].base) ++k;
+    out.families_.push_back(
+        RotationFamily{keys[first].base, order.subspan(first, k - first)});
   }
   return out;
 }
@@ -115,7 +118,8 @@ struct ChunkOut {
 
 /// One file of a stream: a listed file, or one in-memory stream.
 struct Member {
-  std::string name;
+  /// In the plan's name buffer (a C string, for `openat`).
+  const char* name = nullptr;
   /// Planned bytes: the listed size, or the in-memory lines with one
   /// newline each.
   std::uint64_t size = 0;
@@ -126,14 +130,16 @@ struct Member {
 };
 
 struct Stream {
-  std::string name;
-  /// In logrotate order.
-  std::vector<Member> members;
+  /// The base name its members share (a prefix of each one's name).
+  std::string_view name;
+  /// In logrotate order: a run of the plan's member vector.
+  std::span<const Member> members;
 };
 
 /// Bytes [begin, end) of a file, or lines [begin, end) of an in-memory
 /// stream.
 struct Range {
+  /// Index into the stream's members.
   std::size_t member = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -143,32 +149,9 @@ struct CloseDir {
   void operator()(DIR* dir) const { ::closedir(dir); }
 };
 
-/// One `readdir` walk with one `fstatat` per candidate entry: every
-/// regular file, symlinks followed, dotfiles included.
-std::vector<Member> list_directory(const std::filesystem::path& dir) {
-  const std::unique_ptr<DIR, CloseDir> handle(::opendir(dir.c_str()));
-  if (!handle) {
-    throw std::runtime_error("MinePlan: cannot list " + dir.string() + ": " +
-                             std::strerror(errno));
-  }
-  const int dir_fd = ::dirfd(handle.get());
-  std::vector<Member> out;
-  while (const struct ::dirent* entry = ::readdir(handle.get())) {
-    if (entry->d_type != DT_REG && entry->d_type != DT_LNK &&
-        entry->d_type != DT_UNKNOWN) {
-      continue;  // directories, fifos, sockets, devices
-    }
-    struct ::stat st{};
-    if (::fstatat(dir_fd, entry->d_name, &st, 0) != 0 ||
-        !S_ISREG(st.st_mode)) {
-      continue;  // vanished, dangling or not a regular file
-    }
-    out.push_back(Member{entry->d_name, static_cast<std::uint64_t>(st.st_size),
-                         static_cast<std::uint64_t>(st.st_dev),
-                         static_cast<std::uint64_t>(st.st_ino)});
-  }
-  return out;
-}
+/// Names a `fstatat` slice of the listing covers: enough that a slice
+/// outweighs its task, few enough that 4 workers share a 10k listing.
+constexpr std::size_t kStatSlice = 64;
 
 /// Closes its descriptor (if open) on scope exit.
 struct FileDescriptor {
@@ -188,25 +171,25 @@ std::span<char> read_block() {
   return {block.get(), logging::kReadBlock};
 }
 
-/// Reads the lines of bytes [begin, end) of the file listed at `path`
-/// as inode (dev, ino) of `size` bytes.  Returns the bytes consumed, or
-/// nullopt when it cannot be opened, a read fails, or the name no longer
-/// holds the listed inode — one renamed away and recreated since the
-/// listing is another file.
+/// Reads the lines of bytes [begin, end) of `file`, opened by name in
+/// the directory open as `dir_fd`, up to its listed size.  Returns the
+/// bytes consumed, or nullopt when it cannot be opened, a read fails, or
+/// the name no longer holds the listed (dev, inode) — one renamed away
+/// and recreated since the listing, or found in a directory that
+/// replaced the listed one, is another file.
 template <typename OnLine>
 std::optional<std::uint64_t> read_listed_range(
-    const std::filesystem::path& path, std::uint64_t dev, std::uint64_t ino,
-    std::uint64_t size, std::uint64_t begin, std::uint64_t end,
+    int dir_fd, const Member& file, std::uint64_t begin, std::uint64_t end,
     OnLine&& on_line) {
-  const FileDescriptor file(
-      ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  const FileDescriptor fd(
+      ::openat(dir_fd, file.name, O_RDONLY | O_CLOEXEC | O_NONBLOCK));
   struct ::stat st{};
-  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 ||
-      static_cast<std::uint64_t>(st.st_dev) != dev ||
-      static_cast<std::uint64_t>(st.st_ino) != ino) {
+  if (fd.fd < 0 || ::fstat(fd.fd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_dev) != file.dev ||
+      static_cast<std::uint64_t>(st.st_ino) != file.ino) {
     return std::nullopt;
   }
-  return logging::read_line_range(file.fd, begin, end, size, read_block(),
+  return logging::read_line_range(fd.fd, begin, end, file.size, read_block(),
                                   std::forward<OnLine>(on_line));
 }
 
@@ -215,10 +198,16 @@ std::optional<std::uint64_t> read_listed_range(
 /// The plan: logical streams (rotations reassembled) of listed files or
 /// in-memory streams, the ranges grouped into chunks, and one output slot
 /// per range.  The types live in this file's anonymous namespace; Impl is
-/// defined and used only here.
+/// defined and used only here, and never moves (`MinePlan` holds it by
+/// pointer), so views into its buffers stay valid.
 struct MinePlan::Impl {
   /// The listed directory; empty for in-memory input.
   std::filesystem::path dir;
+  /// Every member's name followed by a NUL, back to back.  Filled before
+  /// any view into it is taken and never grown after.
+  std::string names;
+  /// Every stream's members, stream after stream.
+  std::vector<Member> members;
   std::vector<Stream> streams;
   std::vector<Range> ranges;
   /// The stream of each range.
@@ -235,25 +224,94 @@ struct MinePlan::Impl {
       : lines_counter(obs::catalog_counter(obs::metric::kMineLines)),
         bytes_counter(obs::catalog_counter(obs::metric::kMineBytes)) {}
 
-  /// Streams from `members` (file names and sizes), in base-name order
-  /// with rotated families reassembled.
-  void add_streams(std::vector<Member> members);
+  /// Lists `dir` into `names` and returns its regular files (symlinks
+  /// followed, dotfiles included) in `readdir` order.
+  std::vector<Member> list(ThreadPool* pool);
+  /// Streams from `listed` (names and sizes), in base-name order with
+  /// rotated families reassembled.
+  void add_streams(std::span<const Member> listed);
   /// Splits every member into ranges and groups the ranges into chunks.
   void plan(const MinerOptions& options);
-  void mine_range(std::size_t r);
+  /// Mines range `r`; `dir_fd` is the chunk's descriptor of `dir`.
+  void mine_range(std::size_t r, int dir_fd);
 };
 
-void MinePlan::Impl::add_streams(std::vector<Member> members) {
-  std::vector<std::string_view> names;
-  names.reserve(members.size());
-  for (const Member& member : members) names.push_back(member.name);
-  for (RotationFamily& family : rotation_families(names)) {
-    Stream stream;
-    stream.name = std::move(family.base);
-    for (const std::size_t m : family.members) {
-      stream.members.push_back(std::move(members[m]));
+std::vector<Member> MinePlan::Impl::list(ThreadPool* pool) {
+  const std::unique_ptr<DIR, CloseDir> handle(::opendir(dir.c_str()));
+  if (!handle) {
+    throw std::runtime_error("MinePlan: cannot list " + dir.string() + ": " +
+                             std::strerror(errno));
+  }
+  // One walk on this thread.  `names` grows during it, so the views wait
+  // for its end.
+  std::size_t count = 0;
+  while (const struct ::dirent* entry = ::readdir(handle.get())) {
+    if (entry->d_type != DT_REG && entry->d_type != DT_LNK &&
+        entry->d_type != DT_UNKNOWN) {
+      continue;  // directories, fifos, sockets, devices
     }
-    streams.push_back(std::move(stream));
+    names.append(entry->d_name, std::strlen(entry->d_name) + 1);
+    ++count;
+  }
+  std::vector<Member> listed(count);
+  const char* next = names.data();
+  for (Member& member : listed) {
+    member.name = next;
+    next += std::strlen(next) + 1;
+  }
+
+  // One `fstatat` per entry, in slices that write only their own slots
+  // (a byte per flag, not `vector<bool>`, so slices share no word).
+  std::vector<std::uint8_t> regular(count, 0);
+  const int dir_fd = ::dirfd(handle.get());
+  const auto stat_slice = [&](std::size_t slice) {
+    const std::size_t end = std::min(count, (slice + 1) * kStatSlice);
+    for (std::size_t i = slice * kStatSlice; i < end; ++i) {
+      struct ::stat st{};
+      if (::fstatat(dir_fd, listed[i].name, &st, 0) != 0 ||
+          !S_ISREG(st.st_mode)) {
+        continue;  // vanished, dangling or not a regular file
+      }
+      listed[i].size = static_cast<std::uint64_t>(st.st_size);
+      listed[i].dev = static_cast<std::uint64_t>(st.st_dev);
+      listed[i].ino = static_cast<std::uint64_t>(st.st_ino);
+      regular[i] = 1;
+    }
+  };
+  const std::size_t slices = (count + kStatSlice - 1) / kStatSlice;
+  if (pool != nullptr && slices > 1) {
+    parallel_for(*pool, slices, stat_slice);
+  } else {
+    for (std::size_t slice = 0; slice < slices; ++slice) stat_slice(slice);
+  }
+
+  // Keep the regular files, in `readdir` order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (regular[i]) listed[kept++] = listed[i];
+  }
+  listed.resize(kept);
+  return listed;
+}
+
+void MinePlan::Impl::add_streams(std::span<const Member> listed) {
+  std::vector<std::string_view> member_names;
+  member_names.reserve(listed.size());
+  for (const Member& member : listed) member_names.push_back(member.name);
+  const RotationFamilies families = rotation_families(member_names);
+  members.reserve(listed.size());
+  for (const RotationFamily& family : families) {
+    for (const std::size_t m : family.members) members.push_back(listed[m]);
+  }
+  // `members` is complete, so spans into it are now stable.  A family's
+  // base views the name buffer, not `listed`.
+  streams.reserve(families.size());
+  std::size_t first = 0;
+  for (const RotationFamily& family : families) {
+    streams.push_back(Stream{
+        family.base,
+        std::span<const Member>(members).subspan(first, family.members.size())});
+    first += family.members.size();
   }
 }
 
@@ -263,6 +321,9 @@ void MinePlan::Impl::plan(const MinerOptions& options) {
   const std::uint64_t target = 4 * options.threads;
   // Bytes of each range, for grouping ranges into chunks.
   std::vector<std::uint64_t> range_bytes;
+  range_bytes.reserve(members.size());
+  ranges.reserve(members.size());
+  range_stream.reserve(members.size());
   std::uint64_t planned = 0;
   first_range.assign(streams.size() + 1, 0);
   for (std::size_t s = 0; s < streams.size(); ++s) {
@@ -330,10 +391,9 @@ void MinePlan::Impl::plan(const MinerOptions& options) {
   bytes_expected.add(static_cast<std::int64_t>(planned));
 }
 
-void MinePlan::Impl::mine_range(std::size_t r) {
+void MinePlan::Impl::mine_range(std::size_t r, int dir_fd) {
   const Range& range = ranges[r];
-  const Stream& stream = streams[range_stream[r]];
-  const Member& member = stream.members[range.member];
+  const Member& member = streams[range_stream[r]].members[range.member];
   ChunkOut out;
   const auto feed = [&out](std::string_view line) { out.feed(line); };
   std::uint64_t consumed = 0;
@@ -344,9 +404,8 @@ void MinePlan::Impl::mine_range(std::size_t r) {
       consumed += line.size() + 1;
     }
   } else {
-    const std::optional<std::uint64_t> read = read_listed_range(
-        dir / member.name, member.dev, member.ino, member.size, range.begin,
-        range.end, feed);
+    const std::optional<std::uint64_t> read =
+        read_listed_range(dir_fd, member, range.begin, range.end, feed);
     out.unreadable = !read;
     consumed = read.value_or(0);
   }
@@ -358,11 +417,11 @@ void MinePlan::Impl::mine_range(std::size_t r) {
 }
 
 MinePlan::MinePlan(const std::filesystem::path& dir,
-                   const MinerOptions& options)
+                   const MinerOptions& options, ThreadPool* pool)
     : impl_(std::make_unique<Impl>()) {
   const auto span = obs::Tracer::global().span("mine.plan");
   impl_->dir = dir;
-  impl_->add_streams(list_directory(dir));
+  impl_->add_streams(impl_->list(pool));
   impl_->plan(options);
 }
 
@@ -370,17 +429,22 @@ MinePlan::MinePlan(const logging::LogBundle& bundle,
                    const MinerOptions& options)
     : impl_(std::make_unique<Impl>()) {
   const auto span = obs::Tracer::global().span("mine.plan");
-  std::vector<Member> members;
-  for (const std::string& name : bundle.stream_names()) {
-    Member member;
-    member.name = name;
-    member.lines = &bundle.lines(name);
+  const std::vector<std::string> names = bundle.stream_names();
+  for (const std::string& name : names) {
+    impl_->names.append(name.c_str(), name.size() + 1);
+  }
+  std::vector<Member> members(names.size());
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    Member& member = members[i];
+    member.name = impl_->names.data() + at;
+    at += names[i].size() + 1;
+    member.lines = &bundle.lines(names[i]);
     for (const std::string& line : *member.lines) {
       member.size += line.size() + 1;
     }
-    members.push_back(std::move(member));
   }
-  impl_->add_streams(std::move(members));
+  impl_->add_streams(members);
   impl_->plan(options);
 }
 
@@ -406,9 +470,16 @@ std::size_t MinePlan::ranges_of(std::size_t stream) const {
 
 void MinePlan::run_chunk(std::size_t chunk) {
   const auto chunk_span = obs::Tracer::global().span("mine.chunk");
+  // One descriptor of the directory per chunk, by path: a directory
+  // renamed away since the listing is not read through, and a replacement
+  // holds other inodes.  An open failure makes every file unreadable.
+  const FileDescriptor dir(
+      impl_->dir.empty()
+          ? -1
+          : ::open(impl_->dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
   for (std::size_t r = impl_->first_of_chunk[chunk];
        r < impl_->first_of_chunk[chunk + 1]; ++r) {
-    impl_->mine_range(r);
+    impl_->mine_range(r, dir.fd);
   }
 }
 
@@ -424,18 +495,19 @@ std::optional<MinedStream> MinePlan::stitch(
   }
   std::vector<std::string_view> read;
   for (std::size_t m = 0; m < plan.members.size(); ++m) {
-    const std::string& name = plan.members[m].name;
+    const std::string_view name = plan.members[m].name;
     if (!lost[m]) {
       read.push_back(name);
       continue;
     }
-    unreadable.push_back(logging::unreadable_file(name, impl_->dir / name));
+    unreadable.push_back(
+        logging::unreadable_file(std::string(name), impl_->dir / name));
   }
   if (read.empty()) return std::nullopt;
   MinedStream out;
   out.name = plan.name;
-  if (read.size() > 1 || read.front() != plan.name) {
-    out.diagnostics.push_back(rotation_gap(plan.name, read));
+  if (auto gap = rotation_gap(plan.name, read)) {
+    out.diagnostics.push_back(std::move(*gap));
   }
 
   // Sized once, room for FIRST_LOG included, and each range's rows are
@@ -458,7 +530,7 @@ std::optional<MinedStream> MinePlan::stitch(
   out.lines_unparsed = cursor.lines_unparsed();
   out.bound_app = cursor.bound_app();
   out.bound_container = cursor.first_container();
-  cursor.render(plan.name, out.diagnostics);
+  cursor.render(out.name, out.diagnostics);
   out.diag_counts = logging::count_diagnostics(out.diagnostics);
 
   // Synthesize FIRST_LOG (messages 9/13) from the first parseable line

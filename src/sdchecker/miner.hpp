@@ -19,7 +19,7 @@
 // large file is itself split into byte ranges so one dominant stream
 // (the RM log — every application's state machine logs there) cannot
 // serialize the run.  Reading is part of mining: each chunk task opens
-// its file, `pread`s its range (logging/line_reader.hpp) and feeds every
+// its files, `pread`s its ranges (logging/line_reader.hpp) and feeds every
 // line straight to a `StreamCursor` (stream_cursor.hpp), so no serial
 // read pass precedes the tasks and no byte outlives its block.  A stitch
 // pass joins the chunk cursors in file order, which makes the sharded
@@ -36,12 +36,17 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logging/diagnostics.hpp"
 #include "logging/log_bundle.hpp"
 #include "sdchecker/events.hpp"
 #include "sdchecker/extractor.hpp"
+
+namespace sdc {
+class ThreadPool;
+}  // namespace sdc
 
 namespace sdc::checker {
 
@@ -82,13 +87,20 @@ struct MinedStream {
 ///
 /// The plan lists the input once: a directory's regular files (symlinks
 /// followed, dotfiles included) with their sizes and (dev, inode), or an
-/// in-memory bundle's streams.  Each stream becomes the ranges of its
-/// files in logrotate order; a chunk is one range of a large file or a
-/// run of whole small files.  A chunk reads its files itself, through a
-/// descriptor that must still hold the listed inode, up to the listed
-/// size: a file unlinked, replaced or unreadable by then is reported
-/// once as a kUnreadableFile record and left out, one truncated since is
-/// mined as it now is, and bytes appended since are not read.
+/// in-memory bundle's streams.  A directory is walked by one `readdir`
+/// on the calling thread; its `fstatat` calls run in slices on `pool`
+/// when one is given, and the plan is the same either way.  The plan is
+/// flat: every file's name sits in one buffer and every file in one
+/// vector, in reassembly order, and a stream is its base name plus its
+/// run of that vector (its files in logrotate order).  Each file is cut
+/// into ranges; a chunk is one range of a large file or a run of whole
+/// small files.  A chunk reads its files itself: it opens the directory
+/// once and `openat`s each file by name, through a descriptor that must
+/// still hold the listed inode, up to the listed size.  A file unlinked,
+/// replaced or unreadable by then — or a directory replaced since the
+/// listing — is reported once per file as a kUnreadableFile record and
+/// left out, one truncated since is mined as it now is, and bytes
+/// appended since are not read.
 ///
 /// Protocol: call `run_chunk` for every chunk (thread-safe across
 /// distinct chunks), and `stitch` each stream exactly once after all of
@@ -98,8 +110,10 @@ struct MinedStream {
 /// `mine.bytes_expected`.
 class MinePlan {
  public:
-  /// Lists `dir`.  Throws std::runtime_error if it cannot be listed.
-  MinePlan(const std::filesystem::path& dir, const MinerOptions& options);
+  /// Lists `dir`, its `fstatat` calls on `pool` (nullptr = the calling
+  /// thread).  Throws std::runtime_error if it cannot be listed.
+  MinePlan(const std::filesystem::path& dir, const MinerOptions& options,
+           ThreadPool* pool = nullptr);
   MinePlan(const logging::LogBundle& bundle, const MinerOptions& options);
   ~MinePlan();
   MinePlan(MinePlan&&) noexcept;
@@ -142,21 +156,52 @@ struct RotationSuffix {
 /// One logical stream of a log directory: a rotated family (`rm.log`,
 /// `rm.log.1`, `rm.log.2`, ...) or a lone file.
 struct RotationFamily {
-  std::string base;
+  /// The family's name, its members' names without a rotation suffix:
+  /// a view into one of the names given to `rotation_families`.
+  std::string_view base;
   /// Indices into the names given to `rotation_families`, in logrotate
   /// order: oldest (highest suffix) first, the unsuffixed live file
-  /// last — the order the family's lines are reassembled in.
-  std::vector<std::size_t> members;
-  /// The kRotationGap record batch analysis reports for a family that
-  /// is more than a lone base file.
-  std::optional<logging::Diagnostic> gap;
+  /// last — the order the family's lines are reassembled in.  A run of
+  /// the index vector all families of one call share.
+  std::span<const std::size_t> members;
+
+  /// The kRotationGap record batch analysis reports for this family, or
+  /// nullopt for a lone base file; `names` are the names given to
+  /// `rotation_families`.
+  [[nodiscard]] std::optional<logging::Diagnostic> gap(
+      std::span<const std::string_view> names) const;
+};
+
+/// The families of one `rotation_families` call.  Each family's members
+/// are a run of one index vector held here, so no family allocates; the
+/// families must not outlive this object, which is move-only.
+class RotationFamilies {
+ public:
+  RotationFamilies() = default;
+  RotationFamilies(const RotationFamilies&) = delete;
+  RotationFamilies& operator=(const RotationFamilies&) = delete;
+  RotationFamilies(RotationFamilies&&) noexcept = default;
+  RotationFamilies& operator=(RotationFamilies&&) noexcept = default;
+
+  [[nodiscard]] auto begin() const { return families_.begin(); }
+  [[nodiscard]] auto end() const { return families_.end(); }
+  [[nodiscard]] std::size_t size() const { return families_.size(); }
+
+ private:
+  friend RotationFamilies rotation_families(
+      std::span<const std::string_view> names);
+
+  /// Every name's index, family after family.
+  std::vector<std::size_t> order_;
+  std::vector<RotationFamily> families_;
 };
 
 /// Groups file names into logical streams, in base-name order.  The
-/// batch reader reassembles rotated families with it, and follow mode
-/// uses it for its drain order and its snapshot's rotation records, so
-/// both agree on the rule.
-[[nodiscard]] std::vector<RotationFamily> rotation_families(
+/// batch reader reassembles rotated families with it, follow mode uses
+/// it for its drain order and its snapshot's rotation records, and the
+/// corpus mutator for the renames of its follow leg, so all agree on the
+/// rule.
+[[nodiscard]] RotationFamilies rotation_families(
     std::span<const std::string_view> names);
 
 }  // namespace sdc::checker

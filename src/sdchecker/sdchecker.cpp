@@ -93,18 +93,24 @@ std::vector<const Anomaly*> AnalysisResult::anomalies_of(
 }
 
 AnalysisResult SdChecker::analyze(const logging::LogBundle& bundle) const {
-  return run(MinePlan(bundle, options_.miner_options()));
+  return run(MinePlan(bundle, options_.miner_options()), make_pool());
 }
 
 AnalysisResult SdChecker::analyze_directory(
     const std::filesystem::path& dir) const {
-  return run(MinePlan(dir, options_.miner_options()));
+  std::unique_ptr<ThreadPool> pool = make_pool();
+  MinePlan plan(dir, options_.miner_options(), pool.get());
+  return run(std::move(plan), std::move(pool));
 }
 
-AnalysisResult SdChecker::run(MinePlan plan) const {
+std::unique_ptr<ThreadPool> SdChecker::make_pool() const {
   const std::size_t workers =
       std::max(options_.threads, options_.effective_analyze_shards());
-  std::optional<ThreadPool> pool;
+  return workers > 1 ? std::make_unique<ThreadPool>(workers) : nullptr;
+}
+
+AnalysisResult SdChecker::run(MinePlan plan,
+                              std::unique_ptr<ThreadPool> pool) const {
   std::optional<CorpusPipeline> pipeline;
   {
     // The caller waits for the pool only inside this span, so a trace
@@ -114,14 +120,13 @@ AnalysisResult SdChecker::run(MinePlan plan) const {
     const auto run_chunk = [&pipeline](std::size_t chunk) {
       pipeline->run_chunk(chunk);
     };
-    if (workers > 1) {
-      pool.emplace(workers);
+    if (pool) {
       parallel_for(*pool, pipeline->chunk_count(), run_chunk);
     } else {
       for (std::size_t c = 0; c < pipeline->chunk_count(); ++c) run_chunk(c);
     }
   }
-  AnalysisResult result = pipeline->finish(pool ? &*pool : nullptr);
+  AnalysisResult result = pipeline->finish(pool.get());
   {
     const auto span = obs::Tracer::global().span("analyze.teardown");
     pipeline.reset();

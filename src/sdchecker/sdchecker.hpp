@@ -110,15 +110,19 @@ class SdChecker {
   explicit SdChecker(AnalyzeOptions options = {}) : options_(options) {}
 
   [[nodiscard]] AnalysisResult analyze(const logging::LogBundle& bundle) const;
-  /// Lists `dir` on the calling thread; its files are read inside the
-  /// mining tasks (unreadable files become diagnostics).
+  /// Makes the pool first and lists `dir` with it: one `readdir` walk on
+  /// the calling thread, the `fstatat` calls on the pool.  Its files are
+  /// read inside the mining tasks (unreadable files become diagnostics).
   [[nodiscard]] AnalysisResult analyze_directory(
       const std::filesystem::path& dir) const;
 
  private:
-  /// Runs one `CorpusPipeline` over `plan`: its chunks on the pool (or
-  /// the calling thread), then finish on the same pool.
-  AnalysisResult run(MinePlan plan) const;
+  /// The pool of `max(threads, effective_analyze_shards())` workers, or
+  /// null when that is 1.
+  [[nodiscard]] std::unique_ptr<ThreadPool> make_pool() const;
+  /// Runs one `CorpusPipeline` over `plan`: its chunks on `pool` (or the
+  /// calling thread), then finish on the same pool.
+  AnalysisResult run(MinePlan plan, std::unique_ptr<ThreadPool> pool) const;
 
   AnalyzeOptions options_;
 };

@@ -7,7 +7,9 @@
 //     unreadable-file record and otherwise absent — a stream never mixes
 //     the bytes of two inodes;
 //   * a truncated file mines as it now is (a mapped read would fault);
-//   * bytes appended after the listing are not read.
+//   * bytes appended after the listing are not read;
+//   * a directory renamed away and replaced by one with the same names is
+//     not read through: each listed file is one unreadable-file record.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -156,6 +158,36 @@ TEST(MineRace, TruncatedFilesMineAsTheyNowAre) {
     fs::resize_file(dir / kMember, 0);
   });
   EXPECT_EQ(analysis_json(live), analyze_with_lost(dir, {}));
+  fs::remove_all(dir);
+}
+
+TEST(MineRace, ReplacedDirectoryIsNotReadThrough) {
+  const fs::path dir = write_corpus("sdc_race_redir");
+  const fs::path away = fs::temp_directory_path() / "sdc_race_redir_away";
+  fs::remove_all(away);
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  const std::string intruder =
+      "2017-07-03 16:40:00,000 INFO  org.apache.hadoop.yarn.server."
+      "resourcemanager.rmapp.RMAppImpl: application_1499100000000_0099 "
+      "State change from NEW to NEW_SAVING on event = START\n";
+  const AnalysisResult live = analyze_after(dir, [&] {
+    fs::rename(dir, away);
+    fs::create_directories(dir);
+    for (const std::string& name : names) append_bytes(dir / name, intruder);
+  });
+  EXPECT_EQ(live.lines_total, 0u);
+  EXPECT_EQ(live.events_total, 0u);
+  EXPECT_EQ(live.diag_counts.of(logging::DiagnosticKind::kUnreadableFile),
+            names.size());
+  // Nothing mined: an empty directory's analysis, plus one record per
+  // listed file.
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  EXPECT_EQ(analysis_json(live), analyze_with_lost(dir, names));
+  fs::remove_all(away);
   fs::remove_all(dir);
 }
 
