@@ -11,7 +11,11 @@
 # run (e.g. `-- --trace 1`); a traced run keeps its Perfetto trace as
 # SIDE-SEED.trace.json next to the results.  At the end it prints
 # `sdbench compare BASE CANDIDATE` (the candidate checkout's sdbench and
-# BENCHMARK.json) and exits with its status.
+# BENCHMARK.json), then for each end-to-end metric how many pairs the
+# candidate won: runs are paired by workload and `header.seed`, the
+# direction is the metric's `better` in BENCHMARK.json, and a tie counts
+# for neither side.  Traced and incorrect runs pair with nothing, as
+# compare ignores them.  The script exits with compare's status.
 #
 # Usage:
 #   scripts/sdbench_pairs.sh BASE_DIR CANDIDATE_DIR WORKLOAD SECONDS \
@@ -53,10 +57,13 @@ echo "sdbench_pairs: results in $OUT"
 run() {
   local side="$1" dir="$2" seed="$3"
   echo "sdbench_pairs: $WORKLOAD seed $seed, $side" >&2
+  # A failed or incorrect run is in $side.jsonl too (compare counts it
+  # in error_rate), so it does not stop the remaining pairs.
   (cd "$dir" && python3 bench/sdbench/run.py --workload "$WORKLOAD" \
      --seed "$seed" --seconds "$SECONDS_PER_RUN" --out "$OUT/$side.jsonl" \
      --trace-out "$OUT/$side-$seed.trace.json" ${RUN_ARGS[@]+"${RUN_ARGS[@]}"} \
-     2>/dev/null | tail -n 1) >&2
+     2>/dev/null | tail -n 1) >&2 ||
+    echo "sdbench_pairs: $WORKLOAD seed $seed, $side: run exited non-zero" >&2
 }
 
 i=0
@@ -71,5 +78,54 @@ for seed in "${SEEDS[@]}"; do
   i=$((i + 1))
 done
 
-exec "$CANDIDATE/.bench_build/sdbench" compare "$OUT/base.jsonl" \
-  "$OUT/candidate.jsonl" --benchmark "$CANDIDATE/BENCHMARK.json"
+status=0
+"$CANDIDATE/.bench_build/sdbench" compare "$OUT/base.jsonl" \
+  "$OUT/candidate.jsonl" --benchmark "$CANDIDATE/BENCHMARK.json" ||
+  status=$?
+
+python3 - "$OUT/base.jsonl" "$OUT/candidate.jsonl" \
+  "$CANDIDATE/BENCHMARK.json" <<'PY' || true
+import json
+import sys
+
+
+def runs(path):
+    """(workload, seed) -> the end-to-end values of each untraced,
+    correct run, in file order."""
+    out = {}
+    try:
+        with open(path) as f:
+            for line in f:
+                if not line.strip():
+                    continue
+                run = json.loads(line)
+                if run.get("trace") or not run.get("correct"):
+                    continue
+                key = (run["workload"], run["header"]["seed"])
+                values = {k: v["value"] for k, v in run["metrics"].items()}
+                out.setdefault(key, []).append(values)
+    except FileNotFoundError:
+        pass
+    return out
+
+
+base, candidate = runs(sys.argv[1]), runs(sys.argv[2])
+with open(sys.argv[3]) as f:
+    metrics = json.load(f)["end_to_end"]
+pairs = {}
+for key in sorted(base.keys() & candidate.keys()):
+    pairs.setdefault(key[0], []).extend(zip(base[key], candidate[key]))
+print("\npairs won by the candidate (paired by seed; ties count for neither)")
+if not pairs:
+    print("  no untraced pairs")
+for workload, runs_of in pairs.items():
+    for metric in metrics:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "higher" else -1
+        both = [(a[name], b[name]) for a, b in runs_of if name in a and name in b]
+        won = sum(sign * (b - a) > 0 for a, b in both)
+        lost = sum(sign * (b - a) < 0 for a, b in both)
+        print(f"  {workload:<12} {name:<14} won {won}/{len(both)}, "
+              f"lost {lost}/{len(both)}")
+PY
+exit "$status"

@@ -71,7 +71,7 @@ bool is_container_event(EventKind kind);
 /// array per field (kind, timestamp, id flags, application, container),
 /// so pushing an event allocates nothing and grouping reads contiguous
 /// arrays.  Rows carry no order: grouping keeps each kind's minimum
-/// timestamp and adds counts, so a batch applies the same in any order.
+/// timestamp and nothing else, so a batch applies the same in any order.
 /// `operator[]` materializes a row `View` (`events[i].kind`, range-for).
 class EventBatch {
  public:

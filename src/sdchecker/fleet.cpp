@@ -1,6 +1,7 @@
 #include "sdchecker/fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -84,6 +85,19 @@ void open_corpus(CorpusState& state, ThreadPool& pool,
       if (state.pipeline->run_chunk(c)) finish_corpus(state);
     });
   }
+}
+
+/// A JSON number that is an exact observation count: a non-negative
+/// integer no larger than 2^53, the last integer a double holds exactly.
+/// Anything else (absent, negative, fractional, too large) is nullopt,
+/// so no out-of-range double is ever cast to an unsigned count.
+std::optional<std::uint64_t> json_count(const obs::JsonValue* value) {
+  const double* number = value != nullptr ? value->number() : nullptr;
+  if (number == nullptr || !(*number >= 0) || *number > 9007199254740992.0 ||
+      std::floor(*number) != *number) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(*number);
 }
 
 void write_components_json(json::Writer& w,
@@ -283,25 +297,26 @@ std::optional<std::vector<ComponentHistogram>> load_fleet_baseline(
     }
     ComponentHistogram hist;
     const obs::JsonValue* metric = obs::json_find(*object, "metric");
-    const obs::JsonValue* count = obs::json_find(*object, "count");
+    const std::optional<std::uint64_t> count =
+        json_count(obs::json_find(*object, "count"));
     const obs::JsonValue* sum_ms = obs::json_find(*object, "sum_ms");
     const obs::JsonValue* buckets = obs::json_find(*object, "buckets");
-    if (metric == nullptr || metric->string() == nullptr ||
-        count == nullptr || count->number() == nullptr ||
+    if (metric == nullptr || metric->string() == nullptr || !count ||
         sum_ms == nullptr || sum_ms->number() == nullptr ||
         buckets == nullptr || buckets->array() == nullptr) {
       set_error(file.string() + ": malformed component entry");
       return std::nullopt;
     }
     hist.metric = *metric->string();
-    hist.count = static_cast<std::uint64_t>(*count->number());
+    hist.count = *count;
     hist.sum_ms = *sum_ms->number();
     for (const obs::JsonValue& bucket : *buckets->array()) {
-      if (bucket.number() == nullptr) {
-        set_error(file.string() + ": non-numeric bucket count");
+      const std::optional<std::uint64_t> n = json_count(&bucket);
+      if (!n) {
+        set_error(file.string() + ": malformed component entry");
         return std::nullopt;
       }
-      hist.buckets.push_back(static_cast<std::uint64_t>(*bucket.number()));
+      hist.buckets.push_back(*n);
     }
     out.push_back(std::move(hist));
   }

@@ -36,7 +36,7 @@ std::vector<const ContainerTimeline*> AppTimeline::worker_containers() const {
   for (const auto& [id, timeline] : containers) {
     if (!id.is_am()) out.push_back(&timeline);
   }
-  return out;  // FlatOrderedMap iteration is already id-ordered
+  return out;  // `containers` iterates in id order
 }
 
 std::optional<std::int64_t> AppTimeline::min_worker_ts(EventKind kind) const {
@@ -69,10 +69,8 @@ bool apply_event(AppTable& apps, const EventBatch& events, std::size_t i) {
     ContainerTimeline& container = app.containers[container_id];
     container.id = container_id;
     container.first_ts.record(kind, ts_ms);
-    ++container.counts[kind];
   } else {
     app.first_ts.record(kind, ts_ms);
-    ++app.counts[kind];
   }
   return true;
 }

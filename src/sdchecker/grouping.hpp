@@ -5,24 +5,24 @@
 // occurrence wins (an executor logs "Got assigned task" for every task;
 // only the first marks the end of the scheduling delay).
 //
-// Data layout: per-kind state lives in dense arrays indexed by the
-// enumerator value with a presence bitset (`KindFirstTs`/`KindCounts`),
-// containers in a sorted flat map, and the application tables in an
-// open-addressing hash map — the hot event-application work is bit tests
-// and contiguous probes, never tree walks.  Because `record` keeps the
-// minimum timestamp and increments a count, applying events is
+// A timeline holds that first timestamp per kind and nothing else: dense
+// slots indexed by the enumerator value with a presence bitset
+// (`KindFirstTs`).  Containers sit in a `std::map` by id, the order the
+// decomposition and the exports iterate in; applications sit in an
+// unordered table that finalize sorts into app-ID order.  Because
+// `record` keeps the minimum timestamp, applying events is
 // *commutative*: events applied in any order reproduce the serial
 // timelines bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
-#include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/flat_hash_map.hpp"
-#include "common/flat_map.hpp"
 #include "sdchecker/events.hpp"
 
 namespace sdc::checker {
@@ -117,32 +117,12 @@ class KindFirstTs {
   std::int64_t ts_[kEventKindSlots] = {};
 };
 
-/// Occurrence counts per kind; zero means "never seen" (a recorded kind
-/// is always >= 1, so no separate presence state is needed).
-class KindCounts {
- public:
-  std::int32_t& operator[](EventKind kind) {
-    return counts_[static_cast<std::size_t>(kind)];
-  }
-
-  [[nodiscard]] std::int32_t at(EventKind kind) const {
-    const std::int32_t count = counts_[static_cast<std::size_t>(kind)];
-    if (count == 0) throw std::out_of_range("KindCounts::at: kind never seen");
-    return count;
-  }
-
- private:
-  std::int32_t counts_[kEventKindSlots] = {};
-};
-
 /// Event history of a single container.
 struct ContainerTimeline {
   ContainerId id;
 
   /// First timestamp per event kind (ms).
   KindFirstTs first_ts;
-  /// Occurrence counts per kind.
-  KindCounts counts;
 
   [[nodiscard]] std::optional<std::int64_t> ts(EventKind kind) const;
   [[nodiscard]] bool has(EventKind kind) const;
@@ -153,10 +133,8 @@ struct AppTimeline {
   ApplicationId app;
 
   KindFirstTs first_ts;
-  KindCounts counts;
-  /// Sorted by container id — iteration order matches the `std::map` the
-  /// exports and the decomposition were written against.
-  FlatOrderedMap<ContainerId, ContainerTimeline> containers;
+  /// By container id, the order the decomposition and exports iterate in.
+  std::map<ContainerId, ContainerTimeline> containers;
 
   [[nodiscard]] std::optional<std::int64_t> ts(EventKind kind) const;
   [[nodiscard]] bool has(EventKind kind) const;
@@ -178,19 +156,20 @@ struct AppTimeline {
   [[nodiscard]] std::optional<std::int64_t> max_worker_ts(EventKind kind) const;
 };
 
-/// Application hash for the flat grouping tables.  Self-contained (not
-/// `std::hash`) so table layout is identical across platforms and runs.
+/// Application hash for the grouping tables.  Finalize sorts every
+/// table into app-ID order, so the layout it gives a table never reaches
+/// an output.
 struct ApplicationIdHash {
   std::size_t operator()(const ApplicationId& app) const noexcept {
-    return static_cast<std::size_t>(
-        mix_u64(static_cast<std::uint64_t>(app.cluster_ts) * 31 +
-                static_cast<std::uint64_t>(app.id)));
+    return std::hash<std::int64_t>{}(app.cluster_ts) * 31 +
+           std::hash<std::int32_t>{}(app.id);
   }
 };
 
 /// Unordered application table used while grouping; the finalize stage
 /// sorts it into the deterministic app-ID order.
-using AppTable = FlatHashMap<ApplicationId, AppTimeline, ApplicationIdHash>;
+using AppTable = std::unordered_map<ApplicationId, AppTimeline,
+                                    ApplicationIdHash>;
 
 /// Applies row `i` of `events` to its application's timeline.  Returns
 /// false when the row carries no application id and cannot be

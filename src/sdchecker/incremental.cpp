@@ -14,7 +14,10 @@ void IncrementalAnalyzer::feed(const std::string& stream,
   static obs::Counter& lines_counter =
       obs::catalog_counter(obs::metric::kIncrementalLines);
   lines_counter.add(1);
-  StreamState& state = streams_[stream];
+  const auto [index, fresh] =
+      stream_index_.try_emplace(stream, streams_.size());
+  if (fresh) streams_.emplace_back().name = stream;
+  StreamState& state = streams_[index->second];
   ++lines_total_;
   const StreamKind kind_before = state.cursor.kind();
   // Binding: the first line that reveals an id binds the stream and
@@ -71,6 +74,7 @@ void IncrementalAnalyzer::resolve_or_park(StreamState& state,
     // bound, and the synthesized FIRST_LOG, the stream's first event,
     // always finds room.
     if (!state.parked) state.parked = std::make_unique<EventBatch>();
+    ++events_pending_;
     if (parked_events_cap_ > 0 &&
         state.parked->size() >= parked_events_cap_) {
       if (state.parked_dropped++ == 0) {
@@ -97,6 +101,8 @@ void IncrementalAnalyzer::resolve_or_park(StreamState& state,
 void IncrementalAnalyzer::flush_parked(StreamState& state) {
   if (!state.parked) return;
   const std::unique_ptr<EventBatch> parked = std::move(state.parked);
+  // The stream is bound now, so no replayed row parks again.
+  events_pending_ -= parked->size();
   for (std::size_t i = 0; i < parked->size(); ++i) {
     resolve_or_park(state, *parked, i);
   }
@@ -157,7 +163,7 @@ AnalysisResult IncrementalAnalyzer::snapshot(ThreadPool* pool) const {
 }
 
 std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
-  // The stream table is unordered and reports are per-stream in name
+  // Streams sit in first-fed order and reports are per-stream in name
   // order: render every stream where it stands, then sort only the
   // (few) streams that rendered a record.
   struct Rendered {
@@ -167,7 +173,8 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   };
   std::vector<logging::Diagnostic> records;
   std::vector<Rendered> rendered;
-  for (const auto& [name, state] : streams_) {
+  for (const StreamState& state : streams_) {
+    const std::string& name = state.name;
     const std::size_t begin = records.size();
     state.cursor.render(name, records);
     if (state.parked_dropped > 0) {
@@ -196,22 +203,14 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   return out;
 }
 
-bool IncrementalAnalyzer::stream_retired(std::string_view stream) const {
-  const auto it = streams_.find(stream);
-  if (it == streams_.end()) return false;
-  const StreamState& state = it->second;
+bool IncrementalAnalyzer::stream_retired(const std::string& stream) const {
+  const auto it = stream_index_.find(stream);
+  if (it == stream_index_.end()) return false;
+  const StreamState& state = streams_[it->second];
   const StreamKind kind = state.cursor.kind();
   const auto& bound_app = state.cursor.bound_app();
   return (kind == StreamKind::kDriver || kind == StreamKind::kExecutor) &&
          bound_app && retired_.contains(*bound_app);
-}
-
-std::size_t IncrementalAnalyzer::events_pending() const {
-  std::size_t n = 0;
-  for (const auto& [name, state] : streams_) {
-    n += (state.parked ? state.parked->size() : 0) + state.parked_dropped;
-  }
-  return n;
 }
 
 }  // namespace sdc::checker

@@ -17,9 +17,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
-#include "common/flat_hash_map.hpp"
 #include "sdchecker/decompose.hpp"
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/grouping.hpp"
@@ -68,7 +68,9 @@ class IncrementalAnalyzer {
   /// Full snapshot: decompositions, aggregates and anomalies over
   /// everything seen so far — retired applications included, folded into
   /// the delays/aggregate/anomaly outputs at their app-ID position.
-  /// O(apps) — intended for periodic reporting.  Finalize runs on `pool`
+  /// O(apps + streams): it finalizes every resident application and
+  /// renders every stream's diagnostics — intended for periodic
+  /// reporting.  Finalize runs on `pool`
   /// (nullptr = the calling thread); the report is byte-identical either
   /// way.
   [[nodiscard]] AnalysisResult snapshot(ThreadPool* pool = nullptr) const;
@@ -107,7 +109,7 @@ class IncrementalAnalyzer {
   /// True when `stream` is a driver or executor log bound to a retired
   /// application: a line it gains later can only carry events that
   /// would be dropped as late.
-  [[nodiscard]] bool stream_retired(std::string_view stream) const;
+  [[nodiscard]] bool stream_retired(const std::string& stream) const;
 
   /// Events dropped because they arrived after their application was
   /// retired (0 unless the eviction grace was too aggressive).
@@ -129,7 +131,9 @@ class IncrementalAnalyzer {
   /// Events not attributed to any application: currently parked because
   /// their stream has not bound yet, plus events dropped when a stream's
   /// parked buffer overflowed the parked-event cap.
-  [[nodiscard]] std::size_t events_pending() const;
+  [[nodiscard]] std::size_t events_pending() const noexcept {
+    return events_pending_;
+  }
 
   /// Typed corpus-health findings so far, in stream order — each
   /// stream's cursor rendered as the stream stands now (its last fed
@@ -140,6 +144,7 @@ class IncrementalAnalyzer {
 
  private:
   struct StreamState {
+    std::string name;
     /// Binds the stream on the first line that carries an id
     /// (`StreamCursor::bound_app`), the rule batch mining applies too.
     StreamCursor cursor;
@@ -166,11 +171,14 @@ class IncrementalAnalyzer {
   void flush_parked(StreamState& state);
 
   std::size_t parked_events_cap_;
-  /// Hot per-line lookup — flat hash table, name-sorted only when a
-  /// diagnostics report is cut.
-  FlatHashMap<std::string, StreamState, StringHash> streams_;
+  /// Every stream fed so far, in first-fed order.  A snapshot walks them
+  /// all (`diagnostics`); contiguous states keep that walk a sequential
+  /// scan.
+  std::vector<StreamState> streams_;
+  /// Stream name -> index in `streams_`: one lookup per fed line.
+  std::unordered_map<std::string, std::size_t> stream_index_;
   AppTable timelines_;
-  FlatHashMap<ApplicationId, AppActivity, ApplicationIdHash> activity_;
+  std::unordered_map<ApplicationId, AppActivity, ApplicationIdHash> activity_;
   RetiredTable retired_;
   /// One line's extracted events.
   EventBatch extracted_;
@@ -178,6 +186,9 @@ class IncrementalAnalyzer {
   std::size_t lines_total_ = 0;
   std::size_t lines_unparsed_ = 0;
   std::size_t events_total_ = 0;
+  /// Parked plus dropped-past-the-cap rows, kept as they change so a
+  /// snapshot need not walk every stream for them.
+  std::size_t events_pending_ = 0;
   std::size_t events_late_dropped_ = 0;
 };
 

@@ -161,9 +161,8 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
 /// that completes a stream's last range also stitches the stream and
 /// applies each of its rows once to the corpus's one application table
 /// (`apply_event`), so events are neither sorted nor merged into a
-/// corpus-wide list — `KindFirstTs::record` keeps the minimum and
-/// counts add, so streams apply in any order.  `finish` then finalizes
-/// once.
+/// corpus-wide list — `KindFirstTs::record` keeps the minimum, so
+/// streams apply in any order.  `finish` then finalizes once.
 ///
 /// Protocol: call `run_chunk` once per chunk (thread-safe across
 /// chunks), then `finish` once: after every call returned, or right

@@ -33,7 +33,6 @@ AppTimeline full_timeline() {
 
   const auto app_event = [&](EventKind kind, std::int64_t offset_ms) {
     timeline.first_ts[kind] = kT0 + offset_ms;
-    timeline.counts[kind] = 1;
   };
   app_event(EventKind::kAppSubmitted, 0);
   app_event(EventKind::kAppAccepted, 10);
@@ -50,7 +49,6 @@ AppTimeline full_timeline() {
     container.id = id;
     const auto event = [&](EventKind kind, std::int64_t at_ms) {
       container.first_ts[kind] = kT0 + offset_ms + at_ms;
-      container.counts[kind] = 1;
     };
     event(EventKind::kContainerAllocated, 0);
     event(EventKind::kContainerAcquired, 20);
@@ -67,10 +65,8 @@ AppTimeline full_timeline() {
     ContainerTimeline& container = add_container(seq, 500 + (seq - 2) * 100);
     container.first_ts[EventKind::kExecutorFirstLog] =
         kT0 + 500 + (seq - 2) * 100 + 200;
-    container.counts[EventKind::kExecutorFirstLog] = 1;
     container.first_ts[EventKind::kExecutorFirstTask] =
         kT0 + 500 + (seq - 2) * 100 + 300;
-    container.counts[EventKind::kExecutorFirstTask] = 1;
   }
   return timeline;
 }

@@ -4,15 +4,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/flat_hash_map.hpp"
-#include "common/flat_map.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
@@ -342,136 +338,6 @@ TEST(ThreadPool, ParallelForZeroItems) {
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-}
-
-// --- FlatHashMap -------------------------------------------------------
-
-TEST(FlatHashMap, InsertFindAndGrow) {
-  FlatHashMap<int, int> map;
-  EXPECT_TRUE(map.empty());
-  for (int i = 0; i < 1000; ++i) map[i] = i * 3;
-  EXPECT_EQ(map.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) {
-    const auto it = map.find(i);
-    ASSERT_NE(it, map.end());
-    EXPECT_EQ(it->second, i * 3);
-  }
-  EXPECT_EQ(map.find(1000), map.end());
-  EXPECT_FALSE(map.contains(-1));
-}
-
-TEST(FlatHashMap, OperatorBracketDefaultInsertsOnce) {
-  FlatHashMap<int, int> map;
-  EXPECT_EQ(map[7], 0);
-  map[7] = 42;
-  EXPECT_EQ(map[7], 42);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatHashMap, IterationVisitsEveryEntryOnce) {
-  FlatHashMap<int, int> map;
-  for (int i = 0; i < 123; ++i) map[i] = i;
-  std::set<int> seen;
-  for (const auto& [k, v] : map) {
-    EXPECT_EQ(k, v);
-    EXPECT_TRUE(seen.insert(k).second);
-  }
-  EXPECT_EQ(seen.size(), 123u);
-}
-
-TEST(FlatHashMap, HeterogeneousStringLookup) {
-  FlatHashMap<std::string, int, StringHash> map;
-  map[std::string("alpha")] = 1;
-  map[std::string("beta")] = 2;
-  // find by string_view: no temporary std::string allocated.
-  EXPECT_NE(map.find(std::string_view("alpha")), map.end());
-  EXPECT_TRUE(map.contains(std::string_view("beta")));
-  EXPECT_FALSE(map.contains(std::string_view("gamma")));
-}
-
-TEST(FlatHashMap, ClearResets) {
-  FlatHashMap<int, int> map;
-  for (int i = 0; i < 50; ++i) map[i] = i;
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(1), map.end());
-  map[1] = 9;
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatHashMap, EraseRemovesOnlyTheKey) {
-  FlatHashMap<int, int> map;
-  for (int i = 0; i < 500; ++i) map[i] = i * 7;
-  // Erase every third key; the rest must stay findable (backward-shift
-  // deletion must not break probe chains through the holes).
-  for (int i = 0; i < 500; i += 3) EXPECT_EQ(map.erase(i), 1u);
-  EXPECT_EQ(map.erase(0), 0u);     // already gone
-  EXPECT_EQ(map.erase(9999), 0u);  // never present
-  for (int i = 0; i < 500; ++i) {
-    if (i % 3 == 0) {
-      EXPECT_FALSE(map.contains(i)) << i;
-    } else {
-      const auto it = map.find(i);
-      ASSERT_NE(it, map.end()) << i;
-      EXPECT_EQ(it->second, i * 7);
-    }
-  }
-  EXPECT_EQ(map.size(), 500u - 167u);
-}
-
-TEST(FlatHashMap, EraseThenReinsertAndIterate) {
-  FlatHashMap<std::string, int, StringHash> map;
-  map[std::string("alpha")] = 1;
-  map[std::string("beta")] = 2;
-  map[std::string("gamma")] = 3;
-  EXPECT_EQ(map.erase(std::string_view("beta")), 1u);
-  EXPECT_EQ(map.size(), 2u);
-  map[std::string("beta")] = 20;
-  std::set<std::string> seen;
-  int sum = 0;
-  for (const auto& [key, value] : map) {
-    EXPECT_TRUE(seen.insert(key).second);
-    sum += value;
-  }
-  EXPECT_EQ(seen.size(), 3u);
-  EXPECT_EQ(sum, 24);
-}
-
-TEST(FlatHashMap, EraseWholeTableLeavesItEmpty) {
-  FlatHashMap<int, int> map;
-  for (int i = 0; i < 100; ++i) map[i] = i;
-  for (int i = 99; i >= 0; --i) EXPECT_EQ(map.erase(i), 1u);
-  EXPECT_TRUE(map.empty());
-  for (const auto& entry : map) {
-    FAIL() << "iteration over empty map yielded " << entry.first;
-  }
-  map[5] = 55;  // still usable after full drain
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.find(5)->second, 55);
-}
-
-// --- FlatOrderedMap ----------------------------------------------------
-
-TEST(FlatOrderedMap, IterationIsSorted) {
-  FlatOrderedMap<int, int> map;
-  for (const int k : {9, 3, 7, 1, 5}) map[k] = k * 10;
-  std::vector<int> keys;
-  for (const auto& [k, v] : map) {
-    keys.push_back(k);
-    EXPECT_EQ(v, k * 10);
-  }
-  EXPECT_EQ(keys, (std::vector<int>{1, 3, 5, 7, 9}));
-}
-
-TEST(FlatOrderedMap, FindAtContains) {
-  FlatOrderedMap<int, std::string> map;
-  map[2] = "two";
-  map[4] = "four";
-  EXPECT_TRUE(map.contains(2));
-  EXPECT_FALSE(map.contains(3));
-  EXPECT_EQ(map.at(4), "four");
-  EXPECT_THROW(map.at(5), std::out_of_range);
-  EXPECT_EQ(map.find(3), map.end());
 }
 
 }  // namespace

@@ -211,6 +211,37 @@ TEST(Fleet, LoadBaselineRejectsMalformedInput) {
   fs::remove(file);
 }
 
+TEST(Fleet, LoadBaselineRejectsImpossibleCounts) {
+  const fs::path file =
+      fs::temp_directory_path() / "sdc_fleet_impossible.json";
+  const auto load = [&](const std::string& count, const std::string& bucket,
+                        std::string& error) {
+    {
+      std::ofstream out(file);
+      out << "{\"components\":[{\"metric\":\"total\",\"count\":" << count
+          << ",\"sum_ms\":10,\"buckets\":[0," << bucket << "]}]}";
+    }
+    error.clear();
+    return load_fleet_baseline(file, &error);
+  };
+  std::string error;
+  const auto good = load("3", "3", error);
+  ASSERT_TRUE(good.has_value()) << error;
+  EXPECT_EQ((*good)[0].count, 3u);
+  EXPECT_EQ((*good)[0].buckets, (std::vector<std::uint64_t>{0, 3}));
+  // Negative, fractional and past-2^53 values cannot be counts; each
+  // would otherwise reach the drift gate through an undefined cast.
+  for (const std::string bad : {"-1", "2.5", "1e300", "18446744073709551616"}) {
+    EXPECT_FALSE(load(bad, "3", error)) << "count " << bad;
+    EXPECT_NE(error.find("malformed component entry"), std::string::npos)
+        << error;
+    EXPECT_FALSE(load("3", bad, error)) << "bucket " << bad;
+    EXPECT_NE(error.find("malformed component entry"), std::string::npos)
+        << error;
+  }
+  fs::remove(file);
+}
+
 TEST(Fleet, ShiftedBaselineTripsTheGate) {
   const fs::path root = write_fleet_root("sdc_fleet_drift", 2);
   const FleetResult fleet = analyze_fleet(root, FleetOptions{});

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "harness/scenario.hpp"
+#include "mine_helpers.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "workloads/tpch.hpp"
 
@@ -33,8 +34,20 @@ TEST(MultiStage, EveryStageAssignsTasksToEveryExecutor) {
   for (const auto& [cid, container] : timeline.containers) {
     if (cid.is_am()) continue;
     ASSERT_TRUE(container.has(checker::EventKind::kExecutorFirstTask));
-    EXPECT_EQ(container.counts.at(checker::EventKind::kExecutorFirstTask), 4);
   }
+  // Each executor log yields one "Got assigned task" event per stage.
+  const checker::MinedCorpus mined = checker::mine(result.logs);
+  std::size_t executors = 0;
+  for (const checker::MinedStream& stream : mined.streams) {
+    if (stream.kind != checker::StreamKind::kExecutor) continue;
+    ++executors;
+    std::size_t first_tasks = 0;
+    for (const auto e : stream.events) {
+      if (e.kind == checker::EventKind::kExecutorFirstTask) ++first_tasks;
+    }
+    EXPECT_EQ(first_tasks, 4u) << stream.name;
+  }
+  EXPECT_EQ(executors, timeline.containers.size() - 1);
 }
 
 TEST(MultiStage, FirstTaskTimestampIsTheMinimumAssignment) {

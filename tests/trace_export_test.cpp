@@ -28,7 +28,6 @@ AppTimeline full_timeline(std::int32_t app_seq) {
 
   const auto app_event = [&](EventKind kind, std::int64_t offset_ms) {
     timeline.first_ts[kind] = base + offset_ms;
-    timeline.counts[kind] = 1;
   };
   app_event(EventKind::kAppSubmitted, 0);
   app_event(EventKind::kAppAccepted, 10);
@@ -45,7 +44,6 @@ AppTimeline full_timeline(std::int32_t app_seq) {
     container.id = id;
     const auto event = [&](EventKind kind, std::int64_t at_ms) {
       container.first_ts[kind] = base + offset_ms + at_ms;
-      container.counts[kind] = 1;
     };
     event(EventKind::kContainerAllocated, 0);
     event(EventKind::kContainerAcquired, 20);

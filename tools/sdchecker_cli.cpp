@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -188,10 +190,11 @@ std::optional<std::size_t> parse_count(const std::string& value) {
 }
 
 /// Consumes `flag N` into `out` (left as is when the flag is absent).
-/// Returns false, after naming the bad value on stderr, when N is not a
-/// non-negative integer — the caller exits with a usage error.
+/// Returns false, after naming the bad value on stderr, when N is not an
+/// integer from 0 to `max` — the caller exits with a usage error.
 bool take_count(std::vector<std::string>& args, const char* flag,
-                std::size_t& out) {
+                std::size_t& out,
+                std::size_t max = std::numeric_limits<std::size_t>::max()) {
   if (const auto value = flag_value(args, flag)) {
     const auto parsed = parse_count(*value);
     if (!parsed) {
@@ -200,7 +203,33 @@ bool take_count(std::vector<std::string>& args, const char* flag,
                    flag, value->c_str());
       return false;
     }
+    if (*parsed > max) {
+      std::fprintf(stderr, "sdchecker: %s expects at most %zu, got '%s'\n",
+                   flag, max, value->c_str());
+      return false;
+    }
     out = *parsed;
+  }
+  return true;
+}
+
+/// `take_count` for a decimal value: rejects anything but a finite
+/// non-negative number ("1.5x", "", "-2", "nan").
+bool take_decimal(std::vector<std::string>& args, const char* flag,
+                  double& out) {
+  if (const auto value = flag_value(args, flag)) {
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(value->c_str(), &end);
+    if (value->empty() || errno != 0 ||
+        end != value->c_str() + value->size() || value->front() == '-' ||
+        !std::isfinite(x)) {
+      std::fprintf(stderr,
+                   "sdchecker: %s expects a non-negative number, got '%s'\n",
+                   flag, value->c_str());
+      return false;
+    }
+    out = x;
   }
   return true;
 }
@@ -468,9 +497,6 @@ int cmd_follow(std::vector<std::string> args) {
   const bool watch = flag_present(args, "--watch");
   const bool no_retire = flag_present(args, "--no-retire");
   double interval_s = 2.0;
-  if (const auto v = flag_value(args, "--interval")) {
-    interval_s = std::atof(v->c_str());
-  }
   std::size_t poll_ms = 500;
   std::size_t exit_quiescent = 0;
   std::size_t max_polls = 0;
@@ -478,7 +504,8 @@ int cmd_follow(std::vector<std::string> args) {
   std::size_t retire_quiet = 2;
   std::size_t serve_stall_ms = 10000;
   std::size_t stall_polls_after = 0;
-  if (!take_count(args, "--analyze-shards", options.analyze_shards) ||
+  if (!take_decimal(args, "--interval", interval_s) ||
+      !take_count(args, "--analyze-shards", options.analyze_shards) ||
       !take_count(args, "--poll-ms", poll_ms) ||
       !take_count(args, "--exit-quiescent", exit_quiescent) ||
       !take_count(args, "--max-polls", max_polls) ||
@@ -763,10 +790,9 @@ int cmd_timeline(std::vector<std::string> args) {
 }
 
 int cmd_diff(std::vector<std::string> args) {
-  double threshold = 0.10;
-  if (const auto t = flag_value(args, "--threshold")) {
-    threshold = std::atof(t->c_str()) / 100.0;
-  }
+  double threshold_pct = 10;
+  if (!take_decimal(args, "--threshold", threshold_pct)) return usage();
+  const double threshold = threshold_pct / 100.0;
   const auto positionals =
       finish_args(std::move(args), {"log_dir_a", "log_dir_b"},
                   {"--threshold"});
@@ -964,10 +990,17 @@ int cmd_graph(std::vector<std::string> args) {
 }
 
 int cmd_simulate(std::vector<std::string> args) {
-  const auto jobs_flag = flag_value(args, "--jobs");
-  const auto seed_flag = flag_value(args, "--seed");
-  const auto executors_flag = flag_value(args, "--executors");
-  const auto input_mb_flag = flag_value(args, "--input-mb");
+  constexpr std::size_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
+  std::size_t jobs = 20;
+  std::size_t seed = 42;
+  std::size_t executors = 4;
+  double input_mb = 2048;
+  if (!take_count(args, "--jobs", jobs, kMaxInt32) ||
+      !take_count(args, "--seed", seed) ||
+      !take_count(args, "--executors", executors, kMaxInt32) ||
+      !take_decimal(args, "--input-mb", input_mb)) {
+    return usage();
+  }
   const auto scheduler_flag = flag_value(args, "--scheduler");
   const auto positionals =
       finish_args(std::move(args), {"out_dir"},
@@ -975,11 +1008,6 @@ int cmd_simulate(std::vector<std::string> args) {
                    "--scheduler"});
   if (!positionals) return usage();
   const std::string& out_dir = (*positionals)[0];
-  const int jobs = std::atoi(jobs_flag.value_or("20").c_str());
-  const auto seed = static_cast<std::uint64_t>(
-      std::strtoull(seed_flag.value_or("42").c_str(), nullptr, 10));
-  const int executors = std::atoi(executors_flag.value_or("4").c_str());
-  const double input_mb = std::atof(input_mb_flag.value_or("2048").c_str());
   const std::string scheduler = scheduler_flag.value_or("capacity");
 
   harness::ScenarioConfig scenario;
@@ -988,14 +1016,14 @@ int cmd_simulate(std::vector<std::string> args) {
                                 ? yarn::SchedulerKind::kOpportunistic
                                 : yarn::SchedulerKind::kCapacity;
   trace::TraceConfig trace_config;
-  trace_config.count = jobs;
+  trace_config.count = static_cast<std::int32_t>(jobs);
   trace_config.seed = seed + 1;
   for (const auto& submission : trace::generate_trace(trace_config)) {
     harness::SparkSubmissionPlan plan;
     plan.at = submission.at;
     plan.app = workloads::make_tpch_query(
         1 + submission.workload_index % workloads::kTpchQueryCount, input_mb,
-        executors);
+        static_cast<std::int32_t>(executors));
     scenario.spark_jobs.push_back(std::move(plan));
   }
   const auto result = harness::run_scenario(scenario);
@@ -1010,10 +1038,8 @@ int cmd_simulate(std::vector<std::string> args) {
 }
 
 int cmd_fuzz(std::vector<std::string> args) {
-  std::uint64_t seed = 42;
-  if (const auto s = flag_value(args, "--seed")) {
-    seed = std::strtoull(s->c_str(), nullptr, 10);
-  }
+  std::size_t seed = 42;
+  if (!take_count(args, "--seed", seed)) return usage();
   std::vector<checker::MutationClass> classes;
   while (const auto name = flag_value(args, "--class")) {
     const auto cls = checker::mutation_class_from_name(*name);
