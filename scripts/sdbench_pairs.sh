@@ -15,7 +15,9 @@
 # candidate won: runs are paired by workload and `header.seed`, the
 # direction is the metric's `better` in BENCHMARK.json, and a tie counts
 # for neither side.  Traced and incorrect runs pair with nothing, as
-# compare ignores them.  The script exits with compare's status.
+# compare ignores them.  Last it names every run recorded with `correct:
+# false` (workload, seed, side) and prints its `errors`, so a failed gate
+# is on record.  The script exits with compare's status.
 #
 # Usage:
 #   scripts/sdbench_pairs.sh BASE_DIR CANDIDATE_DIR WORKLOAD SECONDS \
@@ -89,23 +91,25 @@ import json
 import sys
 
 
+def records(path):
+    """Every run record of a results file, in file order."""
+    try:
+        with open(path) as f:
+            return [json.loads(line) for line in f if line.strip()]
+    except FileNotFoundError:
+        return []
+
+
 def runs(path):
     """(workload, seed) -> the end-to-end values of each untraced,
     correct run, in file order."""
     out = {}
-    try:
-        with open(path) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                run = json.loads(line)
-                if run.get("trace") or not run.get("correct"):
-                    continue
-                key = (run["workload"], run["header"]["seed"])
-                values = {k: v["value"] for k, v in run["metrics"].items()}
-                out.setdefault(key, []).append(values)
-    except FileNotFoundError:
-        pass
+    for run in records(path):
+        if run.get("trace") or not run.get("correct"):
+            continue
+        key = (run["workload"], run["header"]["seed"])
+        values = {k: v["value"] for k, v in run["metrics"].items()}
+        out.setdefault(key, []).append(values)
     return out
 
 
@@ -127,5 +131,18 @@ for workload, runs_of in pairs.items():
         lost = sum(sign * (b - a) < 0 for a, b in both)
         print(f"  {workload:<12} {name:<14} won {won}/{len(both)}, "
               f"lost {lost}/{len(both)}")
+
+print("\nruns recorded with correct: false")
+failed = 0
+for side, path in (("base", sys.argv[1]), ("candidate", sys.argv[2])):
+    for run in records(path):
+        if run.get("correct"):
+            continue
+        failed += 1
+        seed = run.get("header", {}).get("seed")
+        print(f"  {run.get('workload')} seed {seed} {side}: "
+              f"{json.dumps(run.get('errors', []))}")
+if not failed:
+    print("  none")
 PY
 exit "$status"

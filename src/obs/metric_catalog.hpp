@@ -205,7 +205,8 @@ inline constexpr MetricSpec kAnalyzeAnomalies{
 inline constexpr MetricSpec kSdcDelay{
     "sdc.delay.<component>", MetricKind::kHistogram, "ms",
     "per-component delay samples in ms, one per delay-component catalog "
-    "row"};
+    "row; each application is observed once: at the end of `analyze`, per "
+    "fleet corpus, or at follow retirement (none under `--no-retire`)"};
 
 }  // namespace metric
 

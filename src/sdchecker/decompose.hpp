@@ -18,8 +18,14 @@
 //     localization  LOCALIZING(6) -> SCHEDULED(7)
 //     queuing       SCHEDULED(7)  -> RUNNING(8)
 //     launching     RUNNING(8)    -> instance FIRST_LOG(9/13)
+//
+// These anchors live in `app_spans` and `container_spans` alone: the
+// decomposition keeps each span's length, and the trace export draws the
+// spans themselves.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -67,7 +73,33 @@ struct Delays {
   [[nodiscard]] std::vector<std::int64_t> worker_idles() const;
 };
 
-/// Computes the decomposition from one application's timeline.
+/// Where one delay component lies: its start (epoch-ms) and its length
+/// (ms).  Either is nullopt when an anchor event is missing; a negative
+/// length (clock skew) is kept.
+struct DelaySpan {
+  std::optional<std::int64_t> start;
+  std::optional<std::int64_t> length;
+};
+
+/// The delay-component catalog (`delay_component_specs()`, report.hpp)
+/// lists the app-level components first, then the per-container ones;
+/// the span arrays are indexed by catalog row alike.
+inline constexpr std::size_t kAppComponents = 10;
+inline constexpr std::size_t kContainerComponents = 5;
+using AppSpans = std::array<DelaySpan, kAppComponents>;
+using ContainerSpans = std::array<DelaySpan, kContainerComponents>;
+
+/// The app-level components' spans, in catalog order.
+[[nodiscard]] AppSpans app_spans(const AppTimeline& timeline);
+
+/// The per-container components' spans of container `id`, in catalog
+/// order (an AM container has no exec-idle).
+[[nodiscard]] ContainerSpans container_spans(
+    const AppTimeline& timeline, const ContainerId& id,
+    const ContainerTimeline& container);
+
+/// Computes the decomposition from one application's timeline: each
+/// catalog row's member holds its span's length.
 [[nodiscard]] Delays decompose(const AppTimeline& timeline);
 
 }  // namespace sdc::checker

@@ -127,6 +127,8 @@ std::size_t IncrementalAnalyzer::retire_terminal(std::uint64_t quiet_ticks) {
     RetiredApp row;
     row.delays = decompose(it->second);
     detect_anomalies(it->second, row.delays, row.anomalies);
+    // A followed application's delays are observed once, when it retires.
+    observe_delays(row.delays);
     retired_.emplace(app, std::move(row));
     timelines_.erase(app);
     activity_.erase(app);

@@ -82,7 +82,8 @@ class IncrementalAnalyzer {
   // whose terminal state-machine transition (RMAppImpl -> FINISHED) has
   // been mined and that has then stayed quiet for `quiet_ticks` ticks is
   // *retired*: its decomposition and anomaly findings are computed once
-  // and cached in a RetiredTable, and the full timeline is freed.  An
+  // and cached in a RetiredTable, its delays are observed into the
+  // sdc.delay.* histograms, and the full timeline is freed.  An
   // event arriving for an already-retired application is dropped and
   // counted (`events_late_dropped`) — the grace period exists precisely
   // to make that a pathological case.

@@ -1,101 +1,108 @@
 #include "sdchecker/report.hpp"
 
+#include <array>
 #include <cstdio>
-#include <map>
 
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
-#include "sdchecker/trace_export.hpp"
 
 namespace sdc::checker {
 namespace {
 
 constexpr double kMsToSec = 1e-3;
 
-/// Registry histograms (in ms) mirroring each aggregated sample set,
-/// registered once from the shared component catalog so the metric names
-/// cannot drift from the trace slice names.
-obs::Histogram& delay_histogram(std::string_view metric) {
-  static const std::map<std::string, obs::Histogram*, std::less<>> by_metric =
-      [] {
-        // Register through the sdc.delay.<component> catalog family so
-        // the histogram names stay kind-checked against the metric
-        // catalog as well as the component catalog (sdlint pins the two
-        // together with metrics.delay-unbound).
-        const std::string_view prefix =
-            obs::metric::kSdcDelay.family_prefix();
-        std::map<std::string, obs::Histogram*, std::less<>> map;
-        for (const DelayComponentSpec& spec : delay_component_specs()) {
-          const std::string_view histogram = spec.histogram;
-          map.emplace(std::string(spec.metric),
-                      histogram.starts_with(prefix)
-                          ? &obs::catalog_histogram(
-                                obs::metric::kSdcDelay,
-                                histogram.substr(prefix.size()))
-                          : &obs::MetricsRegistry::global().histogram(
-                                histogram));
-        }
-        return map;
-      }();
-  return *by_metric.find(metric)->second;
-}
+constexpr DelayComponentSpec kSpecs[] = {
+    {"total", "sdc.delay.total", &Delays::total, nullptr,
+     &AggregateReport::total},
+    {"am", "sdc.delay.am", &Delays::am, nullptr, &AggregateReport::am},
+    {"cf", "sdc.delay.cf", &Delays::cf, nullptr, &AggregateReport::cf},
+    {"cl", "sdc.delay.cl", &Delays::cl, nullptr, &AggregateReport::cl},
+    {"cl-cf", "sdc.delay.cl-cf", &Delays::cl_minus_cf, nullptr,
+     &AggregateReport::cl_minus_cf},
+    {"driver", "sdc.delay.driver", &Delays::driver, nullptr,
+     &AggregateReport::driver},
+    {"executor", "sdc.delay.executor", &Delays::executor, nullptr,
+     &AggregateReport::executor},
+    {"in-app", "sdc.delay.in-app", &Delays::in_app, nullptr,
+     &AggregateReport::in_app},
+    {"out-app", "sdc.delay.out-app", &Delays::out_app, nullptr,
+     &AggregateReport::out_app},
+    {"alloc", "sdc.delay.alloc", &Delays::alloc, nullptr,
+     &AggregateReport::alloc},
+    {"acquisition", "sdc.delay.acquisition", nullptr,
+     &ContainerDelays::acquisition, &AggregateReport::acquisition},
+    {"localization", "sdc.delay.localization", nullptr,
+     &ContainerDelays::localization, &AggregateReport::localization},
+    {"queuing", "sdc.delay.queuing", nullptr, &ContainerDelays::queuing,
+     &AggregateReport::queuing},
+    {"launching", "sdc.delay.launching", nullptr, &ContainerDelays::launching,
+     &AggregateReport::launching},
+    {"exec-idle", "sdc.delay.exec-idle", nullptr,
+     &ContainerDelays::executor_idle, &AggregateReport::exec_idle},
+};
 
-void add_opt(SampleSet& set, std::string_view metric,
-             const std::optional<std::int64_t>& value) {
-  if (!value) return;
-  set.add(static_cast<double>(*value) * kMsToSec);
-  delay_histogram(metric).observe(static_cast<double>(*value));
-}
+static_assert(std::size(kSpecs) == kAppComponents + kContainerComponents);
 
-void add_each(SampleSet& set, std::string_view metric,
-              const std::vector<std::int64_t>& values) {
-  obs::Histogram& histogram = delay_histogram(metric);
-  for (std::int64_t v : values) {
-    set.add(static_cast<double>(v) * kMsToSec);
-    histogram.observe(static_cast<double>(v));
+/// Calls `f(row, ms)` for each value of `delays`, row by catalog row: an
+/// app-level row's value once, a per-container row's once per worker
+/// container that has it.
+template <typename F>
+void for_each_value(const Delays& delays, F f) {
+  for (std::size_t row = 0; row < std::size(kSpecs); ++row) {
+    const DelayComponentSpec& spec = kSpecs[row];
+    if (spec.app != nullptr) {
+      if (const auto& value = delays.*spec.app) f(row, *value);
+      continue;
+    }
+    for (const ContainerDelays& container : delays.containers) {
+      const auto& value = container.*spec.container;
+      if (!container.is_am && value) f(row, *value);
+    }
   }
 }
 
 }  // namespace
 
+std::span<const DelayComponentSpec> delay_component_specs() { return kSpecs; }
+
+std::span<obs::Histogram* const> delay_histograms() {
+  static const auto table = [] {
+    // Registered through the sdc.delay.<component> catalog family, so the
+    // names stay kind-checked against the metric catalog too (sdlint's
+    // metrics.delay-unbound pins the two catalogs together).
+    const std::string_view prefix = obs::metric::kSdcDelay.family_prefix();
+    std::array<obs::Histogram*, std::size(kSpecs)> out{};
+    for (std::size_t row = 0; row < out.size(); ++row) {
+      out[row] = &obs::catalog_histogram(
+          obs::metric::kSdcDelay, kSpecs[row].histogram.substr(prefix.size()));
+    }
+    return out;
+  }();
+  return table;
+}
+
+void observe_delays(const Delays& delays) {
+  const auto histograms = delay_histograms();
+  for_each_value(delays, [&histograms](std::size_t row, std::int64_t ms) {
+    histograms[row]->observe(static_cast<double>(ms));
+  });
+}
+
 void AggregateReport::add(const Delays& delays) {
   ++apps_;
-  add_opt(total, "total", delays.total);
-  add_opt(am, "am", delays.am);
-  add_opt(cf, "cf", delays.cf);
-  add_opt(cl, "cl", delays.cl);
-  add_opt(cl_minus_cf, "cl-cf", delays.cl_minus_cf);
-  add_opt(driver, "driver", delays.driver);
-  add_opt(executor, "executor", delays.executor);
-  add_opt(in_app, "in-app", delays.in_app);
-  add_opt(out_app, "out-app", delays.out_app);
-  add_opt(alloc, "alloc", delays.alloc);
-  add_each(acquisition, "acquisition", delays.worker_acquisitions());
-  add_each(localization, "localization", delays.worker_localizations());
-  add_each(queuing, "queuing", delays.worker_queuings());
-  add_each(launching, "launching", delays.worker_launchings());
-  add_each(exec_idle, "exec-idle", delays.worker_idles());
+  for_each_value(delays, [this](std::size_t row, std::int64_t ms) {
+    (this->*kSpecs[row].samples).add(static_cast<double>(ms) * kMsToSec);
+  });
 }
 
 std::vector<std::pair<std::string, const SampleSet*>> AggregateReport::metrics()
     const {
-  return {
-      {"total", &total},
-      {"am", &am},
-      {"cf", &cf},
-      {"cl", &cl},
-      {"cl-cf", &cl_minus_cf},
-      {"driver", &driver},
-      {"executor", &executor},
-      {"in-app", &in_app},
-      {"out-app", &out_app},
-      {"alloc", &alloc},
-      {"acquisition", &acquisition},
-      {"localization", &localization},
-      {"queuing", &queuing},
-      {"launching", &launching},
-      {"exec-idle", &exec_idle},
-  };
+  std::vector<std::pair<std::string, const SampleSet*>> out;
+  out.reserve(std::size(kSpecs));
+  for (const DelayComponentSpec& spec : kSpecs) {
+    out.emplace_back(spec.name, &(this->*spec.samples));
+  }
+  return out;
 }
 
 std::string AggregateReport::render_text() const {

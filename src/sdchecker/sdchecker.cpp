@@ -326,6 +326,9 @@ AnalysisResult CorpusPipeline::finish(ThreadPool* pool) {
   }
   AnalysisResult result = finalize_analysis(std::move(apps), pool);
   const auto span = obs::Tracer::global().span("analyze.assemble");
+  // Each application's delays are observed once, here, and not by the
+  // fold, which a follow snapshot reruns over every application it holds.
+  for (const auto& [app, delays] : result.delays) observe_delays(delays);
   result.events_unattributed = unattributed;
 
   std::size_t streams_mined = 0;

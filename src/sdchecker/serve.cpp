@@ -5,7 +5,7 @@
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prom_export.hpp"
-#include "sdchecker/trace_export.hpp"
+#include "sdchecker/report.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -109,9 +109,7 @@ std::unique_ptr<obs::HttpServer> make_follow_server(
   obs::register_catalog_baseline();
   // ...and the delay family, whose member set is the delay-component
   // catalog rather than whatever components have produced samples.
-  for (const DelayComponentSpec& spec : delay_component_specs()) {
-    obs::MetricsRegistry::global().histogram(std::string(spec.histogram));
-  }
+  (void)delay_histograms();
 
   obs::HttpServerOptions http;
   http.host = options.host;

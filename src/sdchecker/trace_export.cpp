@@ -2,50 +2,31 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 namespace sdc::checker {
 namespace {
 
-constexpr DelayComponentSpec kSpecs[] = {
-    {"total", "sdc.delay.total", "total", false},
-    {"am", "sdc.delay.am", "am", false},
-    {"cf", "sdc.delay.cf", "cf", false},
-    {"cl", "sdc.delay.cl", "cl", false},
-    {"cl-cf", "sdc.delay.cl-cf", "cl-cf", false},
-    {"driver", "sdc.delay.driver", "driver", false},
-    {"executor", "sdc.delay.executor", "executor", false},
-    {"in-app", "sdc.delay.in-app", "in-app", false},
-    {"out-app", "sdc.delay.out-app", "out-app", false},
-    {"alloc", "sdc.delay.alloc", "alloc", false},
-    {"acquisition", "sdc.delay.acquisition", "acquisition", true},
-    {"localization", "sdc.delay.localization", "localization", true},
-    {"queuing", "sdc.delay.queuing", "queuing", true},
-    {"launching", "sdc.delay.launching", "launching", true},
-    {"exec-idle", "sdc.delay.exec-idle", "exec-idle", true},
-};
-
 constexpr std::string_view kRequiredAppSlices[] = {
     "total", "am", "cf", "cl", "alloc", "driver", "executor",
 };
 
-/// One pending slice: name + absolute [start, end] in corpus epoch-ms.
+/// One pending slice: name, absolute start in corpus epoch-ms, length
+/// in ms.
 struct PendingSlice {
   std::string_view name;
   std::int64_t start_ms = 0;
-  std::int64_t end_ms = 0;
+  std::int64_t length_ms = 0;
 };
 
-/// Appends the slice when both anchors exist and the span is
-/// non-negative (negative spans are clock skew; the anomaly detector
-/// reports those — a trace slice cannot render them).
+/// Appends the slice when the span has a start and a non-negative length
+/// (a negative one is clock skew; the anomaly detector reports those — a
+/// trace slice cannot render them).
 void push_slice(std::vector<PendingSlice>& out, std::string_view name,
-                std::optional<std::int64_t> start,
-                std::optional<std::int64_t> end) {
-  if (!start || !end || *end < *start) return;
-  out.push_back({name, *start, *end});
+                const DelaySpan& span) {
+  if (!span.start || !span.length || *span.length < 0) return;
+  out.push_back({name, *span.start, *span.length});
 }
 
 std::uint64_t rebase_us(std::int64_t ts_ms, std::int64_t base_ms) {
@@ -79,9 +60,9 @@ void emit_track(obs::TraceEventWriter& writer, std::int64_t pid,
                      return a.start_ms < b.start_ms;
                    });
   for (const PendingSlice& slice : slices) {
-    const std::uint64_t start = rebase_us(slice.start_ms, base_ms);
-    const std::uint64_t end = rebase_us(slice.end_ms, base_ms);
-    writer.complete(pid, tid, slice.name, start, end - start, "scheduling");
+    writer.complete(pid, tid, slice.name, rebase_us(slice.start_ms, base_ms),
+                    static_cast<std::uint64_t>(slice.length_ms) * 1000,
+                    "scheduling");
   }
 }
 
@@ -107,80 +88,24 @@ void emit_app(obs::TraceEventWriter& writer, std::int64_t pid,
     }
   }
 
-  // Per-component tracks.  Anchors mirror decompose() exactly so the
-  // slice widths equal the reported delays.
-  const auto submitted = timeline.ts(EventKind::kAppSubmitted);
-  const auto registered = timeline.ts(EventKind::kAttemptRegistered);
-  const auto driver_first = timeline.ts(EventKind::kDriverFirstLog);
-  const auto driver_register = timeline.ts(EventKind::kDriverRegister);
-  const auto start_allo = timeline.ts(EventKind::kStartAllo);
-  const auto end_allo = timeline.ts(EventKind::kEndAllo);
-  const auto first_exec_log =
-      timeline.min_worker_ts(EventKind::kExecutorFirstLog);
-  const auto first_task = timeline.min_worker_ts(EventKind::kExecutorFirstTask);
-  const auto first_running = timeline.min_worker_ts(EventKind::kNmRunning);
-  const auto last_running = timeline.max_worker_ts(EventKind::kNmRunning);
-
-  std::int64_t tid = 1;
-  const auto component_track = [&](std::string_view name,
-                                   std::optional<std::int64_t> start,
-                                   std::optional<std::int64_t> end) {
+  // One track per app-level component, tid 1 + its catalog row.
+  const auto specs = delay_component_specs();
+  const AppSpans spans = app_spans(timeline);
+  for (std::size_t row = 0; row < spans.size(); ++row) {
     std::vector<PendingSlice> slices;
-    push_slice(slices, name, start, end);
-    emit_track(writer, pid, tid++, name, std::move(slices), base_ms);
-  };
-  component_track("total", submitted, first_task);
-  component_track("am", submitted, registered);
-  component_track("cf", submitted, first_running);
-  component_track("cl", submitted, last_running);
-  component_track("cl-cf", first_running, last_running);
-  component_track("driver", driver_first, driver_register);
-  component_track("executor", first_exec_log, first_task);
-  // in-app / out-app have no event anchors of their own (they are sums);
-  // anchor the derived spans at SUBMITTED so they line up under "total".
-  if (driver_first && driver_register && first_exec_log && first_task &&
-      submitted) {
-    const std::int64_t in_app = (*driver_register - *driver_first) +
-                                (*first_task - *first_exec_log);
-    if (in_app >= 0) {
-      component_track("in-app", submitted, *submitted + in_app);
-      if (first_task && *first_task - *submitted >= in_app) {
-        component_track("out-app", submitted,
-                        *submitted + (*first_task - *submitted - in_app));
-      } else {
-        ++tid;  // keep tid assignment stable even when out-app is absent
-      }
-    } else {
-      tid += 2;
-    }
-  } else {
-    tid += 2;
+    push_slice(slices, specs[row].name, spans[row]);
+    emit_track(writer, pid, static_cast<std::int64_t>(row) + 1,
+               specs[row].name, std::move(slices), base_ms);
   }
-  component_track("alloc", start_allo, end_allo);
 
   // Per-container tracks: the component chain in causal order.
+  const auto container_rows = specs.subspan(kAppComponents);
   std::int64_t container_tid = 100;
   for (const auto& [id, container] : timeline.containers) {
+    const ContainerSpans chain = container_spans(timeline, id, container);
     std::vector<PendingSlice> slices;
-    push_slice(slices, "acquisition",
-               container.ts(EventKind::kContainerAllocated),
-               container.ts(EventKind::kContainerAcquired));
-    push_slice(slices, "localization", container.ts(EventKind::kNmLocalizing),
-               container.ts(EventKind::kNmScheduled));
-    push_slice(slices, "queuing", container.ts(EventKind::kNmScheduled),
-               container.ts(EventKind::kNmRunning));
-    std::optional<std::int64_t> instance_first_log;
-    if (!container.has(EventKind::kNmFailed)) {
-      instance_first_log = id.is_am()
-                               ? driver_first
-                               : container.ts(EventKind::kExecutorFirstLog);
-    }
-    push_slice(slices, "launching", container.ts(EventKind::kNmRunning),
-               instance_first_log);
-    if (!id.is_am()) {
-      push_slice(slices, "exec-idle",
-                 container.ts(EventKind::kExecutorFirstLog),
-                 container.ts(EventKind::kExecutorFirstTask));
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      push_slice(slices, container_rows[i].name, chain[i]);
     }
     emit_track(writer, pid, container_tid++, id.str(), std::move(slices),
                base_ms);
@@ -188,8 +113,6 @@ void emit_app(obs::TraceEventWriter& writer, std::int64_t pid,
 }
 
 }  // namespace
-
-std::span<const DelayComponentSpec> delay_component_specs() { return kSpecs; }
 
 std::span<const std::string_view> required_app_slices() {
   return kRequiredAppSlices;

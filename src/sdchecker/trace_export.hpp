@@ -5,18 +5,20 @@
 //
 //   pid N   process_name = "application_<ts>_<seq>"
 //     tid 0         "milestones": one instant per Table-I event seen
-//     tid 1..15     one track per delay component, named after it,
-//                   carrying a single slice of that component's span
+//     tid 1..10     one track per app-level delay component, tid 1 + its
+//                   catalog row, named after it and carrying its span
 //     tid 100+k     one track per container ("container_..."), with the
 //                   per-container component chain (acquisition ->
 //                   localization -> queuing -> launching -> exec-idle)
 //
-// Timestamps are corpus epoch-ms rebased to the earliest event across
-// all applications (raw epoch-ms in microseconds would exceed the 2^53
-// double-precision window of JSON numbers).  Components whose anchor
-// events are missing, or whose duration is negative (cross-daemon clock
-// skew — flagged by the anomaly detector, not silently clamped here),
-// emit no slice.
+// The spans are decompose.hpp's (`app_spans`, `container_spans`), so a
+// slice's width is the reported delay, and the slice names are the
+// delay-component catalog's (report.hpp).  Timestamps are corpus
+// epoch-ms rebased to the earliest event across all applications (raw
+// epoch-ms in microseconds would exceed the 2^53 double-precision window
+// of JSON numbers).  A span without a start or a length, or with a
+// negative length (cross-daemon clock skew — flagged by the anomaly
+// detector, not silently clamped here), emits no slice.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +30,6 @@
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
-
-/// One delay component in the observability vocabulary.  This catalog is
-/// the single source of truth tying the decomposition (decompose.hpp) to
-/// the metrics registry and the trace export; sdlint's obs check walks it
-/// against AggregateReport::metrics() so the three can't drift apart.
-struct DelayComponentSpec {
-  /// AggregateReport::metrics() name ("total", "cl-cf", ...).
-  std::string_view metric;
-  /// Registered histogram name ("sdc.delay.total", ...).
-  std::string_view histogram;
-  /// Slice name on the trace tracks (same vocabulary as `metric`).
-  std::string_view slice;
-  /// True for the per-container components.
-  bool per_container = false;
-};
-
-/// All 15 components, in AggregateReport::metrics() order.
-[[nodiscard]] std::span<const DelayComponentSpec> delay_component_specs();
 
 /// The slice names every application track must carry for the trace to
 /// be considered complete (the `sdchecker trace --check` contract):

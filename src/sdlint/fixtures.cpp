@@ -162,49 +162,24 @@ std::vector<Finding> run_coverage_missing() {
 
 // --- broken observability vocabulary -----------------------------------------
 
-/// A catalog missing the "alloc" component: the decomposition still
-/// reports it, so the vocabulary check must flag the hole.
+/// The real catalog without its "alloc" row: the decomposition still
+/// reports alloc, so the vocabulary check must flag the hole.
 std::vector<Finding> run_obs_missing_spec() {
-  static constexpr checker::DelayComponentSpec kTruncated[] = {
-      {"total", "sdc.delay.total", "total", false},
-      {"am", "sdc.delay.am", "am", false},
-      {"cf", "sdc.delay.cf", "cf", false},
-      {"cl", "sdc.delay.cl", "cl", false},
-      {"cl-cf", "sdc.delay.cl-cf", "cl-cf", false},
-      {"driver", "sdc.delay.driver", "driver", false},
-      {"executor", "sdc.delay.executor", "executor", false},
-      {"in-app", "sdc.delay.in-app", "in-app", false},
-      {"out-app", "sdc.delay.out-app", "out-app", false},
-      {"acquisition", "sdc.delay.acquisition", "acquisition", true},
-      {"localization", "sdc.delay.localization", "localization", true},
-      {"queuing", "sdc.delay.queuing", "queuing", true},
-      {"launching", "sdc.delay.launching", "launching", true},
-      {"exec-idle", "sdc.delay.exec-idle", "exec-idle", true},
-  };
-  return check_obs_vocabulary(kTruncated);
+  std::vector<checker::DelayComponentSpec> specs;
+  for (const checker::DelayComponentSpec& spec :
+       checker::delay_component_specs()) {
+    if (spec.name != "alloc") specs.push_back(spec);
+  }
+  return check_obs_vocabulary(specs);
 }
 
-/// A catalog row for a component the decomposition never produces.
+/// The real catalog plus a row for a component the decomposition never
+/// produces.
 std::vector<Finding> run_obs_stale_spec() {
-  static constexpr checker::DelayComponentSpec kStale[] = {
-      {"total", "sdc.delay.total", "total", false},
-      {"am", "sdc.delay.am", "am", false},
-      {"cf", "sdc.delay.cf", "cf", false},
-      {"cl", "sdc.delay.cl", "cl", false},
-      {"cl-cf", "sdc.delay.cl-cf", "cl-cf", false},
-      {"driver", "sdc.delay.driver", "driver", false},
-      {"executor", "sdc.delay.executor", "executor", false},
-      {"in-app", "sdc.delay.in-app", "in-app", false},
-      {"out-app", "sdc.delay.out-app", "out-app", false},
-      {"alloc", "sdc.delay.alloc", "alloc", false},
-      {"acquisition", "sdc.delay.acquisition", "acquisition", true},
-      {"localization", "sdc.delay.localization", "localization", true},
-      {"queuing", "sdc.delay.queuing", "queuing", true},
-      {"launching", "sdc.delay.launching", "launching", true},
-      {"exec-idle", "sdc.delay.exec-idle", "exec-idle", true},
-      {"teleportation", "sdc.delay.teleportation", "teleportation", false},
-  };
-  return check_obs_vocabulary(kStale);
+  const auto real = checker::delay_component_specs();
+  std::vector<checker::DelayComponentSpec> specs(real.begin(), real.end());
+  specs.push_back({"teleportation", "sdc.delay.teleportation"});
+  return check_obs_vocabulary(specs);
 }
 
 // --- broken metric catalogs --------------------------------------------------
@@ -222,17 +197,14 @@ constexpr MetricSpec kTinyDelay{"sdc.delay.<component>",
                                 "fixture delay samples"};
 constexpr MetricSpec kTinyCatalog[] = {kTinyCounter, kTinyDelay};
 
-constexpr checker::DelayComponentSpec kTinyDelaySpecs[] = {
-    {"total", "sdc.delay.total", "total", false},
-};
-
 /// Inputs that pass every metrics.* check: catalog-generated doc table,
 /// bound delay spec, a snapshot holding only cataloged instruments.
 MetricsCheckInputs tiny_metrics_inputs(const std::string& doc_table,
                                        const obs::MetricsSnapshot* snapshot) {
   MetricsCheckInputs inputs;
   inputs.catalog = kTinyCatalog;
-  inputs.delay_specs = kTinyDelaySpecs;
+  // The real catalog's first row: sdc.delay.total.
+  inputs.delay_specs = checker::delay_component_specs().first(1);
   inputs.snapshot = snapshot;
   inputs.doc_table = doc_table;
   return inputs;

@@ -127,7 +127,7 @@ void check_delay_binding(const MetricsCheckInputs& inputs,
   for (const checker::DelayComponentSpec& spec : inputs.delay_specs) {
     if (!family->matches(spec.histogram)) {
       findings.push_back(make_finding(
-          "metrics.delay-unbound", std::string(spec.metric),
+          "metrics.delay-unbound", std::string(spec.name),
           "delay component histogram '" + std::string(spec.histogram) +
               "' is outside the " + std::string(family->name) + " family"));
     }

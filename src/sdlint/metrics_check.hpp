@@ -25,7 +25,7 @@
 
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
-#include "sdchecker/trace_export.hpp"
+#include "sdchecker/report.hpp"
 #include "sdlint/findings.hpp"
 
 namespace sdc::lint {

@@ -12,6 +12,7 @@
 #include "obs/trace_check.hpp"
 #include "sdchecker/grouping.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "sdchecker/trace_export.hpp"
 
 namespace sdc::lint {
 namespace {
@@ -24,8 +25,8 @@ using checker::EventKind;
 /// A fully-populated synthetic application — every Table-I anchor plus an
 /// AM and two worker containers, laid out so all 15 components decompose
 /// to strictly positive spans.  Driving this through the *production*
-/// finalize_analysis/trace path (rather than hand-built expectations) is
-/// the point: the check observes what the pipeline actually emits.
+/// finalize/observe/trace path (rather than hand-built expectations) is
+/// the point: the check sees what the pipeline actually emits.
 AppTimeline full_timeline() {
   constexpr std::int64_t kT0 = 1499100000000;
   AppTimeline timeline;
@@ -75,7 +76,7 @@ bool has_spec_for_metric(std::span<const DelayComponentSpec> specs,
                          std::string_view metric) {
   return std::any_of(specs.begin(), specs.end(),
                      [&](const DelayComponentSpec& spec) {
-                       return spec.metric == metric;
+                       return spec.name == metric;
                      });
 }
 
@@ -108,27 +109,31 @@ std::vector<Finding> check_obs_vocabulary(
   for (const DelayComponentSpec& spec : specs) {
     const bool known =
         std::any_of(metrics.begin(), metrics.end(), [&](const auto& entry) {
-          return entry.first == spec.metric;
+          return entry.first == spec.name;
         });
     if (!known) {
       findings.push_back(make_finding(
-          "obs.stale-spec", std::string(spec.metric),
-          "delay component catalog entry '" + std::string(spec.metric) +
+          "obs.stale-spec", std::string(spec.name),
+          "delay component catalog entry '" + std::string(spec.name) +
               "' matches no AggregateReport metric — the decomposition no "
               "longer produces it"));
     }
   }
 
-  // (b) Folding the synthetic decomposition must have registered every
-  // catalog histogram (report.cpp observes through the same catalog).
+  // (b) Observing the synthetic decomposition — the step analyze, fleet
+  // and follow retirement take once per application — must have
+  // registered every catalog histogram.
+  for (const auto& [app, delays] : result.delays) {
+    checker::observe_delays(delays);
+  }
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot();
   for (const DelayComponentSpec& spec : specs) {
     if (!snapshot.has_histogram(spec.histogram)) {
       findings.push_back(make_finding(
-          "obs.missing-histogram", std::string(spec.metric),
+          "obs.missing-histogram", std::string(spec.name),
           "no histogram named '" + std::string(spec.histogram) +
-              "' was registered after aggregating a fully-populated "
-              "application — AggregateReport::add does not observe this "
+              "' was registered after observing a fully-populated "
+              "application — observe_delays does not observe this "
               "component"));
     }
   }
@@ -151,7 +156,7 @@ std::vector<Finding> check_obs_vocabulary(
   obs::TraceCheckOptions strict = structural;
   std::set<std::string> wanted;
   for (const DelayComponentSpec& spec : specs) {
-    wanted.insert(std::string(spec.slice));
+    wanted.insert(std::string(spec.name));
   }
   for (const std::string_view slice : checker::required_app_slices()) {
     wanted.insert(std::string(slice));

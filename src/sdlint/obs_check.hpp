@@ -2,18 +2,19 @@
 //
 // Every delay component the analyzer reports (AggregateReport::metrics())
 // must appear in the shared component catalog
-// (checker::delay_component_specs()), carry a registered metrics
-// histogram, and materialize as a trace slice when a fully-populated
-// synthetic timeline is rendered through the production trace exporter.
-// This pins the three surfaces — decomposition, metrics registry, trace
-// export — to one vocabulary; adding a component to one without the
-// others is a finding, not a silent gap.
+// (checker::delay_component_specs()), carry a histogram that observing
+// a fully-populated synthetic application registers, and materialize as
+// a trace slice when that application is rendered through the
+// production trace exporter.  This pins the three surfaces —
+// decomposition, metrics registry, trace export — to one vocabulary;
+// a catalog that drops or invents a component is a finding, not a
+// silent gap.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "sdchecker/trace_export.hpp"
+#include "sdchecker/report.hpp"
 #include "sdlint/findings.hpp"
 
 namespace sdc::lint {

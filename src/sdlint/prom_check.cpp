@@ -7,7 +7,7 @@
 #include "logging/diagnostics.hpp"
 #include "obs/http_server.hpp"
 #include "obs/prom_export.hpp"
-#include "sdchecker/trace_export.hpp"
+#include "sdchecker/report.hpp"
 
 namespace sdc::lint {
 namespace {

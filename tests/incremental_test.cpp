@@ -6,8 +6,10 @@
 #include <fstream>
 
 #include "common/thread_pool.hpp"
+#include "golden_dir.hpp"
 #include "harness/scenario.hpp"
 #include "logging/timestamp.hpp"
+#include "obs/metrics.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/incremental.hpp"
 #include "workloads/tpch.hpp"
@@ -302,6 +304,79 @@ TEST(Incremental, RetirementFoldsIntoSnapshotExactly) {
                     " State change from NEW_SAVING to SUBMITTED on event = "
                     "APP_NEW_SAVED");
   EXPECT_EQ(analyzer.events_late_dropped(), 1u);
+}
+
+// --- sdc.delay.* observations -------------------------------------------
+
+/// Each sdc.delay.* histogram's observation count, by catalog row (0 while
+/// unregistered).
+std::vector<std::uint64_t> delay_counts() {
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+  std::vector<std::uint64_t> out;
+  for (const DelayComponentSpec& spec : delay_component_specs()) {
+    const auto it = snapshot.histograms.find(std::string(spec.histogram));
+    out.push_back(it == snapshot.histograms.end() ? 0 : it->second.count);
+  }
+  return out;
+}
+
+/// Expects each histogram to have gained one observation per value that
+/// `expected` folded in.
+void expect_observed(const std::vector<std::uint64_t>& before,
+                     const std::vector<std::uint64_t>& after,
+                     const AggregateReport& expected) {
+  const auto metrics = expected.metrics();
+  ASSERT_EQ(after.size(), metrics.size());
+  for (std::size_t row = 0; row < metrics.size(); ++row) {
+    EXPECT_EQ(after[row] - before[row], metrics[row].second->size())
+        << metrics[row].first;
+  }
+}
+
+TEST(Incremental, SnapshotsObserveNoDelays) {
+  const auto run = small_run(4, 306);
+  IncrementalAnalyzer analyzer;
+  for (const auto& name : run.logs.stream_names()) {
+    analyzer.feed_all(name, run.logs.lines(name));
+  }
+  const std::vector<std::uint64_t> before = delay_counts();
+  const AnalysisResult first = analyzer.snapshot();
+  const AnalysisResult second = analyzer.snapshot();
+  ASSERT_GT(first.aggregate.total.size(), 0u);
+  EXPECT_EQ(analysis_json(second), analysis_json(first));
+  EXPECT_EQ(delay_counts(), before);
+}
+
+TEST(Incremental, RetirementObservesEachRetiredAppOnce) {
+  const auto run = small_run(4, 307);
+  IncrementalAnalyzer analyzer;
+  for (const auto& name : run.logs.stream_names()) {
+    analyzer.feed_all(name, run.logs.lines(name));
+  }
+  analyzer.advance_tick();
+  analyzer.advance_tick();
+  const std::vector<std::uint64_t> before = delay_counts();
+  ASSERT_GT(analyzer.retire_terminal(1), 0u);
+  const std::vector<std::uint64_t> after = delay_counts();
+
+  AggregateReport retired;
+  for (const auto& [app, row] : analyzer.retired()) retired.add(row.delays);
+  ASSERT_GT(retired.total.size(), 0u);
+  expect_observed(before, after, retired);
+
+  // Nothing is left to retire, and snapshots observe nothing either.
+  EXPECT_EQ(analyzer.retire_terminal(1), 0u);
+  (void)analyzer.snapshot();
+  EXPECT_EQ(delay_counts(), after);
+}
+
+TEST(Incremental, BatchAnalysisObservesEachAppOnce) {
+  const std::vector<std::uint64_t> before = delay_counts();
+  const AnalysisResult result =
+      SdChecker().analyze_directory(golden_small_dir());
+  ASSERT_GT(result.aggregate.total.size(), 0u);
+  expect_observed(before, delay_counts(), result.aggregate);
 }
 
 }  // namespace

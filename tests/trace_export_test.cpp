@@ -4,11 +4,15 @@
 // (missing-anchor or negative) spans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/json_parse.hpp"
 #include "obs/trace_check.hpp"
 #include "sdchecker/grouping.hpp"
 #include "sdchecker/sdchecker.hpp"
@@ -70,6 +74,36 @@ AnalysisResult analyze_timelines(std::vector<AppTimeline> timelines) {
   return finalize_analysis(std::move(apps), nullptr);
 }
 
+/// Every complete slice of a trace document: (tid, name) -> dur (µs).
+std::map<std::pair<std::int64_t, std::string>, std::int64_t> slice_durations(
+    const std::string& trace) {
+  std::map<std::pair<std::int64_t, std::string>, std::int64_t> out;
+  obs::JsonValue doc;
+  std::string error;
+  if (!obs::parse_json(trace, doc, error) || doc.object() == nullptr) {
+    ADD_FAILURE() << "unparsable trace: " << error;
+    return out;
+  }
+  const obs::JsonValue* events = obs::json_find(*doc.object(), "traceEvents");
+  if (events == nullptr || events->array() == nullptr) {
+    ADD_FAILURE() << "no traceEvents array";
+    return out;
+  }
+  for (const obs::JsonValue& event : *events->array()) {
+    const obs::JsonObject& fields = *event.object();
+    const obs::JsonValue* phase = obs::json_find(fields, "ph");
+    if (phase == nullptr || *phase->string() != "X") continue;
+    const auto tid =
+        static_cast<std::int64_t>(*obs::json_find(fields, "tid")->number());
+    const std::string& name = *obs::json_find(fields, "name")->string();
+    const double dur = *obs::json_find(fields, "dur")->number();
+    const bool fresh =
+        out.emplace(std::pair(tid, name), static_cast<std::int64_t>(dur)).second;
+    EXPECT_TRUE(fresh) << "two slices named " << name << " on tid " << tid;
+  }
+  return out;
+}
+
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
   std::size_t n = 0;
@@ -86,7 +120,7 @@ TEST(TraceExport, CatalogCoversAggregateMetricsBothWays) {
   const auto specs = delay_component_specs();
   ASSERT_EQ(metrics.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(metrics[i].first, specs[i].metric) << "catalog row " << i;
+    EXPECT_EQ(metrics[i].first, specs[i].name) << "catalog row " << i;
   }
 }
 
@@ -97,7 +131,7 @@ TEST(TraceExport, FullTimelineCarriesAllComponentSlices) {
   obs::TraceCheckOptions options;
   options.required_process_prefix = "application_";
   for (const DelayComponentSpec& spec : delay_component_specs()) {
-    options.required_slices.emplace_back(spec.slice);
+    options.required_slices.emplace_back(spec.name);
   }
   const obs::TraceCheckResult check = obs::check_trace_json(trace, options);
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors[0]);
@@ -198,14 +232,82 @@ TEST(TraceExport, SliceWidthsMatchReportedDelays) {
   const AnalysisResult result = analyze_timelines({timeline});
   ASSERT_EQ(result.delays.size(), 1u);
   const Delays& delays = result.delays.begin()->second;
-  const std::string trace = scheduling_trace_json(result);
+  const auto slices = slice_durations(scheduling_trace_json(result));
 
   // total = SUBMITTED -> first worker FIRST_TASK = 800 ms in the synthetic
   // layout; the slice must be exactly that span in microseconds.
   ASSERT_TRUE(delays.total.has_value());
   EXPECT_EQ(*delays.total, 800);
-  EXPECT_NE(trace.find("\"name\":\"total\""), std::string::npos);
-  EXPECT_NE(trace.find("\"dur\":800000"), std::string::npos);
+
+  // Every component of the full timeline is drawn, and each slice is its
+  // reported delay wide: the app-level components on tids 1..10 in
+  // catalog order, each container's chain on tid 100 + its index.
+  std::set<std::string> drawn;
+  const auto expect_width = [&](std::int64_t tid, const std::string& name,
+                                std::optional<std::int64_t> delay) {
+    const auto it = slices.find({tid, name});
+    if (!delay) {
+      EXPECT_EQ(it, slices.end()) << name << " on tid " << tid;
+      return;
+    }
+    ASSERT_NE(it, slices.end()) << name << " on tid " << tid;
+    EXPECT_EQ(it->second, *delay * 1000) << name << " on tid " << tid;
+    drawn.insert(name);
+  };
+  const std::pair<std::string, std::optional<std::int64_t>> app_rows[] = {
+      {"total", delays.total},       {"am", delays.am},
+      {"cf", delays.cf},             {"cl", delays.cl},
+      {"cl-cf", delays.cl_minus_cf}, {"driver", delays.driver},
+      {"executor", delays.executor}, {"in-app", delays.in_app},
+      {"out-app", delays.out_app},   {"alloc", delays.alloc},
+  };
+  std::int64_t tid = 1;
+  for (const auto& [name, delay] : app_rows) {
+    ASSERT_TRUE(delay.has_value()) << name;
+    expect_width(tid++, name, delay);
+  }
+  ASSERT_EQ(delays.containers.size(), 3u);
+  std::int64_t container_tid = 100;
+  std::size_t container_slices = 0;
+  for (const ContainerDelays& container : delays.containers) {
+    expect_width(container_tid, "acquisition", container.acquisition);
+    expect_width(container_tid, "localization", container.localization);
+    expect_width(container_tid, "queuing", container.queuing);
+    expect_width(container_tid, "launching", container.launching);
+    expect_width(container_tid, "exec-idle", container.executor_idle);
+    container_slices += container.is_am ? 4 : 5;
+    ++container_tid;
+  }
+  EXPECT_EQ(drawn.size(), delay_component_specs().size());
+  EXPECT_EQ(slices.size(), std::size(app_rows) + container_slices);
+}
+
+TEST(TraceExport, OutAppIsDrawnOnlyUnderADrawnInApp) {
+  AppTimeline timeline = full_timeline(1);
+  // Clock skew: the driver registers 500 ms before its first log line, so
+  // in-app (driver + executor) is negative while out-app (total - in-app)
+  // is not.
+  timeline.first_ts[EventKind::kDriverRegister] =
+      timeline.first_ts[EventKind::kDriverFirstLog] - 500;
+  const AnalysisResult result = analyze_timelines({std::move(timeline)});
+  const Delays& delays = result.delays.begin()->second;
+  ASSERT_TRUE(delays.in_app.has_value());
+  ASSERT_TRUE(delays.out_app.has_value());
+  EXPECT_EQ(*delays.in_app, -400);
+  EXPECT_EQ(*delays.out_app, 1200);
+
+  const std::string trace = scheduling_trace_json(result);
+  const auto slices = slice_durations(trace);
+  const auto drawn = [&](const std::string& name) {
+    return std::any_of(slices.begin(), slices.end(), [&](const auto& slice) {
+      return slice.first.second == name;
+    });
+  };
+  EXPECT_FALSE(drawn("driver"));
+  EXPECT_FALSE(drawn("in-app"));
+  EXPECT_FALSE(drawn("out-app"));
+  EXPECT_TRUE(drawn("total"));
+  EXPECT_TRUE(obs::check_trace_json(trace).ok);
 }
 
 }  // namespace
