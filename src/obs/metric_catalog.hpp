@@ -12,10 +12,10 @@
 //   - the registry: every instrument registered at runtime must match a
 //     catalog row (name and kind);
 //   - docs/OBSERVABILITY.md: the metric table is *generated* from this
-//     catalog (`sdlint --metric-table`) and checked for parity in both
-//     directions;
-//   - the delay vocabulary: the `sdc.delay.<component>` family stays
-//     bound to checker::delay_component_specs().
+//     catalog (`sdlint --metric-table`) and must equal its rendering
+//     byte for byte;
+//   - the delay vocabulary: every registered `sdc.delay.<component>`
+//     member names a checker::delay_component_specs() row.
 //
 // Families: a name ending in `.<placeholder>` (literally, e.g.
 // "mine.diagnostics.<kind>") declares a dynamic-suffix family; any

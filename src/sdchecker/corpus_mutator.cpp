@@ -13,7 +13,9 @@
 #include "common/rng.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
+#include "sdchecker/extractor.hpp"
 #include "sdchecker/follow.hpp"
+#include "sdchecker/parsed_line.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -260,24 +262,68 @@ LogBundle mutate_garbage_bytes(const LogBundle& input, Rng& rng) {
   return out;
 }
 
+/// `lines` with every line from index `from` on stamped `delta_ms` later.
+std::vector<std::string> step_clock(const std::vector<std::string>& lines,
+                                    std::size_t from, std::int64_t delta_ms) {
+  std::vector<std::string> out;
+  out.reserve(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    out.push_back(i >= from ? shift_line_ts(lines[i], delta_ms) : lines[i]);
+  }
+  return out;
+}
+
+/// A stream's daemon kind as the miner decides it: that of its first
+/// line with a diagnostic logger class.
+StreamKind stream_kind(const std::vector<std::string>& lines) {
+  for (const std::string& line : lines) {
+    const auto parsed = parse_line(line);
+    if (!parsed) continue;
+    const StreamKind kind = classify_line(*parsed);
+    if (kind != StreamKind::kUnknown) return kind;
+  }
+  return StreamKind::kUnknown;
+}
+
 LogBundle mutate_clock_skew(const LogBundle& input, Rng& rng) {
   const auto span = widest_span_stream(input);
   if (!span) return input;
-  const std::vector<std::string>& lines = input.lines(span->name);
-  LogBundle out = copy_except(input, span->name);
   // NTP step: the daemon's clock is corrected backwards mid-run, so
   // every later line is stamped several seconds earlier.
   const std::size_t split =
       span->first_idx + std::max<std::size_t>(
                             1, (span->last_idx - span->first_idx) / 2);
   const std::int64_t delta = -(5000 + rng.uniform_int(0, 5000));
-  std::vector<std::string> mutated;
-  mutated.reserve(lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    mutated.push_back(i >= split ? shift_line_ts(lines[i], delta)
-                                 : lines[i]);
+  std::vector<TsSpan> drivers;
+  for (const std::string& name : input.stream_names()) {
+    if (name == span->name ||
+        stream_kind(input.lines(name)) != StreamKind::kDriver) {
+      continue;
+    }
+    if (auto driver = stream_span(input, name)) drivers.push_back(*driver);
   }
-  append_all(out, span->name, mutated);
+  const TsSpan* driver =
+      drivers.empty()
+          ? nullptr
+          : &drivers[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(drivers.size()) - 1))];
+  LogBundle out =
+      copy_except(input, span->name, driver ? driver->name : std::string());
+  append_all(out, span->name,
+             step_clock(input.lines(span->name), split, delta));
+  if (driver != nullptr) {
+    // One driver's clock steps back right after its first line, by 5-10 s
+    // more than the stream's whole span.  Its REGISTER moves back with
+    // it, so `driver` goes negative, and `in-app` too: its two parts
+    // (driver first log to REGISTER, executor first log to first task)
+    // lie apart inside the driver's span.
+    const std::int64_t driver_delta =
+        (driver->first_ts - driver->last_ts) - 5000 -
+        rng.uniform_int(0, 5000);
+    append_all(out, driver->name,
+               step_clock(input.lines(driver->name), driver->first_idx + 1,
+                          driver_delta));
+  }
   return out;
 }
 

@@ -40,8 +40,10 @@ enum class MutationClass {
   kDuplicateLines,
   /// Inject a burst of binary-garbage lines into one stream.
   kGarbageBytes,
-  /// Step one daemon's clock mid-stream (NTP correction): later lines
-  /// shift backwards by several seconds.
+  /// Step two daemons' clocks back (NTP corrections): the widest-span
+  /// stream mid-run by several seconds, and one driver right after its
+  /// first line by more than its span, so `driver` and `in-app` go
+  /// negative.
   kClockSkew,
   /// Interleave a second stream's lines into the first, block-wise (two
   /// daemons writing one file).

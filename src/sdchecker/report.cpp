@@ -12,33 +12,25 @@ namespace {
 constexpr double kMsToSec = 1e-3;
 
 constexpr DelayComponentSpec kSpecs[] = {
-    {"total", "sdc.delay.total", &Delays::total, nullptr,
-     &AggregateReport::total},
-    {"am", "sdc.delay.am", &Delays::am, nullptr, &AggregateReport::am},
-    {"cf", "sdc.delay.cf", &Delays::cf, nullptr, &AggregateReport::cf},
-    {"cl", "sdc.delay.cl", &Delays::cl, nullptr, &AggregateReport::cl},
-    {"cl-cf", "sdc.delay.cl-cf", &Delays::cl_minus_cf, nullptr,
-     &AggregateReport::cl_minus_cf},
-    {"driver", "sdc.delay.driver", &Delays::driver, nullptr,
-     &AggregateReport::driver},
-    {"executor", "sdc.delay.executor", &Delays::executor, nullptr,
-     &AggregateReport::executor},
-    {"in-app", "sdc.delay.in-app", &Delays::in_app, nullptr,
-     &AggregateReport::in_app},
-    {"out-app", "sdc.delay.out-app", &Delays::out_app, nullptr,
-     &AggregateReport::out_app},
-    {"alloc", "sdc.delay.alloc", &Delays::alloc, nullptr,
-     &AggregateReport::alloc},
-    {"acquisition", "sdc.delay.acquisition", nullptr,
-     &ContainerDelays::acquisition, &AggregateReport::acquisition},
-    {"localization", "sdc.delay.localization", nullptr,
-     &ContainerDelays::localization, &AggregateReport::localization},
-    {"queuing", "sdc.delay.queuing", nullptr, &ContainerDelays::queuing,
-     &AggregateReport::queuing},
-    {"launching", "sdc.delay.launching", nullptr, &ContainerDelays::launching,
+    {"total", &Delays::total, nullptr, &AggregateReport::total},
+    {"am", &Delays::am, nullptr, &AggregateReport::am},
+    {"cf", &Delays::cf, nullptr, &AggregateReport::cf},
+    {"cl", &Delays::cl, nullptr, &AggregateReport::cl},
+    {"cl-cf", &Delays::cl_minus_cf, nullptr, &AggregateReport::cl_minus_cf},
+    {"driver", &Delays::driver, nullptr, &AggregateReport::driver},
+    {"executor", &Delays::executor, nullptr, &AggregateReport::executor},
+    {"in-app", &Delays::in_app, nullptr, &AggregateReport::in_app},
+    {"out-app", &Delays::out_app, nullptr, &AggregateReport::out_app},
+    {"alloc", &Delays::alloc, nullptr, &AggregateReport::alloc},
+    {"acquisition", nullptr, &ContainerDelays::acquisition,
+     &AggregateReport::acquisition},
+    {"localization", nullptr, &ContainerDelays::localization,
+     &AggregateReport::localization},
+    {"queuing", nullptr, &ContainerDelays::queuing, &AggregateReport::queuing},
+    {"launching", nullptr, &ContainerDelays::launching,
      &AggregateReport::launching},
-    {"exec-idle", "sdc.delay.exec-idle", nullptr,
-     &ContainerDelays::executor_idle, &AggregateReport::exec_idle},
+    {"exec-idle", nullptr, &ContainerDelays::executor_idle,
+     &AggregateReport::exec_idle},
 };
 
 static_assert(std::size(kSpecs) == kAppComponents + kContainerComponents);
@@ -67,14 +59,13 @@ std::span<const DelayComponentSpec> delay_component_specs() { return kSpecs; }
 
 std::span<obs::Histogram* const> delay_histograms() {
   static const auto table = [] {
-    // Registered through the sdc.delay.<component> catalog family, so the
-    // names stay kind-checked against the metric catalog too (sdlint's
-    // metrics.delay-unbound pins the two catalogs together).
-    const std::string_view prefix = obs::metric::kSdcDelay.family_prefix();
+    // Each row's histogram is the sdc.delay.<component> catalog family
+    // member named after the row, so it is kind-checked against the
+    // metric catalog at registration.
     std::array<obs::Histogram*, std::size(kSpecs)> out{};
     for (std::size_t row = 0; row < out.size(); ++row) {
-      out[row] = &obs::catalog_histogram(
-          obs::metric::kSdcDelay, kSpecs[row].histogram.substr(prefix.size()));
+      out[row] =
+          &obs::catalog_histogram(obs::metric::kSdcDelay, kSpecs[row].name);
     }
     return out;
   }();

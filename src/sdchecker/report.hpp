@@ -63,10 +63,9 @@ struct AggregateReport {
 /// `AggregateReport` and the `sdc.delay.*` histograms read it, and the
 /// trace export draws the span as a slice named after the row.
 struct DelayComponentSpec {
-  /// `AggregateReport::metrics()` and trace slice name ("cl-cf", ...).
+  /// `AggregateReport::metrics()` name, trace slice name and histogram
+  /// suffix ("cl-cf" is histogram `sdc.delay.cl-cf`).
   std::string_view name;
-  /// Registered histogram name ("sdc.delay.cl-cf", ...).
-  std::string_view histogram;
   /// The `Delays` member of an app-level row, or the `ContainerDelays`
   /// member of a per-container row; the other is null.
   std::optional<std::int64_t> Delays::* app = nullptr;
@@ -79,8 +78,9 @@ struct DelayComponentSpec {
 /// `kContainerComponents` per-container rows.
 [[nodiscard]] std::span<const DelayComponentSpec> delay_component_specs();
 
-/// The `sdc.delay.<component>` histograms (ms), indexed by catalog row;
-/// the first call registers them all.
+/// The `sdc.delay.<component>` histograms (ms), indexed by catalog row,
+/// each named `sdc.delay.` + the row's `name`; the first call registers
+/// them all.
 [[nodiscard]] std::span<obs::Histogram* const> delay_histograms();
 
 /// Observes one application's values — those `AggregateReport::add`

@@ -7,7 +7,6 @@
 #include "sdlint/diag_check.hpp"
 #include "sdlint/machine_check.hpp"
 #include "sdlint/metrics_check.hpp"
-#include "sdlint/obs_check.hpp"
 #include "sdlint/prom_check.hpp"
 #include "sdlint/runner.hpp"
 
@@ -160,32 +159,12 @@ std::vector<Finding> run_coverage_missing() {
   return check_coverage(yarn::machine_descriptors(), groups);
 }
 
-// --- broken observability vocabulary -----------------------------------------
-
-/// The real catalog without its "alloc" row: the decomposition still
-/// reports alloc, so the vocabulary check must flag the hole.
-std::vector<Finding> run_obs_missing_spec() {
-  std::vector<checker::DelayComponentSpec> specs;
-  for (const checker::DelayComponentSpec& spec :
-       checker::delay_component_specs()) {
-    if (spec.name != "alloc") specs.push_back(spec);
-  }
-  return check_obs_vocabulary(specs);
-}
-
-/// The real catalog plus a row for a component the decomposition never
-/// produces.
-std::vector<Finding> run_obs_stale_spec() {
-  const auto real = checker::delay_component_specs();
-  std::vector<checker::DelayComponentSpec> specs(real.begin(), real.end());
-  specs.push_back({"teleportation", "sdc.delay.teleportation"});
-  return check_obs_vocabulary(specs);
-}
-
 // --- broken metric catalogs --------------------------------------------------
 // A tiny two-row catalog (one counter, the sdc.delay histogram family),
 // broken a different way per fixture.  The happy-path doc table is
-// *generated* from the catalog, so only the seeded violation fires.
+// *generated* from the catalog, so only the seeded violation fires; the
+// four doc fixtures drift the table at its end, past its end, inside a
+// row and by losing it.
 
 using obs::MetricKind;
 using obs::MetricSpec;
@@ -198,13 +177,11 @@ constexpr MetricSpec kTinyDelay{"sdc.delay.<component>",
 constexpr MetricSpec kTinyCatalog[] = {kTinyCounter, kTinyDelay};
 
 /// Inputs that pass every metrics.* check: catalog-generated doc table,
-/// bound delay spec, a snapshot holding only cataloged instruments.
+/// a snapshot holding only cataloged instruments.
 MetricsCheckInputs tiny_metrics_inputs(const std::string& doc_table,
                                        const obs::MetricsSnapshot* snapshot) {
   MetricsCheckInputs inputs;
   inputs.catalog = kTinyCatalog;
-  // The real catalog's first row: sdc.delay.total.
-  inputs.delay_specs = checker::delay_component_specs().first(1);
   inputs.snapshot = snapshot;
   inputs.doc_table = doc_table;
   return inputs;
@@ -221,14 +198,16 @@ std::vector<Finding> run_metrics_duplicate_spec() {
 }
 
 /// A catalog row the committed doc table does not carry (the acceptance
-/// fixture: an undocumented metric must make sdlint exit nonzero).
+/// fixture: an undocumented metric must make sdlint exit nonzero); the
+/// table ends a line early.
 std::vector<Finding> run_metrics_undocumented() {
   static const std::string doc =
       obs::render_metric_table(std::span<const MetricSpec>(kTinyCatalog, 1));
   return check_metrics(tiny_metrics_inputs(doc, nullptr));
 }
 
-/// A doc table row for a metric the catalog does not declare.
+/// A doc table row for a metric the catalog does not declare, past the
+/// rendered table's end.
 std::vector<Finding> run_metrics_stale_doc() {
   static const std::string doc =
       obs::render_metric_table(kTinyCatalog) +
@@ -470,13 +449,11 @@ constexpr Fixture kFixtures[] = {
      &run_contract_unknown_class},
     {"coverage-missing-kind", "coverage.missing-kind",
      &run_coverage_missing},
-    {"obs-missing-spec", "obs.missing-metric", &run_obs_missing_spec},
-    {"obs-stale-spec", "obs.stale-spec", &run_obs_stale_spec},
     {"metrics-duplicate-spec", "metrics.duplicate-spec",
      &run_metrics_duplicate_spec},
-    {"metrics-undocumented", "metrics.undocumented",
+    {"metrics-undocumented", "metrics.doc-drift",
      &run_metrics_undocumented},
-    {"metrics-stale-doc", "metrics.stale-doc", &run_metrics_stale_doc},
+    {"metrics-stale-doc", "metrics.doc-drift", &run_metrics_stale_doc},
     {"metrics-doc-drift", "metrics.doc-drift", &run_metrics_doc_drift},
     {"metrics-unknown-instrument", "metrics.unknown-instrument",
      &run_metrics_unknown_instrument},
@@ -484,8 +461,7 @@ constexpr Fixture kFixtures[] = {
      &run_metrics_kind_mismatch},
     {"metrics-delay-unbound", "metrics.delay-unbound",
      &run_metrics_delay_unbound},
-    {"metrics-doc-missing", "metrics.doc-missing",
-     &run_metrics_doc_missing},
+    {"metrics-doc-missing", "metrics.doc-drift", &run_metrics_doc_missing},
     {"prom-invalid-name", "prom.invalid-name", &run_prom_invalid_name},
     {"prom-duplicate-name", "prom.duplicate-name",
      &run_prom_duplicate_name},

@@ -1,10 +1,11 @@
 #include "sdlint/metrics_check.hpp"
 
-#include <map>
+#include <algorithm>
 #include <string>
 
 #include "common/sim_time.hpp"
 #include "harness/scenario.hpp"
+#include "sdchecker/report.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdlint/doc_sources.hpp"
 #include "workloads/tpch.hpp"
@@ -43,102 +44,70 @@ void check_instrument(std::span<const obs::MetricSpec> catalog,
   }
 }
 
-struct DocRow {
-  std::string kind;
-  std::string unit;
-  std::string doc;
-};
+/// Takes the next line off `text`, its '\n' included ("" at the end).
+std::string_view take_line(std::string_view& text) {
+  const std::size_t eol = text.find('\n');
+  const std::size_t length = eol == std::string_view::npos ? text.size()
+                                                           : eol + 1;
+  const std::string_view line = text.substr(0, length);
+  text.remove_prefix(length);
+  return line;
+}
 
-/// Catalog rows vs the committed doc table, both directions plus
-/// cell-level drift.
-void check_doc_parity(const MetricsCheckInputs& inputs,
-                      std::vector<Finding>& findings) {
+std::string quote_line(std::string_view line) {
+  if (line.empty()) return "the end of the table";
+  if (line.back() == '\n') line.remove_suffix(1);
+  std::string quoted = "'";
+  quoted += line;
+  quoted += '\'';
+  return quoted;
+}
+
+/// The committed doc table must be the catalog's rendering, byte for
+/// byte; a difference is reported at its first line.
+void check_doc_table(const MetricsCheckInputs& inputs,
+                     std::vector<Finding>& findings) {
+  const std::string subject = "docs/OBSERVABILITY.md";
+  const std::string regenerate =
+      "; regenerate with `build/tools/sdlint --metric-table`";
   if (!inputs.doc_found) {
     findings.push_back(make_finding(
-        "metrics.doc-missing", "docs/OBSERVABILITY.md",
-        "metric-catalog table (between the BEGIN/END markers) not found; "
-        "regenerate with `build/tools/sdlint --metric-table`"));
+        "metrics.doc-drift", subject,
+        "metric-catalog table (between the BEGIN/END markers) not found" +
+            regenerate));
     return;
   }
-  std::map<std::string, DocRow, std::less<>> documented;
-  for (const std::vector<std::string>& cells :
-       parse_markdown_table(inputs.doc_table)) {
-    if (cells.empty()) continue;
-    const std::string name = strip_backticks(cells[0]);
-    if (name == "name") continue;  // header row
-    documented[name] = DocRow{cells.size() > 1 ? cells[1] : "",
-                              cells.size() > 2 ? cells[2] : "",
-                              cells.size() > 3 ? cells[3] : ""};
-  }
-  for (const obs::MetricSpec& row : inputs.catalog) {
-    const auto it = documented.find(row.name);
-    if (it == documented.end()) {
-      findings.push_back(make_finding(
-          "metrics.undocumented", std::string(row.name),
-          "catalog row has no docs/OBSERVABILITY.md table row; regenerate "
-          "with `build/tools/sdlint --metric-table`"));
-      continue;
-    }
-    if (it->second.kind != obs::metric_kind_name(row.kind) ||
-        it->second.unit != row.unit || it->second.doc != row.doc) {
-      findings.push_back(make_finding(
-          "metrics.doc-drift", std::string(row.name),
-          "doc table row disagrees with the catalog (kind/unit/meaning); "
-          "regenerate with `build/tools/sdlint --metric-table`"));
-    }
-  }
-  for (const auto& [name, row] : documented) {
-    bool in_catalog = false;
-    for (const obs::MetricSpec& spec : inputs.catalog) {
-      if (spec.name == name) in_catalog = true;
-    }
-    if (!in_catalog) {
-      findings.push_back(make_finding(
-          "metrics.stale-doc", name,
-          "doc table documents a metric the catalog does not declare"));
-    }
+  const std::string rendered = obs::render_metric_table(inputs.catalog);
+  std::string_view doc = inputs.doc_table;
+  std::string_view want = rendered;
+  for (std::size_t line = 1; !doc.empty() || !want.empty(); ++line) {
+    const std::string_view have = take_line(doc);
+    const std::string_view expected = take_line(want);
+    if (have == expected) continue;
+    findings.push_back(make_finding(
+        "metrics.doc-drift", subject,
+        "metric table line " + std::to_string(line) + " is " +
+            quote_line(have) + ", the catalog renders " +
+            quote_line(expected) + regenerate));
+    return;
   }
 }
 
-/// The sdc.delay.* histogram family and the delay-component catalog must
-/// name exactly the same instruments, in both directions.
-void check_delay_binding(const MetricsCheckInputs& inputs,
+/// Every registered sdc.delay.* histogram must name a delay component:
+/// its suffix is a row's `name`.
+void check_delay_binding(const obs::MetricsSnapshot& snapshot,
                          std::vector<Finding>& findings) {
-  constexpr std::string_view kDelayPrefix = "sdc.delay.";
-  const obs::MetricSpec* family = nullptr;
-  for (const obs::MetricSpec& row : inputs.catalog) {
-    if (row.is_family() && row.family_prefix() == kDelayPrefix) family = &row;
-  }
-  if (family == nullptr) {
-    if (!inputs.delay_specs.empty()) {
-      findings.push_back(make_finding(
-          "metrics.delay-unbound", std::string(kDelayPrefix) + "<component>",
-          "the delay-component catalog exists but the metric catalog has "
-          "no sdc.delay.<component> family row"));
-    }
-    return;
-  }
-  if (family->kind != obs::MetricKind::kHistogram) {
-    findings.push_back(make_finding(
-        "metrics.delay-unbound", std::string(family->name),
-        "the sdc.delay family row must be a histogram (delay components "
-        "are sampled distributions)"));
-  }
-  for (const checker::DelayComponentSpec& spec : inputs.delay_specs) {
-    if (!family->matches(spec.histogram)) {
-      findings.push_back(make_finding(
-          "metrics.delay-unbound", std::string(spec.name),
-          "delay component histogram '" + std::string(spec.histogram) +
-              "' is outside the " + std::string(family->name) + " family"));
-    }
-  }
-  if (inputs.snapshot == nullptr) return;
-  for (const auto& [name, value] : inputs.snapshot->histograms) {
-    if (!family->matches(name)) continue;
-    bool bound = false;
-    for (const checker::DelayComponentSpec& spec : inputs.delay_specs) {
-      if (spec.histogram == name) bound = true;
-    }
+  const obs::MetricSpec& family = obs::metric::kSdcDelay;
+  const auto specs = checker::delay_component_specs();
+  for (const auto& [name, value] : snapshot.histograms) {
+    if (!family.matches(name)) continue;
+    const std::string_view component =
+        std::string_view(name).substr(family.family_prefix().size());
+    const bool bound = std::any_of(
+        specs.begin(), specs.end(),
+        [&](const checker::DelayComponentSpec& spec) {
+          return spec.name == component;
+        });
     if (!bound) {
       findings.push_back(make_finding(
           "metrics.delay-unbound", name,
@@ -167,10 +136,10 @@ std::vector<Finding> check_metrics(const MetricsCheckInputs& inputs) {
     }
   }
 
-  check_doc_parity(inputs, findings);
-  check_delay_binding(inputs, findings);
+  check_doc_table(inputs, findings);
 
   if (inputs.snapshot != nullptr) {
+    check_delay_binding(*inputs.snapshot, findings);
     for (const auto& [name, value] : inputs.snapshot->counters) {
       check_instrument(inputs.catalog, name, obs::MetricKind::kCounter,
                        findings);
@@ -190,9 +159,9 @@ std::vector<Finding> check_metrics(const MetricsCheckInputs& inputs) {
 std::vector<Finding> check_real_metrics() {
   // Populate the registry with the production instruments before
   // snapshotting: a micro scenario registers the sim.* family; analyzing
-  // its bundle registers mine.* / analyze.* and (through the aggregate
-  // report it builds) every sdc.delay.* histogram.  Cached: the checks
-  // are pure over the snapshot.
+  // its bundle registers mine.* / analyze.* and (observing its
+  // applications) every sdc.delay.* histogram.  Cached: the checks are
+  // pure over the snapshot.
   static const obs::MetricsSnapshot snapshot = [] {
     harness::ScenarioConfig scenario;
     scenario.seed = 7;
@@ -211,7 +180,6 @@ std::vector<Finding> check_real_metrics() {
       load_doc_section("OBSERVABILITY.md", kMetricTableBegin, kMetricTableEnd);
   MetricsCheckInputs inputs;
   inputs.catalog = obs::metric_catalog();
-  inputs.delay_specs = checker::delay_component_specs();
   inputs.snapshot = &snapshot;
   inputs.doc_table = section.text;
   inputs.doc_found = section.file_found && section.section_found;

@@ -1,22 +1,26 @@
-// Check (e): every metric the tree registers is a catalog row, and the
-// catalog, the committed doc table and the delay-component vocabulary
-// agree (ISSUE 8).
+// Check (e): every metric the tree registers is a catalog row, the
+// committed doc table is the catalog's rendering, and every registered
+// `sdc.delay.*` histogram names a delay component (ISSUE 8).
 //
 // Inputs are injectable so fixtures can seed each violation: a broken
 // catalog, a drifted doc table, a snapshot carrying an uncataloged
 // instrument.  The real variant drives a micro simulation + analysis so
 // the registry snapshot actually contains the production instruments,
-// then cross-examines four surfaces:
+// then checks:
 //
-//   catalog -> docs      metrics.undocumented / metrics.doc-drift
-//   docs -> catalog      metrics.stale-doc
+//   catalog              metrics.duplicate-spec (no row shadows another)
+//   docs                 metrics.doc-drift (the marker section must equal
+//                        obs::render_metric_table of the catalog, byte
+//                        for byte; the first differing line is named)
 //   registry -> catalog  metrics.unknown-instrument / metrics.kind-mismatch
-//   delay vocabulary     metrics.delay-unbound (sdc.delay.* histograms
-//                        bound to checker::delay_component_specs() both
-//                        directions)
+//   delay vocabulary     metrics.delay-unbound (a registered sdc.delay.*
+//                        histogram whose suffix is no
+//                        checker::delay_component_specs() name)
 //
-// plus catalog self-consistency (metrics.duplicate-spec) and doc
-// presence (metrics.doc-missing).
+// The catalog rows themselves always have their histogram:
+// `delay_histograms()` registers `sdc.delay.` + each row's name through
+// the family row, and that registration throws on a missing or
+// non-histogram family.
 #pragma once
 
 #include <span>
@@ -25,7 +29,6 @@
 
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
-#include "sdchecker/report.hpp"
 #include "sdlint/findings.hpp"
 
 namespace sdc::lint {
@@ -39,21 +42,19 @@ inline constexpr std::string_view kMetricTableEnd =
 
 struct MetricsCheckInputs {
   std::span<const obs::MetricSpec> catalog;
-  std::span<const checker::DelayComponentSpec> delay_specs;
   /// Registered-instrument view; nullptr skips the registry checks.
   const obs::MetricsSnapshot* snapshot = nullptr;
   /// The marker-delimited doc table (markdown).
   std::string_view doc_table;
-  /// False turns every doc comparison into metrics.doc-missing.
+  /// False reports the table as not found (metrics.doc-drift).
   bool doc_found = true;
 };
 
 std::vector<Finding> check_metrics(const MetricsCheckInputs& inputs);
 
 /// check_metrics over the real catalog, the committed
-/// docs/OBSERVABILITY.md table, the real delay-component specs, and a
-/// registry snapshot taken after a micro scenario + analysis populated
-/// the production instruments.
+/// docs/OBSERVABILITY.md table and a registry snapshot taken after a
+/// micro scenario + analysis populated the production instruments.
 std::vector<Finding> check_real_metrics();
 
 }  // namespace sdc::lint

@@ -136,12 +136,7 @@ std::vector<Finding> check_real_prom() {
     FamilySuffixes delay{"sdc.delay.<component>", {}};
     for (const checker::DelayComponentSpec& spec :
          checker::delay_component_specs()) {
-      constexpr std::string_view kPrefix = "sdc.delay.";
-      std::string_view histogram = spec.histogram;
-      if (histogram.substr(0, kPrefix.size()) == kPrefix) {
-        histogram.remove_prefix(kPrefix.size());
-      }
-      delay.suffixes.emplace_back(histogram);
+      delay.suffixes.emplace_back(spec.name);
     }
     out.push_back(std::move(delay));
 

@@ -5,7 +5,6 @@
 #include "sdlint/diag_check.hpp"
 #include "sdlint/machine_check.hpp"
 #include "sdlint/metrics_check.hpp"
-#include "sdlint/obs_check.hpp"
 #include "sdlint/prom_check.hpp"
 
 namespace sdc::lint {
@@ -15,7 +14,6 @@ Report run_all_checks() {
   append_findings(report.findings, check_all_machines());
   append_findings(report.findings, check_real_contract());
   append_findings(report.findings, check_real_coverage());
-  append_findings(report.findings, check_real_obs_vocabulary());
   append_findings(report.findings, check_real_metrics());
   append_findings(report.findings, check_real_prom());
   append_findings(report.findings, check_real_diagnostics());

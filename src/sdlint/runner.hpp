@@ -1,5 +1,5 @@
-// Entry point tying the three check families together for the CLI and
-// the test suite.
+// Entry point tying the check families together for the CLI and the
+// test suite.
 #pragma once
 
 #include <vector>
@@ -13,9 +13,10 @@ struct Report {
   [[nodiscard]] bool clean() const { return findings.empty(); }
 };
 
-/// Runs every check over the real simulator/miner tables: machine
-/// well-formedness, the emitter/extractor contract, and Table-I graph
-/// coverage through the production miner.
+/// Runs every check over the real tables: machine well-formedness, the
+/// emitter/extractor contract, Table-I coverage through the production
+/// miner, the metric catalog, its Prometheus names and the diagnostic
+/// kinds.
 Report run_all_checks();
 
 }  // namespace sdc::lint

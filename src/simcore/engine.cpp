@@ -8,28 +8,18 @@
 
 namespace sdc::sim {
 
-TimerHandle Engine::schedule_at(SimTime t, Callback cb) {
+void Engine::schedule_at(SimTime t, Callback cb) {
   static obs::Counter& scheduled =
       obs::catalog_counter(obs::metric::kSimEngineTimersScheduled);
   scheduled.add(1);
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
-  Entry entry;
-  entry.time = t;
-  entry.seq = next_seq_++;
-  entry.cb = std::move(cb);
-  entry.cancelled = std::make_shared<bool>(false);
-  entry.fired = std::make_shared<bool>(false);
-  TimerHandle handle;
-  handle.cancelled_ = entry.cancelled;
-  handle.fired_ = entry.fired;
-  queue_.push(std::move(entry));
-  return handle;
+  queue_.push(Entry{t, next_seq_++, std::move(cb)});
 }
 
-TimerHandle Engine::schedule_after(SimDuration d, Callback cb) {
+void Engine::schedule_after(SimDuration d, Callback cb) {
   if (d < 0) d = 0;
-  return schedule_at(now_ + d, std::move(cb));
+  schedule_at(now_ + d, std::move(cb));
 }
 
 std::size_t Engine::run(SimTime until) {
@@ -43,22 +33,18 @@ std::size_t Engine::run(SimTime until) {
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; move out via const_cast, which is safe
-    // because the entry is popped immediately after.
-    Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    now_ = entry.time;
-    if (*entry.cancelled) continue;  // discard silently, try next
-    *entry.fired = true;
-    ++executed_;
-    static obs::Counter& executed =
-        obs::catalog_counter(obs::metric::kSimEngineEventsExecuted);
-    executed.add(1);
-    entry.cb();
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  // priority_queue::top is const; move out via const_cast, which is safe
+  // because the entry is popped immediately after.
+  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  queue_.pop();
+  now_ = entry.time;
+  ++executed_;
+  static obs::Counter& executed =
+      obs::catalog_counter(obs::metric::kSimEngineEventsExecuted);
+  executed.add(1);
+  entry.cb();
+  return true;
 }
 
 PeriodicTask PeriodicTask::start(Engine& engine, SimTime start,

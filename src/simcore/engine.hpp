@@ -26,29 +26,6 @@
 
 namespace sdc::sim {
 
-/// Cancellation handle for a scheduled event.  Default-constructed handles
-/// are inert.  Cancelling after the event fired is a harmless no-op.
-class TimerHandle {
- public:
-  TimerHandle() = default;
-
-  /// Prevents the event's callback from running (the queue entry stays
-  /// until its time arrives, then is discarded).
-  void cancel() const {
-    if (cancelled_) *cancelled_ = true;
-  }
-
-  /// True if the event can still fire.
-  [[nodiscard]] bool active() const {
-    return cancelled_ && !*cancelled_ && !*fired_;
-  }
-
- private:
-  friend class Engine;
-  std::shared_ptr<bool> cancelled_;
-  std::shared_ptr<bool> fired_;
-};
-
 class Engine {
  public:
   using Callback = std::function<void()>;
@@ -61,10 +38,10 @@ class Engine {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute time `t`; `t` must be >= now().
-  TimerHandle schedule_at(SimTime t, Callback cb);
+  void schedule_at(SimTime t, Callback cb);
 
   /// Schedules `cb` after `d` microseconds (clamped to >= 0).
-  TimerHandle schedule_after(SimDuration d, Callback cb);
+  void schedule_after(SimDuration d, Callback cb);
 
   /// Runs until the queue drains or time would exceed `until`.
   /// Returns the number of callbacks executed.
@@ -76,7 +53,7 @@ class Engine {
   /// Makes `run` return after the current callback completes.
   void request_stop() noexcept { stop_requested_ = true; }
 
-  /// Events still queued (including cancelled ones not yet discarded).
+  /// Events still queued.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Total callbacks executed since construction.
@@ -87,8 +64,6 @@ class Engine {
     SimTime time;
     std::uint64_t seq;
     Callback cb;
-    std::shared_ptr<bool> cancelled;
-    std::shared_ptr<bool> fired;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -105,9 +80,9 @@ class Engine {
 };
 
 /// Schedules `body` every `interval` starting at `start`, for as long as
-/// `body` returns true.  Returns a handle cancelling the *next* firing.
-/// Note: because each firing re-schedules, the handle is refreshed through
-/// the shared state inside; cancelling stops the chain.
+/// `body` returns true.  Each firing schedules the next; `cancel` sets the
+/// chain's shared stop flag, so the next firing returns without running
+/// `body` or scheduling another.
 class PeriodicTask {
  public:
   PeriodicTask() = default;

@@ -5,14 +5,17 @@
 // mode tailing each mutant drains to the batch analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
 #include "golden_dir.hpp"
 #include "logging/log_bundle.hpp"
+#include "obs/trace_check.hpp"
 #include "sdchecker/corpus_mutator.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "sdchecker/trace_export.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -118,6 +121,31 @@ TEST(CorpusMutator, DiagnosticsSurfaceInAnalysisJson) {
     // The count right after the key must not be zero.
     const std::string zero = key + " 0";
     EXPECT_EQ(json.find(zero), std::string::npos) << mutation_class_name(cls);
+  }
+}
+
+TEST(CorpusMutator, ClockSkewReachesANegativeInAppAndStillTraces) {
+  // The clock-skew mutant also steps a driver's clock back, so the fuzz
+  // corpora reach a negative in-app: the case where the trace draws
+  // neither in-app nor the out-app under it.
+  const SdChecker checker;
+  for (const std::uint64_t seed : {1ull, 42ull, 20170703ull}) {
+    const AnalysisResult analysis = checker.analyze(
+        apply_mutation(golden(), MutationClass::kClockSkew, seed));
+    EXPECT_TRUE(std::any_of(analysis.delays.begin(), analysis.delays.end(),
+                            [](const auto& entry) {
+                              const auto& in_app = entry.second.in_app;
+                              return in_app && *in_app < 0;
+                            }))
+        << "seed " << seed;
+    EXPECT_GT(analysis.diag_counts.of(
+                  logging::DiagnosticKind::kTimestampRegression),
+              0u)
+        << "seed " << seed;
+    const obs::TraceCheckResult check =
+        obs::check_trace_json(scheduling_trace_json(analysis));
+    EXPECT_TRUE(check.ok) << "seed " << seed << ": "
+                          << (check.errors.empty() ? "" : check.errors[0]);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "golden_dir.hpp"
 #include "harness/scenario.hpp"
 #include "logging/timestamp.hpp"
+#include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/incremental.hpp"
@@ -315,7 +316,9 @@ std::vector<std::uint64_t> delay_counts() {
       obs::MetricsRegistry::global().snapshot();
   std::vector<std::uint64_t> out;
   for (const DelayComponentSpec& spec : delay_component_specs()) {
-    const auto it = snapshot.histograms.find(std::string(spec.histogram));
+    const auto it = snapshot.histograms.find(
+        std::string(obs::metric::kSdcDelay.family_prefix()) +
+        std::string(spec.name));
     out.push_back(it == snapshot.histograms.end() ? 0 : it->second.count);
   }
   return out;

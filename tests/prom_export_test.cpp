@@ -11,7 +11,7 @@
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prom_export.hpp"
-#include "sdchecker/trace_export.hpp"
+#include "sdchecker/report.hpp"
 
 namespace sdc::obs {
 namespace {
@@ -133,10 +133,7 @@ TEST(PromRender, CountRecomputedFromBucketsNotRacingAtomic) {
 
 TEST(PromRender, FullRegistrySnapshotValidatesAndCoversCatalog) {
   register_catalog_baseline();
-  for (const checker::DelayComponentSpec& spec :
-       checker::delay_component_specs()) {
-    MetricsRegistry::global().histogram(std::string(spec.histogram));
-  }
+  (void)checker::delay_histograms();
   const std::string text =
       render_prom_text(MetricsRegistry::global().snapshot());
   const PromCheckResult check = check_prom_text(text);

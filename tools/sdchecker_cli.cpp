@@ -19,9 +19,10 @@
 //       Generate a synthetic Spark-on-YARN log corpus (useful for demos
 //       and for testing the analyzer without a cluster).
 //
-//   sdchecker fuzz <log_dir> [--seed S] [--class NAME]
-//       Smoke-test the analyzer against seeded corpus damage (see
-//       tools/corpus_mutator for the full harness).
+//   sdchecker fuzz <log_dir> [--seed S] [--class NAME] [--out DIR]
+//       Self-check the analyzer against seeded corpus damage, in batch
+//       and through a live follow leg; --out also writes each class's
+//       mutant to DIR/<class>/ for replay.
 //
 // Exit status: 0 success on a clean corpus, 1 runtime error, 2 usage
 // error, 3 analysis completed but the corpus needed diagnostics
@@ -98,7 +99,8 @@ int usage() {
                "            [--input-mb MB] [--scheduler "
                "capacity|opportunistic]\n"
                "  sdchecker fuzz <log_dir> [--seed S] [--class NAME] "
-               "[--analyze-shards N]\n"
+               "[--out DIR]\n"
+               "            [--analyze-shards N]\n"
                "\n"
                "analysis flags:\n"
                "  --threads N         split mining into chunks for N workers\n"
@@ -116,6 +118,10 @@ int usage() {
                "  --baseline FILE     compare delay distributions against a\n"
                "                      previous fleet summary JSON; exits 4\n"
                "                      on significant drift (KS distance)\n"
+               "\n"
+               "fuzz flags:\n"
+               "  --out DIR           also write each class's mutant to\n"
+               "                      DIR/<class>/ for replay\n"
                "\n"
                "follow serving flags:\n"
                "  --serve [ADDR:PORT]  embedded observability server\n"
@@ -1055,14 +1061,22 @@ int cmd_fuzz(std::vector<std::string> args) {
   if (!take_count(args, "--analyze-shards", options.analyze_shards)) {
     return usage();
   }
+  const auto out_dir = flag_value(args, "--out");
   const auto positionals = finish_args(std::move(args), {"log_dir"},
                                        {"--seed", "--class",
-                                        "--analyze-shards"});
+                                        "--analyze-shards", "--out"});
   if (!positionals) return usage();
 
   logging::LogBundle base;
   try {
     base = logging::LogBundle::read_from_directory((*positionals)[0]);
+    if (out_dir) {
+      for (const auto cls : classes) {
+        checker::apply_mutation(base, cls, seed)
+            .write_to_directory(std::filesystem::path(*out_dir) /
+                                std::string(checker::mutation_class_name(cls)));
+      }
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sdchecker: %s\n", e.what());
     return 1;

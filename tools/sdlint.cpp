@@ -9,7 +9,7 @@
 //                         corpus, then require the real tables to be clean
 //   sdlint --metric-table print the generated docs/OBSERVABILITY.md
 //                         metric table (paste between the BEGIN/END
-//                         markers to fix metrics.* doc findings)
+//                         markers to fix a metrics.doc-drift finding)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage error.
 #include <cstdio>
