@@ -15,9 +15,13 @@
 # candidate won: runs are paired by workload and `header.seed`, the
 # direction is the metric's `better` in BENCHMARK.json, and a tie counts
 # for neither side.  Traced and incorrect runs pair with nothing, as
-# compare ignores them.  Last it names every run recorded with `correct:
-# false` (workload, seed, side) and prints its `errors`, so a failed gate
-# is on record.  The script exits with compare's status.
+# compare ignores them.  Then, per workload and end-to-end metric, each
+# side's median and quartiles over the paired runs, and the claim rule:
+# `claim met` when the candidate won at least nine tenths of the pairs
+# and its median beats the base's by more than the base's interquartile
+# distance, `not met` otherwise.  Last it names every run recorded with
+# `correct: false` (workload, seed, side) and prints its `errors`, so a
+# failed gate is on record.  The script exits with compare's status.
 #
 # Usage:
 #   scripts/sdbench_pairs.sh BASE_DIR CANDIDATE_DIR WORKLOAD SECONDS \
@@ -100,6 +104,15 @@ def records(path):
         return []
 
 
+def percentile(values, p):
+    """Linear interpolation between the closest ranks, as sdbench's."""
+    values = sorted(values)
+    rank = p / 100 * (len(values) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(values) - 1)
+    return values[lo] + (values[hi] - values[lo]) * (rank - lo)
+
+
 def runs(path):
     """(workload, seed) -> the end-to-end values of each untraced,
     correct run, in file order."""
@@ -122,6 +135,7 @@ for key in sorted(base.keys() & candidate.keys()):
 print("\npairs won by the candidate (paired by seed; ties count for neither)")
 if not pairs:
     print("  no untraced pairs")
+tallies = []
 for workload, runs_of in pairs.items():
     for metric in metrics:
         name = metric["name"]
@@ -131,6 +145,24 @@ for workload, runs_of in pairs.items():
         lost = sum(sign * (b - a) < 0 for a, b in both)
         print(f"  {workload:<12} {name:<14} won {won}/{len(both)}, "
               f"lost {lost}/{len(both)}")
+        if both:
+            tallies.append((workload, name, sign, won, both))
+
+print("\nclaim rule: median [quartiles] of the paired runs; `claim met` when "
+      "the candidate won >= 9/10 of the pairs\nand the medians differ, in "
+      "the better direction, by more than the base's interquartile distance")
+if not tallies:
+    print("  no untraced pairs")
+for workload, name, sign, won, both in tallies:
+    base_q = [percentile([a for a, _ in both], p) for p in (25, 50, 75)]
+    cand_q = [percentile([b for _, b in both], p) for p in (25, 50, 75)]
+    met = (won * 10 >= 9 * len(both) and
+           sign * (cand_q[1] - base_q[1]) > base_q[2] - base_q[0])
+    ratio = f"x{cand_q[1] / base_q[1]:.3f}" if base_q[1] else "x-"
+    print(f"  {workload:<12} {name:<14} "
+          f"base {base_q[1]:.6g} [{base_q[0]:.6g}, {base_q[2]:.6g}]  "
+          f"candidate {cand_q[1]:.6g} [{cand_q[0]:.6g}, {cand_q[2]:.6g}]  "
+          f"{ratio}  {'claim met' if met else 'not met'}")
 
 print("\nruns recorded with correct: false")
 failed = 0

@@ -43,13 +43,19 @@ bool consume(std::string_view text, std::size_t& pos, std::string_view lit) {
 
 }  // namespace
 
-std::string ApplicationId::str() const {
+void ApplicationId::append_to(std::string& out) const {
   char buf[64];
   char* end = put(buf, "application_");
   end = put_int(end, cluster_ts);
   end = put(end, "_");
   end = put_int(end, id, 4);
-  return std::string(buf, end);
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+std::string ApplicationId::str() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 std::optional<ApplicationId> ApplicationId::parse(std::string_view text) {
@@ -63,7 +69,7 @@ std::optional<ApplicationId> ApplicationId::parse(std::string_view text) {
   return out;
 }
 
-std::string ContainerId::str() const {
+void ContainerId::append_to(std::string& out) const {
   char buf[96];
   char* end = put(buf, "container_");
   end = put_int(end, app.cluster_ts);
@@ -73,7 +79,13 @@ std::string ContainerId::str() const {
   end = put_int(end, attempt, 2);
   end = put(end, "_");
   end = put_int(end, id, 6);
-  return std::string(buf, end);
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+std::string ContainerId::str() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 std::optional<ContainerId> ContainerId::parse(std::string_view text) {

@@ -25,7 +25,9 @@ struct ApplicationId {
 
   auto operator<=>(const ApplicationId&) const = default;
 
-  /// Renders as `application_<clusterTs>_<zero-padded id>`.
+  /// Appends `application_<clusterTs>_<zero-padded id>` to `out`.
+  void append_to(std::string& out) const;
+  /// The `append_to` form as a string of its own.
   [[nodiscard]] std::string str() const;
 
   /// Parses the `application_..._...` form; returns nullopt on mismatch.
@@ -45,7 +47,10 @@ struct ContainerId {
   /// True for the AppMaster container (sequence number 1).
   [[nodiscard]] bool is_am() const noexcept { return id == 1; }
 
-  /// Renders as `container_<clusterTs>_<appId>_<attempt>_<containerId>`.
+  /// Appends `container_<clusterTs>_<appId>_<attempt>_<containerId>` to
+  /// `out`.
+  void append_to(std::string& out) const;
+  /// The `append_to` form as a string of its own.
   [[nodiscard]] std::string str() const;
 
   /// Parses the `container_...` form; returns nullopt on mismatch.

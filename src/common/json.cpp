@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace sdc::json {
 namespace {
@@ -123,9 +122,12 @@ Writer& Writer::value(double number) {
     out_ += "null";
     return *this;
   }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", number);
-  out_ += buf;
+  // printf's `%.6g`, which the standard defines this call to match.
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), number,
+                                  std::chars_format::general, 6)
+                        .ptr;
+  out_.append(buf, static_cast<std::size_t>(end - buf));
   return *this;
 }
 
@@ -139,11 +141,6 @@ Writer& Writer::null() {
   comma_if_needed();
   out_ += "null";
   return *this;
-}
-
-Writer& Writer::value(const std::optional<std::int64_t>& number) {
-  if (!number) return null();
-  return value(*number);
 }
 
 Writer& Writer::raw(std::string_view json) {

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -32,10 +31,9 @@ class Writer {
   Writer& value(double number);
   Writer& value(bool boolean);
   Writer& null();
-  /// nullopt -> null, otherwise the number.
-  Writer& value(const std::optional<std::int64_t>& number);
   /// Splices an already-serialized JSON value verbatim (no escaping, no
-  /// validation) — for embedding sub-documents produced by other writers.
+  /// validation) — for embedding sub-documents produced elsewhere, by
+  /// another writer or from literal fragments.
   Writer& raw(std::string_view json);
 
   /// Convenience: key + value in one call.

@@ -9,12 +9,12 @@ namespace sdc {
 
 void SampleSet::add(double v) {
   samples_.push_back(v);
-  sorted_valid_ = false;
+  scratch_state_ = Scratch::kStale;
 }
 
 void SampleSet::add_all(const std::vector<double>& vs) {
   samples_.insert(samples_.end(), vs.begin(), vs.end());
-  sorted_valid_ = false;
+  scratch_state_ = Scratch::kStale;
 }
 
 double SampleSet::mean() const {
@@ -34,33 +34,45 @@ double SampleSet::stddev() const {
 
 double SampleSet::min() const {
   ensure_sorted();
-  if (sorted_.empty()) throw std::out_of_range("SampleSet::min on empty set");
-  return sorted_.front();
+  if (scratch_.empty()) throw std::out_of_range("SampleSet::min on empty set");
+  return scratch_.front();
 }
 
 double SampleSet::max() const {
   ensure_sorted();
-  if (sorted_.empty()) throw std::out_of_range("SampleSet::max on empty set");
-  return sorted_.back();
+  if (scratch_.empty()) throw std::out_of_range("SampleSet::max on empty set");
+  return scratch_.back();
 }
 
 double SampleSet::percentile(double p) const {
-  ensure_sorted();
-  if (sorted_.empty())
+  if (samples_.empty())
     throw std::out_of_range("SampleSet::percentile on empty set");
-  if (p <= 0.0) return sorted_.front();
-  if (p >= 100.0) return sorted_.back();
-  const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
+  const bool sorted = ensure_copied();
+  const auto first = scratch_.begin();
+  const auto last = scratch_.end();
+  if (p <= 0.0) {
+    return sorted ? scratch_.front() : *std::min_element(first, last);
+  }
+  const double rank = p / 100.0 * static_cast<double>(scratch_.size() - 1);
+  const auto lo = p >= 100.0 ? scratch_.size() : static_cast<std::size_t>(rank);
+  if (lo + 1 >= scratch_.size()) {
+    return sorted ? scratch_.back() : *std::max_element(first, last);
+  }
+  // The lo-th and (lo+1)-th order statistics: a sorted copy holds them
+  // in place; otherwise selection puts the lo-th at `lo` with no larger
+  // value before it, so the (lo+1)-th is the least value after it.
+  if (!sorted) std::nth_element(first, first + lo, last);
+  const double below = scratch_[lo];
+  const double above = sorted ? scratch_[lo + 1]
+                              : *std::min_element(first + lo + 1, last);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted_.size()) return sorted_.back();
-  return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
+  return below * (1.0 - frac) + above * frac;
 }
 
 std::vector<std::pair<double, double>> SampleSet::cdf(std::size_t points) const {
   ensure_sorted();
   std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points == 0) return out;
+  if (scratch_.empty() || points == 0) return out;
   out.reserve(points);
   for (std::size_t i = 0; i < points; ++i) {
     const double q =
@@ -70,11 +82,18 @@ std::vector<std::pair<double, double>> SampleSet::cdf(std::size_t points) const 
   return out;
 }
 
+bool SampleSet::ensure_copied() const {
+  if (scratch_state_ == Scratch::kStale) {
+    scratch_ = samples_;
+    scratch_state_ = Scratch::kCopied;
+  }
+  return scratch_state_ == Scratch::kSorted;
+}
+
 void SampleSet::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+  if (ensure_copied()) return;
+  std::sort(scratch_.begin(), scratch_.end());
+  scratch_state_ = Scratch::kSorted;
 }
 
 namespace fmt {

@@ -10,7 +10,11 @@
 namespace sdc {
 
 /// Aggregates a set of scalar samples and answers distribution queries.
-/// Samples are stored; `percentile` sorts lazily on first query.
+/// Samples are stored.  A query works on one scratch copy, made on the
+/// first query after an `add` and reused until the next: `percentile`
+/// selects the two order statistics it interpolates between, and
+/// `min`, `max` and `cdf` sort the copy (a sorted copy then serves
+/// `percentile` too).
 class SampleSet {
  public:
   SampleSet() = default;
@@ -27,7 +31,8 @@ class SampleSet {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
-  /// Linear-interpolated percentile, p in [0, 100].
+  /// Linear-interpolated percentile, p in [0, 100]: the same value as
+  /// interpolating over a sorted copy, without sorting one.
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
   [[nodiscard]] double p95() const { return percentile(95.0); }
@@ -42,11 +47,18 @@ class SampleSet {
   }
 
  private:
+  /// What `scratch_` holds: nothing current, the samples in some order,
+  /// or the samples sorted.
+  enum class Scratch { kStale, kCopied, kSorted };
+
+  /// Makes `scratch_` a current copy of the samples; returns whether it
+  /// is sorted.
+  bool ensure_copied() const;
   void ensure_sorted() const;
 
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  mutable std::vector<double> scratch_;
+  mutable Scratch scratch_state_ = Scratch::kStale;
 };
 
 /// Fixed-width text rendering helpers for report tables.

@@ -114,18 +114,32 @@ TraceCheckResult check_trace_json(std::string_view text,
   }
 
   result.processes = process_names.size();
-  if (!options.required_process_prefix.empty() &&
-      !options.required_slices.empty()) {
-    for (const auto& [pid, pname] : process_names) {
-      if (pname.rfind(options.required_process_prefix, 0) != 0) continue;
-      const auto it = slices_by_pid.find(pid);
-      for (const std::string& required : options.required_slices) {
-        if (it == slices_by_pid.end() ||
-            it->second.find(required) == it->second.end()) {
-          result.fail("process \"" + pname + "\": missing required slice \"" +
-                      required + "\"");
-        }
+  const auto require = [&](const std::string& pname, double pid,
+                           const std::vector<std::string>& slices) {
+    const auto it = slices_by_pid.find(pid);
+    for (const std::string& required : slices) {
+      if (it == slices_by_pid.end() ||
+          it->second.find(required) == it->second.end()) {
+        result.fail("process \"" + pname + "\": missing required slice \"" +
+                    required + "\"");
       }
+    }
+  };
+  std::set<std::string_view> named_seen;
+  for (const auto& [pid, pname] : process_names) {
+    if (!options.required_process_prefix.empty() &&
+        pname.rfind(options.required_process_prefix, 0) == 0) {
+      require(pname, pid, options.required_slices);
+    }
+    const auto named = options.required_slices_of.find(pname);
+    if (named != options.required_slices_of.end()) {
+      named_seen.insert(named->first);
+      require(pname, pid, named->second);
+    }
+  }
+  for (const auto& [pname, slices] : options.required_slices_of) {
+    if (named_seen.count(pname) == 0) {
+      result.fail("process \"" + pname + "\": missing");
     }
   }
   return result;

@@ -13,10 +13,13 @@
 //     non-decreasing in file order;
 //   - optionally, every process whose process_name matches a prefix
 //     carries a required set of slice names (the Table-I delay
-//     components for application tracks).
+//     components for application tracks), and named processes carry
+//     sets of their own.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +32,10 @@ struct TraceCheckOptions {
   /// Processes the requirement applies to: those whose process_name
   /// starts with this prefix ("" disables the requirement).
   std::string required_process_prefix;
+  /// Slice names required of one process, keyed by its exact
+  /// process_name; a named process missing from the trace fails too.
+  std::map<std::string, std::vector<std::string>, std::less<>>
+      required_slices_of;
 };
 
 struct TraceCheckResult {

@@ -1,16 +1,88 @@
 #include "sdchecker/export.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 #include "common/json.hpp"
 
 namespace sdc::checker {
 namespace {
 
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
 void append_opt(std::string& out, const std::optional<std::int64_t>& value,
                 bool trailing_comma = true) {
-  if (value) out += std::to_string(*value);
+  if (value) append_int(out, *value);
   if (trailing_comma) out += ',';
+}
+
+/// A JSON number, or `null` for an absent value.
+void append_json_ms(std::string& out, const std::optional<std::int64_t>& ms) {
+  if (ms) {
+    append_int(out, *ms);
+  } else {
+    out += "null";
+  }
+}
+
+/// The delay fields of an `apps` row and of one of its containers, in
+/// document order, each with the fragment that precedes its value.
+template <typename Row>
+using Field = std::pair<std::string_view, std::optional<std::int64_t> Row::*>;
+
+constexpr Field<Delays> kAppFields[] = {
+    {",\"total_ms\":", &Delays::total},
+    {",\"am_ms\":", &Delays::am},
+    {",\"cf_ms\":", &Delays::cf},
+    {",\"cl_ms\":", &Delays::cl},
+    {",\"driver_ms\":", &Delays::driver},
+    {",\"executor_ms\":", &Delays::executor},
+    {",\"in_app_ms\":", &Delays::in_app},
+    {",\"out_app_ms\":", &Delays::out_app},
+    {",\"alloc_ms\":", &Delays::alloc},
+};
+
+constexpr Field<ContainerDelays> kContainerFields[] = {
+    {",\"acquisition_ms\":", &ContainerDelays::acquisition},
+    {",\"localization_ms\":", &ContainerDelays::localization},
+    {",\"queuing_ms\":", &ContainerDelays::queuing},
+    {",\"launching_ms\":", &ContainerDelays::launching},
+    {",\"executor_idle_ms\":", &ContainerDelays::executor_idle},
+};
+
+/// Writes one `apps` row into `row`: literal keys, numbers and ids
+/// appended in place.  Ids are letters, digits and `_`, and the keys are
+/// fixed, so nothing here needs escaping.
+void render_app_row(std::string& row, const ApplicationId& app,
+                    const Delays& delays) {
+  row.clear();
+  row += "{\"app\":\"";
+  app.append_to(row);
+  row += '"';
+  for (const auto& [fragment, member] : kAppFields) {
+    row += fragment;
+    append_json_ms(row, delays.*member);
+  }
+  row += ",\"containers\":[";
+  bool first = true;
+  for (const ContainerDelays& container : delays.containers) {
+    row += first ? "{\"container\":\"" : ",{\"container\":\"";
+    first = false;
+    container.id.append_to(row);
+    row += container.is_am ? "\",\"is_am\":true" : "\",\"is_am\":false";
+    for (const auto& [fragment, member] : kContainerFields) {
+      row += fragment;
+      append_json_ms(row, container.*member);
+    }
+    row += '}';
+  }
+  row += "]}";
 }
 
 /// About the bytes `analysis_json` writes for `result`, escapes aside: a
@@ -38,7 +110,7 @@ std::string delays_csv(const AnalysisResult& result) {
       "app,total_ms,am_ms,cf_ms,cl_ms,cl_minus_cf_ms,driver_ms,executor_ms,"
       "in_app_ms,out_app_ms,alloc_ms\n";
   for (const auto& [app, delays] : result.delays) {
-    out += app.str();
+    app.append_to(out);
     out += ',';
     append_opt(out, delays.total);
     append_opt(out, delays.am);
@@ -61,9 +133,9 @@ std::string containers_csv(const AnalysisResult& result) {
       "launching_ms\n";
   for (const auto& [app, delays] : result.delays) {
     for (const ContainerDelays& container : delays.containers) {
-      out += app.str();
+      app.append_to(out);
       out += ',';
-      out += container.id.str();
+      container.id.append_to(out);
       out += ',';
       out += container.is_am ? "1," : "0,";
       append_opt(out, container.acquisition);
@@ -78,26 +150,27 @@ std::string containers_csv(const AnalysisResult& result) {
 
 std::string events_csv(const AnalysisResult& result) {
   std::string out = "app,container,table1,event,epoch_ms\n";
-  const auto emit = [&out](const ApplicationId& app, const std::string& cid,
+  // An app-level event has no container: its cell stays empty.
+  const auto emit = [&out](const ApplicationId& app, const ContainerId* cid,
                            EventKind kind, std::int64_t ts) {
-    out += app.str();
+    app.append_to(out);
     out += ',';
-    out += cid;
+    if (cid != nullptr) cid->append_to(out);
     out += ',';
-    out += std::to_string(table1_number(kind));
+    append_int(out, table1_number(kind));
     out += ',';
     out += event_name(kind);
     out += ',';
-    out += std::to_string(ts);
+    append_int(out, ts);
     out += '\n';
   };
   for (const auto& [app, timeline] : result.timelines) {
     for (const auto& [kind, ts] : timeline.first_ts) {
-      emit(app, "", kind, ts);
+      emit(app, nullptr, kind, ts);
     }
     for (const auto& [cid, container] : timeline.containers) {
       for (const auto& [kind, ts] : container.first_ts) {
-        emit(app, cid.str(), kind, ts);
+        emit(app, &cid, kind, ts);
       }
     }
   }
@@ -160,33 +233,13 @@ std::string analysis_json(const AnalysisResult& result) {
   }
   w.end_object();
 
+  // One reused buffer per row, spliced in whole: the rows are most of
+  // the document.
   w.key("apps").begin_array();
+  std::string row;
   for (const auto& [app, delays] : result.delays) {
-    w.begin_object();
-    w.field("app", app.str());
-    w.field("total_ms", delays.total);
-    w.field("am_ms", delays.am);
-    w.field("cf_ms", delays.cf);
-    w.field("cl_ms", delays.cl);
-    w.field("driver_ms", delays.driver);
-    w.field("executor_ms", delays.executor);
-    w.field("in_app_ms", delays.in_app);
-    w.field("out_app_ms", delays.out_app);
-    w.field("alloc_ms", delays.alloc);
-    w.key("containers").begin_array();
-    for (const ContainerDelays& container : delays.containers) {
-      w.begin_object();
-      w.field("container", container.id.str());
-      w.field("is_am", container.is_am);
-      w.field("acquisition_ms", container.acquisition);
-      w.field("localization_ms", container.localization);
-      w.field("queuing_ms", container.queuing);
-      w.field("launching_ms", container.launching);
-      w.field("executor_idle_ms", container.executor_idle);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
+    render_app_row(row, app, delays);
+    w.raw(row);
   }
   w.end_array();
 

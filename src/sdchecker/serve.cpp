@@ -40,33 +40,46 @@ SeverityRollup roll_up(const logging::DiagnosticCounts& counts) {
 }  // namespace
 
 FollowPublisher::FollowPublisher(Clock clock) : clock_(std::move(clock)) {
-  const auto now = clock_();
-  MutexLock lock(mu_);
-  last_poll_ = now;
   // A follow session with nothing ingested yet serves the empty-corpus
   // analysis shape, not a 404: scrapers that start before the first poll
   // still get a parseable document.
-  current_.analysis_json = "{}";
+  auto empty = std::make_shared<const std::string>("{}");
+  const auto now = clock_();
+  MutexLock lock(mu_);
+  analysis_ = std::move(empty);
+  last_poll_ = now;
 }
 
 void FollowPublisher::publish(FollowPublication publication) {
+  // Declared before the lock, so the replaced document it ends up
+  // holding is freed after the lock is released.
+  std::shared_ptr<const std::string> document =
+      std::make_shared<const std::string>(
+          std::move(publication.analysis_json));
   const auto now = clock_();
   MutexLock lock(mu_);
-  current_ = std::move(publication);
+  analysis_.swap(document);
+  health_ = {publication.polls, publication.quiescent,
+             publication.diag_counts};
   last_poll_ = now;
 }
 
 void FollowPublisher::touch(std::uint64_t polls, bool quiescent) {
   const auto now = clock_();
   MutexLock lock(mu_);
-  current_.polls = polls;
-  current_.quiescent = quiescent;
+  health_.polls = polls;
+  health_.quiescent = quiescent;
   last_poll_ = now;
 }
 
-FollowPublication FollowPublisher::current() const {
+std::shared_ptr<const std::string> FollowPublisher::analysis() const {
   MutexLock lock(mu_);
-  return current_;
+  return analysis_;
+}
+
+FollowHealth FollowPublisher::health() const {
+  MutexLock lock(mu_);
+  return health_;
 }
 
 std::int64_t FollowPublisher::last_poll_age_ms() const {
@@ -80,24 +93,24 @@ std::int64_t FollowPublisher::last_poll_age_ms() const {
       .count();
 }
 
-std::string render_healthz_json(const FollowPublication& pub,
+std::string render_healthz_json(const FollowHealth& health,
                                 std::int64_t age_ms,
                                 std::int64_t stall_threshold_ms,
                                 bool* stalled) {
   const bool is_stalled = age_ms > stall_threshold_ms;
   if (stalled != nullptr) *stalled = is_stalled;
-  const SeverityRollup rollup = roll_up(pub.diag_counts);
+  const SeverityRollup rollup = roll_up(health.diag_counts);
   std::string out = "{\"status\":\"";
   out += is_stalled ? "stalled" : "ok";
   out += "\",\"last_poll_age_ms\":" + std::to_string(age_ms);
   out += ",\"stall_threshold_ms\":" + std::to_string(stall_threshold_ms);
-  out += ",\"polls\":" + std::to_string(pub.polls);
+  out += ",\"polls\":" + std::to_string(health.polls);
   out += ",\"quiescent\":";
-  out += pub.quiescent ? "true" : "false";
+  out += health.quiescent ? "true" : "false";
   out += ",\"diagnostics\":{\"lost\":" + std::to_string(rollup.lost);
   out += ",\"damaged\":" + std::to_string(rollup.damaged);
   out += ",\"suspect\":" + std::to_string(rollup.suspect);
-  out += ",\"total\":" + std::to_string(pub.diag_counts.total());
+  out += ",\"total\":" + std::to_string(health.diag_counts.total());
   out += "}}";
   return out;
 }
@@ -127,7 +140,7 @@ std::unique_ptr<obs::HttpServer> make_follow_server(
   server->handle("/analysis", [&publisher] {
     obs::HttpResponse response;
     response.content_type = "application/json";
-    response.body = publisher.current().analysis_json;
+    response.body = *publisher.analysis();
     return response;
   });
 
@@ -138,7 +151,7 @@ std::unique_ptr<obs::HttpServer> make_follow_server(
     bool stalled = false;
     obs::HttpResponse response;
     response.content_type = "application/json";
-    response.body = render_healthz_json(publisher.current(), age_ms,
+    response.body = render_healthz_json(publisher.health(), age_ms,
                                         stall_threshold_ms, &stalled);
     if (stalled) {
       obs::catalog_counter(obs::metric::kFollowPollStall).add(1);

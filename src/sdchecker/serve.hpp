@@ -4,21 +4,25 @@
 //
 // The poll loop stays the sole owner of the analyzer.  After each
 // non-quiescent poll it *publishes* — renders `analysis_json` once and
-// stores the string (plus poll counters and the diagnostics rollup) in
-// a `FollowPublisher` under a short mutex hold.  HTTP handlers only
-// copy published strings or read the lock-free metrics registry, so a
-// scrape can never block ingestion and ingestion can never tear a
-// response.  Publishing only on non-quiescent polls is free snapshot
-// reuse: a quiescent poll by definition changed nothing the analysis
-// document reflects (retirement is invisible to `analysis_json` by the
-// PR 7 parity contract).
+// hands the string (plus poll counters and the diagnostics rollup) to a
+// `FollowPublisher`, which holds the document as a shared immutable
+// string.  Under its mutex a publish swaps one pointer and a scrape
+// copies one; the scrape copies the bytes into its response, and the
+// publish frees the replaced document, outside the lock.  HTTP handlers
+// only read shared documents or the lock-free metrics registry, so a
+// scrape holds up ingestion for no more than a pointer copy and
+// ingestion can never tear a response.  Publishing only on
+// non-quiescent polls is free snapshot reuse: a quiescent poll by
+// definition changed nothing the analysis document reflects (retirement
+// is invisible to `analysis_json` by the PR 7 parity contract).
 //
 // Endpoints (`make_follow_server`):
 //   /metrics   Prometheus text exposition of the full metric catalog
 //   /analysis  the latest published `analysis_json`, byte-identical to
 //              batch `analyze` over the same (drained) directory
 //   /healthz   liveness JSON: poll age vs the stall threshold (503 when
-//              exceeded) + diagnostics severity rollup
+//              exceeded) + diagnostics severity rollup; reads the poll
+//              counters, never the document
 //   /varz      raw metrics-registry snapshot JSON
 //
 // `/healthz` measures the poll age *at request time* from the
@@ -47,6 +51,14 @@ struct FollowPublication {
   logging::DiagnosticCounts diag_counts;
 };
 
+/// What `/healthz` reports of the last poll: its counters, not its
+/// document.
+struct FollowHealth {
+  std::uint64_t polls = 0;
+  bool quiescent = false;
+  logging::DiagnosticCounts diag_counts;
+};
+
 /// Single-producer (the poll loop), many-reader (HTTP workers) snapshot
 /// mailbox.  All methods are safe from any thread; the producer-side
 /// `publish`/`touch` are cheap enough for every poll iteration.
@@ -67,7 +79,13 @@ class FollowPublisher {
   /// cannot have changed.
   void touch(std::uint64_t polls, bool quiescent) SDC_EXCLUDES(mu_);
 
-  [[nodiscard]] FollowPublication current() const SDC_EXCLUDES(mu_);
+  /// The last published document.  It stays valid, unchanged, for as
+  /// long as the caller holds it, whatever is published meanwhile.
+  [[nodiscard]] std::shared_ptr<const std::string> analysis() const
+      SDC_EXCLUDES(mu_);
+
+  /// The counters of the last publish or touch.
+  [[nodiscard]] FollowHealth health() const SDC_EXCLUDES(mu_);
 
   /// Milliseconds since the last publish/touch, measured now, on the
   /// caller's thread.
@@ -76,7 +94,8 @@ class FollowPublisher {
  private:
   const Clock clock_;
   mutable Mutex mu_;
-  FollowPublication current_ SDC_GUARDED_BY(mu_);
+  std::shared_ptr<const std::string> analysis_ SDC_GUARDED_BY(mu_);
+  FollowHealth health_ SDC_GUARDED_BY(mu_);
   std::chrono::steady_clock::time_point last_poll_ SDC_GUARDED_BY(mu_);
 };
 
@@ -99,7 +118,7 @@ struct FollowServeOptions {
 /// The `/healthz` body for a given poll age (exposed for tests; also
 /// updates `follow.poll.last_age_ms` and, when stalled,
 /// `follow.poll.stall`).  `stalled` output decides the 503.
-[[nodiscard]] std::string render_healthz_json(const FollowPublication& pub,
+[[nodiscard]] std::string render_healthz_json(const FollowHealth& health,
                                               std::int64_t age_ms,
                                               std::int64_t stall_threshold_ms,
                                               bool* stalled);

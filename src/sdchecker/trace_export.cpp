@@ -118,6 +118,27 @@ std::span<const std::string_view> required_app_slices() {
   return kRequiredAppSlices;
 }
 
+obs::TraceCheckResult check_scheduling_trace(std::string_view trace_json,
+                                             const AnalysisResult& result) {
+  std::vector<const DelayComponentSpec*> required_specs;
+  for (const DelayComponentSpec& spec :
+       delay_component_specs().first(kAppComponents)) {
+    if (std::ranges::find(kRequiredAppSlices, spec.name) !=
+        std::end(kRequiredAppSlices)) {
+      required_specs.push_back(&spec);
+    }
+  }
+  obs::TraceCheckOptions options;
+  for (const auto& [app, delays] : result.delays) {
+    std::vector<std::string>& required = options.required_slices_of[app.str()];
+    for (const DelayComponentSpec* spec : required_specs) {
+      const std::optional<std::int64_t>& value = delays.*spec->app;
+      if (value && *value >= 0) required.emplace_back(spec->name);
+    }
+  }
+  return obs::check_trace_json(trace_json, options);
+}
+
 std::size_t append_scheduling_trace(obs::TraceEventWriter& writer,
                                     const AnalysisResult& result,
                                     std::int64_t first_pid) {

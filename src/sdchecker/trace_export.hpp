@@ -26,15 +26,26 @@
 #include <string>
 #include <string_view>
 
+#include "obs/trace_check.hpp"
 #include "obs/trace_writer.hpp"
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
 
-/// The slice names every application track must carry for the trace to
-/// be considered complete (the `sdchecker trace --check` contract):
-/// total, am, cf, cl, alloc, driver, executor.
+/// The components whose slices an application's track must carry for
+/// the trace to be considered complete (the `sdchecker trace --check`
+/// contract): total, am, cf, cl, alloc, driver, executor.
 [[nodiscard]] std::span<const std::string_view> required_app_slices();
+
+/// The `sdchecker trace --check` verdict on `trace_json`, the trace of
+/// `result`: the document is well formed, and each application carries
+/// the slice of every required component that it can draw, that is
+/// whose `Delays` value is present and non-negative.  An absent value
+/// (its anchor events are not in the logs) or a negative one (clock
+/// skew) draws no slice, so a damaged corpus fails no requirement; its
+/// diagnostics report the damage.
+[[nodiscard]] obs::TraceCheckResult check_scheduling_trace(
+    std::string_view trace_json, const AnalysisResult& result);
 
 /// Appends one process per application onto `writer`, pids assigned
 /// sequentially from `first_pid`.  Returns the number of processes

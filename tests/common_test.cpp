@@ -1,6 +1,7 @@
 // Unit tests for src/common: ids, time, rng, stats, strings, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -61,6 +62,16 @@ TEST(Ids, ContainerIdRoundTrip) {
   const auto parsed = ContainerId::parse(id.str());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, id);
+}
+
+TEST(Ids, AppendToExtendsTheStringWithTheStrForm) {
+  const ApplicationId app{1'499'100'000'000, 12};
+  const ContainerId container{app, 1, 3};
+  std::string out = "[";
+  app.append_to(out);
+  out += ',';
+  container.append_to(out);
+  EXPECT_EQ(out, "[" + app.str() + "," + container.str());
 }
 
 TEST(Ids, ContainerIdAmConvention) {
@@ -253,6 +264,55 @@ TEST(SampleSet, CdfMonotone) {
   }
   EXPECT_DOUBLE_EQ(cdf.front().second, 0.0);
   EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
+}
+
+/// The percentile as interpolation over a sorted copy of `values`.
+double sorted_percentile(std::vector<double> values, double p) {
+  std::sort(values.begin(), values.end());
+  if (p <= 0.0) return values.front();
+  if (p >= 100.0) return values.back();
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  if (lo + 1 >= values.size()) return values.back();
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+}
+
+TEST(SampleSet, PercentileEqualsInterpolationOverASortedCopy) {
+  constexpr double kPs[] = {0.0, 12.5, 50.0, 95.0, 99.9, 100.0};
+  Rng rng(27);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Sizes 1-300; millisecond values in seconds, negatives included,
+    // and a share of repeats.
+    const auto n = rng.uniform_int(1, 300);
+    std::vector<double> values;
+    SampleSet set;
+    const auto add = [&] {
+      const double v =
+          !values.empty() && rng.chance(0.3)
+              ? values[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(values.size()) - 1))]
+              : static_cast<double>(rng.uniform_int(-5000, 20000)) / 1000.0;
+      values.push_back(v);
+      set.add(v);
+    };
+    const auto expect_all = [&](const char* when) {
+      for (const double p : kPs) {
+        ASSERT_EQ(set.percentile(p), sorted_percentile(values, p))
+            << when << ": n=" << values.size() << " p=" << p;
+      }
+    };
+    for (std::int64_t i = 0; i < n; ++i) add();
+    expect_all("first queries");
+    expect_all("repeated queries");
+    add();
+    expect_all("after an add");
+    (void)set.cdf(10);
+    expect_all("after cdf");
+    add();
+    (void)set.min();
+    expect_all("after an add and min");
+  }
 }
 
 TEST(SampleSet, StddevOfSingleSampleIsZero) {

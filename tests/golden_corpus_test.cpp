@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "golden_dir.hpp"
+#include "sdchecker/export.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdchecker/timeline.hpp"
 
@@ -102,6 +106,20 @@ TEST_F(GoldenCorpus, NoAnomaliesAndGraphsClean) {
   for (const auto& [app, timeline] : result().timelines) {
     EXPECT_TRUE(result().graph_for(app).validate().empty()) << app.str();
   }
+}
+
+// The whole analysis document, byte for byte: `sdchecker analyze
+// testdata/golden_small --json` as committed beside the corpus (outside
+// it, so it is not read as a log).  Nulls and both `is_am` values are in
+// it.
+TEST_F(GoldenCorpus, AnalysisJsonMatchesCommittedDocument) {
+  const std::filesystem::path path =
+      golden_small_dir().parent_path() / "golden_small.analysis.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << path;
+  const std::string committed{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+  EXPECT_EQ(analysis_json(result()), committed);
 }
 
 TEST_F(GoldenCorpus, TimelineRenderStable) {

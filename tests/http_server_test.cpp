@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,6 +185,63 @@ TEST(FollowServe, HealthzFlipsTo503OnStalledPolls) {
   // Recovery: the next poll stamp flips it back.
   publisher.touch(4, true);
   EXPECT_EQ(get(server->port(), "/healthz").status, 200);
+}
+
+checker::FollowPublication publication_of(std::string document,
+                                          std::uint64_t polls,
+                                          bool quiescent) {
+  checker::FollowPublication publication;
+  publication.analysis_json = std::move(document);
+  publication.polls = polls;
+  publication.quiescent = quiescent;
+  return publication;
+}
+
+TEST(FollowServe, ScrapedDocumentOutlivesALaterPublish) {
+  checker::FollowPublisher publisher;
+  const auto server = checker::make_follow_server(publisher);
+  ASSERT_TRUE(server->start());
+  EXPECT_EQ(get(server->port(), "/analysis").body, "{}");
+
+  publisher.publish(publication_of(R"({"doc":1})", 1, false));
+  const std::shared_ptr<const std::string> held = publisher.analysis();
+  publisher.publish(publication_of(R"({"doc":2})", 2, true));
+
+  // The first document is whole, and the holder is its only owner: the
+  // publisher let go of it at the second publish.
+  EXPECT_EQ(*held, R"({"doc":1})");
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(*publisher.analysis(), R"({"doc":2})");
+  EXPECT_EQ(get(server->port(), "/analysis").body, R"({"doc":2})");
+  const RawResponse healthz = get(server->port(), "/healthz");
+  EXPECT_NE(healthz.body.find("\"polls\":2"), std::string::npos);
+  EXPECT_NE(healthz.body.find("\"quiescent\":true"), std::string::npos);
+
+  // Readers on other threads keep documents across publishes, and may
+  // be the ones that free them: each one they read is whole, one letter
+  // repeated.
+  publisher.publish(publication_of(std::string(4096, 'z'), 3, false));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::shared_ptr<const std::string> kept;
+      while (!done.load(std::memory_order_relaxed)) {
+        const std::shared_ptr<const std::string> document =
+            publisher.analysis();
+        ASSERT_FALSE(document->empty());
+        EXPECT_EQ(document->find_first_not_of(document->front()),
+                  std::string::npos);
+        kept = document;
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    publisher.publish(publication_of(
+        std::string(4096, static_cast<char>('a' + i % 26)), 4 + i, false));
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
 }
 
 TEST(FollowServe, MetricsEndpointValidatesAndCoversCatalog) {

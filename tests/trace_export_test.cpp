@@ -152,6 +152,49 @@ TEST(TraceExport, RequiredAppSlicesSatisfyCliCheckContract) {
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors[0]);
 }
 
+TEST(TraceExport, CheckRequiresOnlyTheComponentsAnApplicationDraws) {
+  // App 2 lost SUBMITTED and its allocation is clock-skewed: total, am,
+  // cf, cl and alloc are absent or negative, so they draw no slice and
+  // the check does not require them.  The blanket rule of seven slices
+  // per application fails the same trace.
+  AppTimeline damaged = full_timeline(2);
+  damaged.first_ts.erase(EventKind::kAppSubmitted);
+  damaged.first_ts[EventKind::kEndAllo] =
+      damaged.first_ts[EventKind::kStartAllo] - 100;
+  const AnalysisResult result =
+      analyze_timelines({full_timeline(1), std::move(damaged)});
+  const std::string trace = scheduling_trace_json(result);
+  const obs::TraceCheckResult check = check_scheduling_trace(trace, result);
+  EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors[0]);
+  EXPECT_EQ(check.processes, 2u);
+
+  obs::TraceCheckOptions blanket;
+  blanket.required_process_prefix = "application_";
+  for (const std::string_view slice : required_app_slices()) {
+    blanket.required_slices.emplace_back(slice);
+  }
+  EXPECT_EQ(obs::check_trace_json(trace, blanket).errors.size(), 5u);
+
+  // A component the application can draw must be drawn: the trace of an
+  // app without its allocation fails against an analysis that has it,
+  // and a trace without the app fails too.
+  AppTimeline no_alloc = full_timeline(1);
+  no_alloc.first_ts.erase(EventKind::kStartAllo);
+  const std::string short_trace =
+      scheduling_trace_json(analyze_timelines({std::move(no_alloc)}));
+  const AnalysisResult whole = analyze_timelines({full_timeline(1)});
+  const obs::TraceCheckResult missing =
+      check_scheduling_trace(short_trace, whole);
+  EXPECT_FALSE(missing.ok);
+  ASSERT_EQ(missing.errors.size(), 1u);
+  EXPECT_NE(missing.errors[0].find("missing required slice \"alloc\""),
+            std::string::npos)
+      << missing.errors[0];
+  const obs::TraceCheckResult absent = check_scheduling_trace(
+      scheduling_trace_json(analyze_timelines({})), whole);
+  EXPECT_FALSE(absent.ok);
+}
+
 TEST(TraceExport, OneProcessPerApplication) {
   const AnalysisResult result =
       analyze_timelines({full_timeline(1), full_timeline(2), full_timeline(3)});

@@ -745,12 +745,8 @@ int cmd_trace(std::vector<std::string> args) {
               out_path.c_str(), analysis.timelines.size());
 
   if (check) {
-    obs::TraceCheckOptions options;
-    options.required_process_prefix = "application_";
-    for (const std::string_view slice : checker::required_app_slices()) {
-      options.required_slices.emplace_back(slice);
-    }
-    const obs::TraceCheckResult result = obs::check_trace_json(json, options);
+    const obs::TraceCheckResult result =
+        checker::check_scheduling_trace(json, analysis);
     if (!result.ok) {
       for (const std::string& error : result.errors) {
         std::fprintf(stderr, "sdchecker: trace check: %s\n", error.c_str());
