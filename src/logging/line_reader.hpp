@@ -1,9 +1,10 @@
 // Line splitting for every byte-level reader of log files.
 //
-// Batch mining reads byte ranges of files inside its chunk tasks, and
-// follow mode reads the bytes appended to tails; both cut the bytes into
-// lines here, so the two agree on what a line is: the bytes before a
-// '\n', and, at the end of the input, the bytes after the last '\n'.
+// Batch mining reads byte ranges of files inside its chunk tasks, follow
+// mode reads the bytes appended to tails, and `LogBundle` reads whole
+// files; all cut the bytes into lines here, so they agree on what a line
+// is: the bytes before a '\n', and, at the end of the input, the bytes
+// after the last '\n'.
 // Lines are handed out raw — the trailing '\r' of a CRLF-terminated log
 // is stripped by `StreamCursor::feed`, the one place that rule lives.
 #pragma once

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
+
+#include "logging/line_reader.hpp"
 
 namespace sdc::logging {
 
@@ -45,8 +49,7 @@ void LogBundle::write_to_directory(const std::filesystem::path& dir) const {
   }
 }
 
-LogBundle LogBundle::read_from_directory(const std::filesystem::path& dir,
-                                         std::vector<Diagnostic>* diagnostics) {
+LogBundle LogBundle::read_from_directory(const std::filesystem::path& dir) {
   if (!std::filesystem::is_directory(dir)) {
     throw std::runtime_error("LogBundle: not a directory: " + dir.string());
   }
@@ -57,33 +60,20 @@ LogBundle LogBundle::read_from_directory(const std::filesystem::path& dir,
   }
   std::sort(files.begin(), files.end());
   for (const auto& path : files) {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
-      if (diagnostics == nullptr) {
-        throw std::runtime_error("LogBundle: cannot read " + path.string());
-      }
-      diagnostics->push_back(Diagnostic{DiagnosticKind::kUnreadableFile,
-                                        path.filename().string(), 0, 1,
-                                        "cannot open for reading; skipped"});
-      continue;
+      throw std::runtime_error("LogBundle: cannot read " + path.string());
     }
-    std::string line;
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
     auto& stream = bundle.streams_[path.filename().string()];
-    while (std::getline(in, line)) {
-      // getline keeps the '\r' of CRLF-terminated logs (files collected
-      // from Windows gateways); strip it so parsing sees clean lines.
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      stream.push_back(line);
-    }
+    const auto on_line = [&stream](std::string_view line) {
+      stream.emplace_back(line);
+    };
+    LineSplitter splitter;
+    splitter.split(bytes, on_line);
+    splitter.finish(on_line);
   }
   return bundle;
-}
-
-void LogBundle::merge(const LogBundle& other) {
-  for (const auto& [name, lines] : other.streams_) {
-    auto& dst = streams_[name];
-    dst.insert(dst.end(), lines.begin(), lines.end());
-  }
 }
 
 }  // namespace sdc::logging

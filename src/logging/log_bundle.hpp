@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "logging/diagnostics.hpp"
-
 namespace sdc::logging {
 
 /// Ordered collection of named log streams.  Stream names double as file
@@ -43,17 +41,13 @@ class LogBundle {
   void write_to_directory(const std::filesystem::path& dir) const;
 
   /// Reads every regular file in `dir` (non-recursive) as one stream per
-  /// file.  Throws std::runtime_error if `dir` is not a directory.  With
-  /// `diagnostics`, an unreadable file is recorded as a kUnreadableFile
-  /// diagnostic and skipped; without it, the first unreadable file throws
-  /// (the historical strict behaviour).
-  static LogBundle read_from_directory(const std::filesystem::path& dir,
-                                       std::vector<Diagnostic>* diagnostics =
-                                           nullptr);
+  /// file, cut into lines as the miner cuts them (`LineSplitter`): raw,
+  /// so a CRLF line keeps its '\r' here and loses it where the miner
+  /// parses it.  Throws std::runtime_error if `dir` is not a directory or
+  /// a file cannot be read.
+  static LogBundle read_from_directory(const std::filesystem::path& dir);
 
-  /// Merges another bundle's streams into this one (appending on name
-  /// collisions); used when mining several runs together.
-  void merge(const LogBundle& other);
+  bool operator==(const LogBundle&) const = default;
 
  private:
   std::map<std::string, std::vector<std::string>> streams_;

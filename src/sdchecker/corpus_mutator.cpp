@@ -12,10 +12,13 @@
 
 #include "common/rng.hpp"
 #include "logging/timestamp.hpp"
+#include "obs/json_parse.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/follow.hpp"
 #include "sdchecker/parsed_line.hpp"
+#include "sdchecker/sdchecker.hpp"
+#include "sdchecker/trace_export.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -372,27 +375,26 @@ LogBundle mutate_interleave(const LogBundle& input, Rng& rng) {
   return out;
 }
 
-// --- follow leg ------------------------------------------------------------
+// --- the sweep -------------------------------------------------------------
 
 /// A fresh directory under the system temp dir, removed on scope exit
 /// (mkdtemp keeps concurrent fuzz runs apart).
-struct LiveDir {
+struct TempDir {
   std::filesystem::path path;
-  LiveDir() {
+  TempDir() {
     std::string pattern =
-        (std::filesystem::temp_directory_path() / "sdc_fuzz_follow_XXXXXX")
-            .string();
+        (std::filesystem::temp_directory_path() / "sdc_fuzz_XXXXXX").string();
     if (::mkdtemp(pattern.data()) == nullptr) {
-      throw std::runtime_error("cannot create a directory for the follow leg");
+      throw std::runtime_error("cannot create a directory for a fuzz mutant");
     }
     path = pattern;
   }
-  ~LiveDir() {
+  ~TempDir() {
     std::error_code ec;
     std::filesystem::remove_all(path, ec);
   }
-  LiveDir(const LiveDir&) = delete;
-  LiveDir& operator=(const LiveDir&) = delete;
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
 };
 
 void append_file(const std::filesystem::path& path, std::string_view bytes) {
@@ -401,17 +403,17 @@ void append_file(const std::filesystem::path& path, std::string_view bytes) {
   if (!out) throw std::runtime_error("cannot write " + path.string());
 }
 
-/// Writes `mutant` into a fresh directory the way a live cluster does
-/// while a FollowService tails it, then compares the drained snapshot
-/// with batch analysis of the finished directory.  Each file arrives in
-/// three slices cut mid-line, with one poll per round of slices.  A
-/// rotated family `base.N ... base.1, base` is produced by logrotate
-/// renames: each segment is written as `base`, then `base.K` moves to
-/// `base.K+1` and `base` to `base.1` before the next one starts.
-/// Retirement stays off: eviction parity depends on the grace period,
-/// not on the corpus.
-bool follow_matches_batch(const LogBundle& mutant,
-                          const AnalyzeOptions& options) {
+/// The follow leg: writes `mutant` into a fresh directory the way a live
+/// cluster does while a FollowService tails it, and returns whether the
+/// drained snapshot renders `document`, the batch analysis of the
+/// mutant's own directory, and the live directory ends holding the
+/// mutant's names and bytes.  Each file arrives in three slices cut
+/// mid-line, with one poll per round of slices.  A rotated family
+/// `base.N ... base.1, base` is produced by logrotate renames: each
+/// segment is written as `base`, then `base.K` moves to `base.K+1` and
+/// `base` to `base.1` before the next one starts.  Retirement stays off:
+/// eviction parity depends on the grace period, not on the corpus.
+bool follow_drains_to(const LogBundle& mutant, const std::string& document) {
   constexpr std::size_t kSlices = 3;
   struct Family {
     std::string base;
@@ -449,9 +451,8 @@ bool follow_matches_batch(const LogBundle& mutant,
     families.push_back(std::move(family));
   }
 
-  const LiveDir live;
+  const TempDir live;
   FollowOptions follow_options;
-  follow_options.analyze_shards = options.analyze_shards;
   follow_options.retire = false;
   FollowService service(live.path, follow_options);
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -479,8 +480,8 @@ bool follow_matches_batch(const LogBundle& mutant,
   }
   while (!service.quiescent()) service.poll_once();
   service.finish();
-  return analysis_json(service.snapshot()) ==
-         analysis_json(SdChecker(options).analyze_directory(live.path));
+  return analysis_json(service.snapshot()) == document &&
+         LogBundle::read_from_directory(live.path) == mutant;
 }
 
 }  // namespace
@@ -584,44 +585,64 @@ logging::LogBundle apply_mutation(const logging::LogBundle& input,
   return input;
 }
 
-std::vector<FuzzCaseResult> fuzz_corpus(const logging::LogBundle& base,
-                                        std::uint64_t seed,
-                                        const std::vector<MutationClass>&
-                                            classes,
-                                        const AnalyzeOptions& options) {
+std::vector<FuzzCaseResult> fuzz_corpus(
+    const std::filesystem::path& corpus_dir, std::uint64_t seed,
+    const std::vector<MutationClass>& classes,
+    const std::filesystem::path& out_dir) {
+  if (!out_dir.empty()) {
+    for (const MutationClass cls : classes) {
+      const std::filesystem::path dir = out_dir / mutation_class_name(cls);
+      if (std::filesystem::exists(dir) && !std::filesystem::is_empty(dir)) {
+        throw std::runtime_error("fuzz: " + dir.string() + " is not empty");
+      }
+    }
+  }
+  const LogBundle base = LogBundle::read_from_directory(corpus_dir);
+  const SdChecker serial;
+  const SdChecker sharded(
+      {.threads = 4, .shard_grain = 64, .analyze_shards = 4});
+  const std::string baseline =
+      analysis_json(serial.analyze_directory(corpus_dir));
   std::vector<FuzzCaseResult> out;
   out.reserve(classes.size());
-  const SdChecker checker(options);
-  std::optional<std::string> baseline_events;
-  std::optional<std::string> baseline_delays;
-  try {
-    const AnalysisResult baseline = checker.analyze(base);
-    baseline_events = events_csv(baseline);
-    baseline_delays = delays_csv(baseline);
-  } catch (...) {
-    // Identity can never pass without a baseline; each case still runs.
-  }
   for (const MutationClass cls : classes) {
     FuzzCaseResult result;
     result.cls = cls;
     try {
-      const LogBundle mutated = apply_mutation(base, cls, seed);
-      const AnalysisResult analysis = checker.analyze(mutated);
+      const LogBundle mutant = apply_mutation(base, cls, seed);
+      std::optional<TempDir> temp;
+      const std::filesystem::path dir =
+          out_dir.empty() ? temp.emplace().path
+                          : out_dir / mutation_class_name(cls);
+      mutant.write_to_directory(dir);
+      const AnalysisResult analysis = serial.analyze_directory(dir);
+      const std::string document = analysis_json(analysis);
       result.events_total = analysis.events_total;
       result.anomalies = analysis.anomalies.size();
       result.diag_counts = analysis.diag_counts;
       if (const auto kind = expected_diagnostic(cls)) {
         result.expected_kind_count = analysis.diag_counts.of(*kind);
-        result.ok = result.expected_kind_count > 0;
+        result.signal = result.expected_kind_count > 0;
       } else {
         result.expected_kind_count = analysis.diag_counts.total();
-        result.ok = result.expected_kind_count == 0 &&
-                    baseline_events.has_value() &&
-                    events_csv(analysis) == *baseline_events &&
-                    delays_csv(analysis) == *baseline_delays;
+        result.signal = document == baseline;
       }
-      result.follow_matches = follow_matches_batch(mutated, options);
-      result.ok = result.ok && result.follow_matches;
+      obs::JsonValue parsed;
+      std::string parse_error;
+      result.document = obs::parse_json(document, parsed, parse_error);
+      const obs::TraceCheckResult trace =
+          check_scheduling_trace(scheduling_trace_json(analysis), analysis);
+      result.trace = trace.ok;
+      if (!result.document) {
+        result.error = "document: " + parse_error;
+      } else if (!trace.ok && !trace.errors.empty()) {
+        result.error = "trace: " + trace.errors.front();
+      }
+      result.sharded =
+          analysis_json(sharded.analyze_directory(dir)) == document;
+      result.follow = follow_drains_to(mutant, document);
+      result.ok = result.signal && result.document && result.trace &&
+                  result.sharded && result.follow;
     } catch (const std::exception& e) {
       result.crashed = true;
       result.error = e.what();
@@ -651,7 +672,12 @@ std::string render_fuzz_report(const std::vector<FuzzCaseResult>& results) {
       out += " diagnostics=" + std::to_string(result.diag_counts.total());
       out += " events=" + std::to_string(result.events_total);
       out += " anomalies=" + std::to_string(result.anomalies);
-      out += result.follow_matches ? " follow=batch" : " follow!=batch";
+      out += result.signal ? " signal=ok" : " signal=FAIL";
+      out += result.document ? " document=ok" : " document=FAIL";
+      out += result.trace ? " trace=ok" : " trace=FAIL";
+      out += result.sharded ? " sharded=serial" : " sharded!=serial";
+      out += result.follow ? " follow=batch" : " follow!=batch";
+      if (!result.error.empty()) out += " (" + result.error + ")";
     }
     out += '\n';
   }

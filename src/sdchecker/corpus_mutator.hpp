@@ -6,14 +6,13 @@
 // duplicated flushes, binary garbage, a daemon clock stepping mid-run,
 // and two daemons interleaving one file.  Mutations are pure functions
 // of (input bundle, class, seed), so every failure is replayable.  The
-// self-check (`fuzz_corpus`) asserts the analyzer never throws, that the
-// identity mutation reproduces the baseline analysis event for event,
-// that each destructive class surfaces its expected diagnostic kind, and
-// that follow mode, tailing the mutant while it is written, drains to
-// the batch analysis byte for byte.
+// self-check (`fuzz_corpus`) writes each mutant to a directory, analyzes
+// it there once, as `sdchecker analyze` would, and judges that one
+// analysis on every leg (see `FuzzCaseResult`).
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,7 +20,6 @@
 
 #include "logging/diagnostics.hpp"
 #include "logging/log_bundle.hpp"
-#include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
 
@@ -79,37 +77,52 @@ std::optional<std::string_view> runtime_only_reason(
 [[nodiscard]] logging::LogBundle apply_mutation(
     const logging::LogBundle& input, MutationClass cls, std::uint64_t seed);
 
-/// Outcome of analyzing one mutated corpus.
+/// Outcome of analyzing one mutated corpus.  Every leg judges the one
+/// serial `analyze_directory` of the mutant's directory.
 struct FuzzCaseResult {
   MutationClass cls = MutationClass::kIdentity;
   /// An exception escaped the analyzer (always a failure).
   bool crashed = false;
+  /// The exception's message, or the first error of the document or
+  /// trace leg.
   std::string error;
   /// Occurrences of the class's expected diagnostic kind (total
-  /// diagnostics for kIdentity, where it must stay 0).
+  /// diagnostics for kIdentity).
   std::size_t expected_kind_count = 0;
   std::size_t events_total = 0;
   std::size_t anomalies = 0;
   logging::DiagnosticCounts diag_counts;
+  /// Signal leg: the class's expected diagnostic kind is present; for
+  /// kIdentity, `analysis_json` equals the original directory's byte for
+  /// byte.
+  bool signal = false;
+  /// Document leg: `analysis_json` parses as JSON.
+  bool document = false;
+  /// Trace leg: the scheduling trace passes `check_scheduling_trace`,
+  /// the `sdchecker trace --check` verdict.
+  bool trace = false;
+  /// Sharded leg: the directory analyzed on 4 workers in 64-byte chunks
+  /// renders the same `analysis_json`.
+  bool sharded = false;
   /// Follow leg: the mutant written live into a fresh directory (every
   /// file in slices cut mid-line, rotated families by logrotate renames)
-  /// and tailed by a FollowService drained to an `analysis_json`
-  /// byte-identical to batch analysis of the same directory.
-  bool follow_matches = false;
-  /// Verdict: no crash, the class-correct signal is present (for
-  /// kIdentity: the analysis matches the baseline event for event), and
-  /// the follow leg matches.
+  /// and tailed by a FollowService drains to the same `analysis_json`,
+  /// and that directory ends with the mutant's names and bytes.
+  bool follow = false;
+  /// No crash, and every leg passed.
   bool ok = false;
 };
 
-/// Mutates + analyzes `base` once per class, in batch and through the
-/// follow leg (see `FuzzCaseResult::follow_matches`); `options`
-/// configures the analyzer under test.  Never throws — analyzer
-/// exceptions are captured in the per-case result.
+/// Reads the bundle in `corpus_dir` and, per class, writes its mutant
+/// once (to `out_dir/<class>`, kept; without `out_dir`, to a temporary
+/// directory) and analyzes that directory once serially and once
+/// sharded.  Analyzer exceptions on a mutant are captured in its result.
+/// Throws when `corpus_dir` cannot be read or analyzed, or when
+/// `out_dir/<class>` exists and is not empty.
 std::vector<FuzzCaseResult> fuzz_corpus(
-    const logging::LogBundle& base, std::uint64_t seed,
+    const std::filesystem::path& corpus_dir, std::uint64_t seed,
     const std::vector<MutationClass>& classes,
-    const AnalyzeOptions& options = {});
+    const std::filesystem::path& out_dir = {});
 
 /// One fixed-width report line per case ("ok identity ...").
 std::string render_fuzz_report(const std::vector<FuzzCaseResult>& results);

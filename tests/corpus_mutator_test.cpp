@@ -1,12 +1,13 @@
 // Tests for the seeded corpus mutator and its self-check harness: the
 // analyzer never crashes on any mutant, the identity mutation is
 // event-for-event identical to the baseline, every destructive class
-// surfaces a nonzero count of its expected diagnostic kind, and follow
-// mode tailing each mutant drains to the batch analysis.
+// surfaces a nonzero count of its expected diagnostic kind, and each
+// mutant's one analysis passes every leg of the sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "golden_dir.hpp"
@@ -26,12 +27,9 @@ const logging::LogBundle& golden() {
   return bundle;
 }
 
-bool bundles_equal(const logging::LogBundle& a, const logging::LogBundle& b) {
-  if (a.stream_names() != b.stream_names()) return false;
-  for (const std::string& name : a.stream_names()) {
-    if (a.lines(name) != b.lines(name)) return false;
-  }
-  return true;
+/// Every leg of one case, named for a failure message.
+std::string legs(const FuzzCaseResult& result) {
+  return render_fuzz_report({result});
 }
 
 TEST(CorpusMutator, ClassNamesRoundTrip) {
@@ -52,31 +50,71 @@ TEST(CorpusMutator, DeterministicForSameSeed) {
   for (const MutationClass cls : all_mutation_classes()) {
     const auto a = apply_mutation(golden(), cls, 7);
     const auto b = apply_mutation(golden(), cls, 7);
-    EXPECT_TRUE(bundles_equal(a, b)) << mutation_class_name(cls);
+    EXPECT_EQ(a, b) << mutation_class_name(cls);
   }
 }
 
 TEST(CorpusMutator, IdentityIsByteIdentical) {
   const auto mutated =
       apply_mutation(golden(), MutationClass::kIdentity, 42);
-  EXPECT_TRUE(bundles_equal(golden(), mutated));
+  EXPECT_EQ(golden(), mutated);
 }
 
 TEST(CorpusMutator, NeverCrashesAcrossSeedsAndClasses) {
   // The never-crash contract, over several seeds.  fuzz_corpus captures
-  // any analyzer exception as a per-case failure; none may occur.  The
-  // follow leg must drain to the batch analysis on every mutant too.
+  // any analyzer exception as a per-case failure; none may occur, and
+  // every leg must pass on every mutant.
   for (const std::uint64_t seed : {1ull, 42ull, 20170703ull}) {
-    const auto results = fuzz_corpus(golden(), seed, all_mutation_classes());
+    const auto results =
+        fuzz_corpus(golden_small_dir(), seed, all_mutation_classes());
     ASSERT_EQ(results.size(), kMutationClassCount);
     for (const FuzzCaseResult& result : results) {
-      EXPECT_FALSE(result.crashed)
-          << mutation_class_name(result.cls) << " seed " << seed << ": "
-          << result.error;
-      EXPECT_TRUE(result.follow_matches)
-          << mutation_class_name(result.cls) << " seed " << seed;
+      EXPECT_FALSE(result.crashed) << "seed " << seed << ": " << legs(result);
+      EXPECT_TRUE(result.ok) << "seed " << seed << ": " << legs(result);
     }
   }
+}
+
+TEST(CorpusMutator, IdentityLegReadsLinesAsTheMinerDoes) {
+  // Lines ending "\r\r\n": the miner strips one '\r' and leaves the
+  // other in the message, so few events extract.  The identity mutant is
+  // written from the bundle read of the same files, and must mine the
+  // same: the bundle reader keeps both '\r', as the directory reader does.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "sdc_mutator_crcrlf";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(golden_small_dir())) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ofstream out(dir / entry.path().filename(), std::ios::binary);
+    for (std::string line; std::getline(in, line);) out << line << "\r\r\n";
+  }
+  const auto results = fuzz_corpus(dir, 1, {MutationClass::kIdentity});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].signal) << legs(results[0]);
+  EXPECT_TRUE(results[0].ok) << legs(results[0]);
+  EXPECT_EQ(results[0].events_total,
+            SdChecker().analyze_directory(dir).events_total);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusMutator, OutDirKeepsEachMutantAndRefusesToMixIn) {
+  // `out_dir/<class>` holds exactly the mutant that was analyzed; a
+  // second sweep into the same directory would mix two mutants' files.
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "sdc_mutator_out_dir";
+  std::filesystem::remove_all(out);
+  const auto results = fuzz_corpus(golden_small_dir(), 42,
+                                   {MutationClass::kRotateSplit}, out);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok) << legs(results[0]);
+  EXPECT_EQ(logging::LogBundle::read_from_directory(out / "rotate-split"),
+            apply_mutation(golden(), MutationClass::kRotateSplit, 42));
+  EXPECT_THROW(fuzz_corpus(golden_small_dir(), 1,
+                           {MutationClass::kRotateSplit}, out),
+               std::runtime_error);
+  std::filesystem::remove_all(out);
 }
 
 TEST(CorpusMutator, IdentityMutationEventIdenticalToBaseline) {
@@ -91,10 +129,11 @@ TEST(CorpusMutator, IdentityMutationEventIdenticalToBaseline) {
 }
 
 TEST(CorpusMutator, DestructiveClassesYieldClassCorrectDiagnostics) {
-  const auto results = fuzz_corpus(golden(), 42, all_mutation_classes());
+  const auto results =
+      fuzz_corpus(golden_small_dir(), 42, all_mutation_classes());
   ASSERT_EQ(results.size(), kMutationClassCount);
   for (const FuzzCaseResult& result : results) {
-    EXPECT_TRUE(result.ok) << mutation_class_name(result.cls);
+    EXPECT_TRUE(result.ok) << legs(result);
     const auto kind = expected_diagnostic(result.cls);
     if (!kind) continue;  // identity
     EXPECT_GT(result.expected_kind_count, 0u)
@@ -160,7 +199,7 @@ TEST(CorpusMutator, MutantsRoundTripThroughDirectoryIo) {
   std::filesystem::remove_all(dir);
   mutated.write_to_directory(dir);
   const auto reread = logging::LogBundle::read_from_directory(dir);
-  EXPECT_TRUE(bundles_equal(mutated, reread));
+  EXPECT_EQ(mutated, reread);
   const SdChecker checker;
   EXPECT_EQ(checker.analyze(mutated).diag_counts.of(
                 logging::DiagnosticKind::kBinaryGarbage),

@@ -186,18 +186,6 @@ TEST(LogBundle, ReadMissingDirectoryThrows) {
                std::runtime_error);
 }
 
-TEST(LogBundle, MergeAppendsOnCollision) {
-  LogBundle a;
-  a.append("x.log", "1");
-  LogBundle b;
-  b.append("x.log", "2");
-  b.append("y.log", "3");
-  a.merge(b);
-  ASSERT_EQ(a.lines("x.log").size(), 2u);
-  EXPECT_EQ(a.lines("x.log")[1], "2");
-  EXPECT_EQ(a.lines("y.log").size(), 1u);
-}
-
 // --- diagnostics -------------------------------------------------------------
 
 TEST(Diagnostic, UnreadableFileRecord) {

@@ -296,7 +296,11 @@ TEST(MinerRobustness, MergedBundlesFromTwoRunsKeepAppsSeparate) {
   auto result_b = harness::run_scenario(b);
 
   logging::LogBundle merged = std::move(result_a.logs);
-  merged.merge(result_b.logs);
+  for (const std::string& name : result_b.logs.stream_names()) {
+    for (const std::string& line : result_b.logs.lines(name)) {
+      merged.append(name, line);
+    }
+  }
   const AnalysisResult analysis = SdChecker().analyze(merged);
   EXPECT_EQ(analysis.timelines.size(), 2u);
 }

@@ -131,10 +131,12 @@ TEST(RealWorld, CrlfCorpusParsesCleanly) {
            "assigned task 0\r\n";
   }
 
-  // getline-based bundle read strips the '\r'.
+  // The bundle read keeps each line's '\r', as the directory reader does;
+  // the miner strips it where it parses the line.
   const logging::LogBundle bundle = logging::LogBundle::read_from_directory(dir);
+  ASSERT_EQ(bundle.lines("rm.log").size(), 2u);
   for (const std::string& line : bundle.lines("rm.log")) {
-    EXPECT_TRUE(line.empty() || line.back() != '\r');
+    EXPECT_TRUE(line.ends_with('\r')) << line;
   }
   const AnalysisResult via_bundle = SdChecker().analyze(bundle);
   EXPECT_EQ(via_bundle.lines_total, 4u);

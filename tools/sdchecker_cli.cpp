@@ -20,9 +20,10 @@
 //       and for testing the analyzer without a cluster).
 //
 //   sdchecker fuzz <log_dir> [--seed S] [--class NAME] [--out DIR]
-//       Self-check the analyzer against seeded corpus damage, in batch
-//       and through a live follow leg; --out also writes each class's
-//       mutant to DIR/<class>/ for replay.
+//       Self-check the analyzer against seeded corpus damage: each
+//       class's mutant is written to a directory and analyzed there, in
+//       batch, sharded and through a live follow leg; --out keeps each
+//       mutant in DIR/<class>/ for replay.
 //
 // Exit status: 0 success on a clean corpus, 1 runtime error, 2 usage
 // error, 3 analysis completed but the corpus needed diagnostics
@@ -100,7 +101,6 @@ int usage() {
                "capacity|opportunistic]\n"
                "  sdchecker fuzz <log_dir> [--seed S] [--class NAME] "
                "[--out DIR]\n"
-               "            [--analyze-shards N]\n"
                "\n"
                "analysis flags:\n"
                "  --threads N         split mining into chunks for N workers\n"
@@ -120,7 +120,7 @@ int usage() {
                "                      on significant drift (KS distance)\n"
                "\n"
                "fuzz flags:\n"
-               "  --out DIR           also write each class's mutant to\n"
+               "  --out DIR           keep each class's mutant in\n"
                "                      DIR/<class>/ for replay\n"
                "\n"
                "follow serving flags:\n"
@@ -136,7 +136,6 @@ int usage() {
                "                       exit: to FILE, or to stderr when no\n"
                "                       FILE is given (stdout stays clean for\n"
                "                       --watch pipelines)\n"
-               "  --metrics-out FILE   same as --metrics FILE\n"
                "  --trace FILE     record self-profiling spans; write a\n"
                "                   Perfetto-compatible trace on exit\n"
                "\n"
@@ -347,6 +346,21 @@ class ProgressReporter {
   bool drew_ = false;
 };
 
+/// Writes `content` to `path` and reports "written PATH" on `report`
+/// (nothing when null); false, after saying so on stderr, when the file
+/// cannot be opened or written to the end.
+bool write_output(const std::string& path, const std::string& content,
+                  std::FILE* report) {
+  std::ofstream out(path);
+  if (out) out << content << std::flush;
+  if (!out) {
+    std::fprintf(stderr, "sdchecker: cannot write %s\n", path.c_str());
+    return false;
+  }
+  if (report != nullptr) std::fprintf(report, "written %s\n", path.c_str());
+  return true;
+}
+
 void print_opt(const char* name, const std::optional<std::int64_t>& v) {
   if (v) {
     std::printf("    %-13s %9.3fs\n", name, static_cast<double>(*v) / 1000.0);
@@ -423,31 +437,24 @@ int cmd_analyze(std::vector<std::string> args) {
     std::printf("no anomalies detected\n");
   }
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& content) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "sdchecker: cannot write %s\n", path.c_str());
-      return false;
-    }
-    out << content;
-    std::printf("written %s\n", path.c_str());
-    return true;
-  };
-  if (csv && !write_file(*csv, analysis.aggregate.render_csv())) return 1;
+  if (csv && !write_output(*csv, analysis.aggregate.render_csv(), stdout)) {
+    return 1;
+  }
   if (delays_csv_path &&
-      !write_file(*delays_csv_path, checker::delays_csv(analysis))) {
+      !write_output(*delays_csv_path, checker::delays_csv(analysis), stdout)) {
     return 1;
   }
   if (containers_csv_path &&
-      !write_file(*containers_csv_path, checker::containers_csv(analysis))) {
+      !write_output(*containers_csv_path, checker::containers_csv(analysis),
+                    stdout)) {
     return 1;
   }
   if (events_csv_path &&
-      !write_file(*events_csv_path, checker::events_csv(analysis))) {
+      !write_output(*events_csv_path, checker::events_csv(analysis), stdout)) {
     return 1;
   }
-  if (json_path && !write_file(*json_path, checker::analysis_json(analysis))) {
+  if (json_path &&
+      !write_output(*json_path, checker::analysis_json(analysis), stdout)) {
     return 1;
   }
   if (const std::size_t diagnostics = analysis.diag_counts.total();
@@ -655,14 +662,9 @@ int cmd_follow(std::vector<std::string> args) {
   // stderr instead.
   std::FILE* report = watch ? stderr : stdout;
   std::fprintf(report, "%s\n", analysis.aggregate.render_text().c_str());
-  if (json_path) {
-    std::ofstream out(*json_path);
-    if (out) out << checker::analysis_json(analysis);
-    if (!out) {
-      std::fprintf(stderr, "sdchecker: cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::fprintf(report, "written %s\n", json_path->c_str());
+  if (json_path &&
+      !write_output(*json_path, checker::analysis_json(analysis), report)) {
+    return 1;
   }
   if (const std::size_t diagnostics = analysis.diag_counts.total();
       diagnostics > 0) {
@@ -732,14 +734,7 @@ int cmd_trace(std::vector<std::string> args) {
   }
 
   const std::string json = checker::scheduling_trace_json(analysis);
-  {
-    std::ofstream out(out_path);
-    if (out) out << json;
-    if (!out) {
-      std::fprintf(stderr, "sdchecker: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
+  if (!write_output(out_path, json, nullptr)) return 1;
   std::printf("written %s: %zu application(s) -- load it at "
               "ui.perfetto.dev\n",
               out_path.c_str(), analysis.timelines.size());
@@ -878,17 +873,6 @@ int cmd_fleet(std::vector<std::string> args) {
                 corpus.diagnostics);
   }
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& content) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "sdchecker: cannot write %s\n", path.c_str());
-      return false;
-    }
-    out << content;
-    std::printf("written %s\n", path.c_str());
-    return true;
-  };
   if (out_dir) {
     std::error_code ec;
     std::filesystem::create_directories(*out_dir, ec);
@@ -901,10 +885,14 @@ int cmd_fleet(std::vector<std::string> args) {
       if (!corpus.error.empty()) continue;
       const auto path = std::filesystem::path(*out_dir) /
                         (corpus.name + ".json");
-      if (!write_file(path.string(), corpus.analysis_json)) return 1;
+      if (!write_output(path.string(), corpus.analysis_json, stdout)) {
+        return 1;
+      }
     }
   }
-  if (json_path && !write_file(*json_path, fleet.summary_json())) return 1;
+  if (json_path && !write_output(*json_path, fleet.summary_json(), stdout)) {
+    return 1;
+  }
 
   // Exit contract: 0 clean, 1 corpus/file error, 3 corpus diagnostics,
   // 4 baseline drift — the strongest signal wins (4 > 1 > 3).
@@ -1053,31 +1041,19 @@ int cmd_fuzz(std::vector<std::string> args) {
     classes.push_back(*cls);
   }
   if (classes.empty()) classes = checker::all_mutation_classes();
-  checker::AnalyzeOptions options;
-  if (!take_count(args, "--analyze-shards", options.analyze_shards)) {
-    return usage();
-  }
   const auto out_dir = flag_value(args, "--out");
   const auto positionals = finish_args(std::move(args), {"log_dir"},
-                                       {"--seed", "--class",
-                                        "--analyze-shards", "--out"});
+                                       {"--seed", "--class", "--out"});
   if (!positionals) return usage();
 
-  logging::LogBundle base;
+  std::vector<checker::FuzzCaseResult> results;
   try {
-    base = logging::LogBundle::read_from_directory((*positionals)[0]);
-    if (out_dir) {
-      for (const auto cls : classes) {
-        checker::apply_mutation(base, cls, seed)
-            .write_to_directory(std::filesystem::path(*out_dir) /
-                                std::string(checker::mutation_class_name(cls)));
-      }
-    }
+    results = checker::fuzz_corpus((*positionals)[0], seed, classes,
+                                   out_dir.value_or(""));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sdchecker: %s\n", e.what());
     return 1;
   }
-  const auto results = checker::fuzz_corpus(base, seed, classes, options);
   std::printf("%s", checker::render_fuzz_report(results).c_str());
   for (const auto& result : results) {
     if (!result.ok) {
@@ -1108,19 +1084,6 @@ int dispatch(const std::string& command, std::vector<std::string> args) {
   return usage();
 }
 
-/// Writes an observability dump; never overrides a failing exit status,
-/// but a dump that cannot be written turns success into failure.
-int write_dump(int rc, const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (out) out << content;
-  if (!out) {
-    std::fprintf(stderr, "sdchecker: cannot write %s\n", path.c_str());
-    return rc == 0 ? 1 : rc;
-  }
-  std::fprintf(stderr, "written %s\n", path.c_str());
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1130,30 +1093,29 @@ int main(int argc, char** argv) {
   // Global observability flags, accepted by every command.  `--metrics`
   // takes an optional FILE: bare, the dump goes to stderr, so a
   // `follow --watch | followcheck` pipeline keeps a pure-ndjson stdout.
-  auto metrics_path = flag_optional_value(
+  const auto metrics_path = flag_optional_value(
       args, "--metrics",
       [](const std::string& token) {
         return !token.empty() && token.front() != '-';
       });
-  if (const auto out = flag_value(args, "--metrics-out")) {
-    metrics_path = *out;
-  }
   const auto trace_path = flag_value(args, "--trace");
   if (trace_path) obs::Tracer::global().set_enabled(true);
 
   int rc = dispatch(command, std::move(args));
 
+  // A dump never overrides a failing exit status, but a dump that cannot
+  // be written turns success into failure.
+  const auto dump = [&rc](const std::string& path, const std::string& content) {
+    if (!write_output(path, content, stderr) && rc == 0) rc = 1;
+  };
   if (metrics_path && !metrics_path->empty()) {
-    rc = write_dump(rc, *metrics_path,
-                    obs::MetricsRegistry::global().snapshot().to_json());
+    dump(*metrics_path, obs::MetricsRegistry::global().snapshot().to_json());
   } else if (metrics_path) {
     std::fprintf(stderr, "%s\n",
                  obs::MetricsRegistry::global().snapshot().to_json().c_str());
   }
   if (trace_path) {
-    rc = write_dump(
-        rc, *trace_path,
-        obs::spans_trace_json(obs::Tracer::global().snapshot()));
+    dump(*trace_path, obs::spans_trace_json(obs::Tracer::global().snapshot()));
   }
   return rc;
 }
