@@ -6,17 +6,21 @@
 # Each side runs in its own working directory, where corpora/N is a
 # symlink to the Nth CORPUS and every output file goes under out/STEP/,
 # so the paths a run prints are the same on both sides.  For each step
-# the script cmps the step's stdout, its exit status and every file it
-# wrote.  Steps, on each corpus N:
+# the script compares the step's stdout, its exit status and every file
+# it wrote.  Steps, on each corpus N:
 #   - `analyze` with --json --csv --delays-csv --containers-csv
 #     --events-csv, at --threads/--analyze-shards 1/1, 4/4 and 3/7;
 #   - `trace --out`;
 #   - `timeline` and `graph --out` of the corpus's first application;
 #   - `diff` against the next corpus given (the first after the last);
 #   - `follow --exit-quiescent 3 --poll-ms 20 --json`;
+#   - `fuzz --seed S --out` at seeds 1, 42 and 20170703: the damage
+#     sweep's report and every mutant file (a 2,000-job corpus's eight
+#     mutants take about 44 MB per side);
 # then `fleet --json --out-dir` over corpora/ itself, at --threads 1
-# and 4.  Exits 1 naming the first output that differs, 0 when all are
-# equal, 2 on a usage error.  stderr is not compared.
+# and 4.  A step's outputs are deleted once they are compared, when the
+# next step starts.  Exits 1 naming the first output that differs, 0
+# when all are equal, 2 on a usage error.  stderr is not compared.
 #
 # Usage:
 #   scripts/outputs_equal.sh BASE_SDCHECKER CANDIDATE_SDCHECKER CORPUS...
@@ -50,6 +54,8 @@ done
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/sdc-outputs-equal.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
+# A signal ends the script through its EXIT trap too.
+trap 'exit 1' INT TERM
 for side in base candidate; do
   mkdir -p "$WORK/$side/corpora" "$WORK/$side/out"
   for n in "${!CORPORA[@]}"; do
@@ -58,12 +64,18 @@ for side in base candidate; do
 done
 
 steps=0
-# step NAME ARG...: runs `sdchecker ARG...` on both sides, an ARG that
-# starts with OUT/ naming a file under out/NAME/, then cmps everything
-# the two runs left in out/NAME/.
+previous=
+# step NAME ARG...: deletes the previous step's outputs, runs
+# `sdchecker ARG...` on both sides, an ARG that starts with OUT/ naming a
+# path under out/NAME/, then compares everything the two runs left in
+# out/NAME/ (one `diff -rq`: a file on one side only differs too).
 step() {
   local name="$1"
   shift
+  if [ -n "$previous" ]; then
+    rm -rf "$WORK/base/out/$previous" "$WORK/candidate/out/$previous"
+  fi
+  previous="$name"
   local args=("${@/#OUT\//out/$name/}")
   local side bin rc
   for side in base candidate; do
@@ -75,39 +87,30 @@ step() {
        "$bin" "${args[@]}" > "out/$name/stdout" 2> /dev/null) || rc=$?
     echo "$rc" > "$WORK/$side/out/$name/exit-status"
   done
-  local files=()
-  for side in base candidate; do
-    files+=("$(cd "$WORK/$side/out/$name" && find . -type f | sort)")
-  done
-  if [ "${files[0]}" != "${files[1]}" ]; then
-    echo "outputs_equal: differs: $name wrote different files" \
+  local differs
+  if ! differs="$(cd "$WORK" &&
+                  diff -rq "base/out/$name" "candidate/out/$name")"; then
+    echo "outputs_equal: differs: ${differs%%$'\n'*}" \
          "(sdchecker ${args[*]})" >&2
     exit 1
   fi
-  local file
-  while read -r file; do
-    if ! cmp -s "$WORK/base/out/$name/$file" \
-         "$WORK/candidate/out/$name/$file"; then
-      echo "outputs_equal: differs: $name: ${file#./}" \
-           "(sdchecker ${args[*]})" >&2
-      exit 1
-    fi
-  done <<< "${files[0]}"
   steps=$((steps + 1))
 }
 
 count="${#CORPORA[@]}"
 for n in "${!CORPORA[@]}"; do
   corpus="corpora/$n"
-  for shape in 1/1 4/4 3/7; do
+  # 1/1 runs last, so its delays.csv is still there to name the first
+  # application.
+  for shape in 4/4 3/7 1/1; do
     step "analyze-$n-${shape/\//-}" analyze "$corpus" \
       --threads "${shape%/*}" --analyze-shards "${shape#*/}" \
       --json OUT/analysis.json --csv OUT/aggregate.csv \
       --delays-csv OUT/delays.csv --containers-csv OUT/containers.csv \
       --events-csv OUT/events.csv
   done
-  step "trace-$n" trace "$corpus" --out OUT/trace.json
   app="$(sed -n '2s/,.*//p' "$WORK/base/out/analyze-$n-1-1/delays.csv")"
+  step "trace-$n" trace "$corpus" --out OUT/trace.json
   if [ -n "$app" ]; then
     step "timeline-$n" timeline "$corpus" "$app"
     step "graph-$n" graph "$corpus" "$app" --out OUT/graph.dot
@@ -115,6 +118,9 @@ for n in "${!CORPORA[@]}"; do
   step "diff-$n" diff "$corpus" "corpora/$(((n + 1) % count))"
   step "follow-$n" follow "$corpus" --exit-quiescent 3 --poll-ms 20 \
     --json OUT/follow.json
+  for seed in 1 42 20170703; do
+    step "fuzz-$n-$seed" fuzz "$corpus" --seed "$seed" --out OUT/mutants
+  done
 done
 for threads in 1 4; do
   step "fleet-$threads" fleet corpora --threads "$threads" \

@@ -2,48 +2,73 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 namespace sdc::logging {
 
-std::string_view diagnostic_kind_name(DiagnosticKind kind) {
-  switch (kind) {
-    case DiagnosticKind::kUnreadableFile:
-      return "unreadable-file";
-    case DiagnosticKind::kBinaryGarbage:
-      return "binary-garbage";
-    case DiagnosticKind::kTruncatedLine:
-      return "truncated-line";
-    case DiagnosticKind::kRotationGap:
-      return "rotation-gap";
-    case DiagnosticKind::kTimestampRegression:
-      return "timestamp-regression";
-    case DiagnosticKind::kUnparsableBurst:
-      return "unparsable-burst";
-    case DiagnosticKind::kUnboundStream:
-      return "unbound-stream";
+namespace {
+
+constexpr DiagnosticKindSpec kDiagnosticKinds[] = {
+    {DiagnosticKind::kUnreadableFile, "unreadable-file", 0,
+     "directory read skipped an unreadable file"},
+    {DiagnosticKind::kBinaryGarbage, "binary-garbage", 1,
+     "line contains NUL or is mostly non-printable"},
+    {DiagnosticKind::kTruncatedLine, "truncated-line", 1,
+     "timestamp intact but the rest malformed (mid-write cut), or a stream "
+     "begins/ends mid-line"},
+    {DiagnosticKind::kRotationGap, "rotation-gap", 2,
+     "`base.log.N` segments reassembled (oldest = highest suffix first, "
+     "logrotate order)"},
+    {DiagnosticKind::kTimestampRegression, "timestamp-regression", 2,
+     "within-stream timestamp jumps backwards beyond `kSkewBudgetMs` "
+     "(1000 ms)"},
+    {DiagnosticKind::kUnparsableBurst, "unparsable-burst", 1,
+     "one record per run of ≥ `kUnparsableBurstMin` (4) consecutive "
+     "unparsable lines"},
+    {DiagnosticKind::kUnboundStream, "unbound-stream", 1,
+     "a stream never bound to an application id and overflowed "
+     "`kParkedEventsCap` (65536) parked events; overflowing events are "
+     "dropped and counted"},
+};
+
+// The rules each row must keep; a broken one fails the build here,
+// naming the rule.
+constexpr bool kind_rows_valid() {
+  if (std::size(kDiagnosticKinds) != kDiagnosticKindCount) {
+    throw "kDiagnosticKinds needs one row per DiagnosticKind";
   }
-  return "?";
+  for (std::size_t i = 0; i < kDiagnosticKindCount; ++i) {
+    const DiagnosticKindSpec& row = kDiagnosticKinds[i];
+    if (static_cast<std::size_t>(row.kind) != i) {
+      throw "kDiagnosticKinds rows must follow DiagnosticKind order";
+    }
+    if (row.name.empty()) throw "a diagnostic kind needs a name";
+    for (std::size_t j = 0; j < i; ++j) {
+      if (kDiagnosticKinds[j].name == row.name) {
+        throw "two diagnostic kinds share one name";
+      }
+    }
+    if (row.severity > 2) {
+      throw "severity is 0 (lost), 1 (damaged) or 2 (suspect)";
+    }
+  }
+  return true;
+}
+static_assert(kind_rows_valid());
+
+}  // namespace
+
+std::span<const DiagnosticKindSpec> diagnostic_kinds() {
+  return kDiagnosticKinds;
+}
+
+std::string_view diagnostic_kind_name(DiagnosticKind kind) {
+  return kDiagnosticKinds[static_cast<std::size_t>(kind)].name;
 }
 
 std::size_t diagnostic_severity(DiagnosticKind kind) {
-  switch (kind) {
-    // Input that never reached the parser at all.
-    case DiagnosticKind::kUnreadableFile:
-      return 0;
-    // Input that reached the parser damaged (lines dropped or cut), or
-    // parsed events dropped under the bounded-memory cap.
-    case DiagnosticKind::kBinaryGarbage:
-    case DiagnosticKind::kTruncatedLine:
-    case DiagnosticKind::kUnparsableBurst:
-    case DiagnosticKind::kUnboundStream:
-      return 1;
-    // Input that was kept but whose timeline is suspect.
-    case DiagnosticKind::kRotationGap:
-    case DiagnosticKind::kTimestampRegression:
-      return 2;
-  }
-  return 3;
+  return kDiagnosticKinds[static_cast<std::size_t>(kind)].severity;
 }
 
 Diagnostic unreadable_file(std::string stream,

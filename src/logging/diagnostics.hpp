@@ -12,6 +12,7 @@
 #include <array>
 #include <cstddef>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,18 +37,34 @@ enum class DiagnosticKind {
   kUnparsableBurst,
   /// A streaming-ingestion stream produced events but never revealed an
   /// application/container id, and its parked-event buffer overflowed the
-  /// configured cap — events were dropped to bound daemon memory.
+  /// cap (`kParkedEventsCap`) — events were dropped to bound daemon memory.
   kUnboundStream,
 };
 
 /// Number of DiagnosticKind values (for count arrays).
 inline constexpr std::size_t kDiagnosticKindCount = 7;
 
-/// Short stable name ("unreadable-file", "binary-garbage", ...).
+/// Everything said about one kind, one row per kind in enum order
+/// (`diagnostic_kinds()`).  The build checks the rows; sdlint renders the
+/// kind table of docs/INTERNALS.md from them.
+struct DiagnosticKindSpec {
+  DiagnosticKind kind;
+  /// Short stable name ("unreadable-file", "binary-garbage", ...).
+  std::string_view name;
+  /// How strongly the kind implies data loss: lost input (0) > damaged
+  /// input (1) > suspect-but-kept input (2).
+  std::size_t severity;
+  /// What raises the kind (markdown, for the doc table).
+  std::string_view trigger;
+};
+
+/// The kind rows, indexed by `DiagnosticKind`.
+std::span<const DiagnosticKindSpec> diagnostic_kinds();
+
+/// The kind's `DiagnosticKindSpec::name`.
 std::string_view diagnostic_kind_name(DiagnosticKind kind);
 
-/// Report severity: how strongly a kind implies data loss.  Lost input
-/// (0) > damaged input (1) > suspect-but-kept input (2).
+/// The kind's `DiagnosticKindSpec::severity`.
 std::size_t diagnostic_severity(DiagnosticKind kind);
 
 /// One finding about one stream (or the bundle, for file-level issues).

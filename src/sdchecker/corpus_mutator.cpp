@@ -7,6 +7,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -25,22 +26,6 @@ namespace {
 
 using logging::DiagnosticKind;
 using logging::LogBundle;
-
-struct ClassName {
-  MutationClass cls;
-  std::string_view name;
-};
-
-constexpr ClassName kClassNames[kMutationClassCount] = {
-    {MutationClass::kIdentity, "identity"},
-    {MutationClass::kTruncateHead, "truncate-head"},
-    {MutationClass::kTruncateTail, "truncate-tail"},
-    {MutationClass::kRotateSplit, "rotate-split"},
-    {MutationClass::kDuplicateLines, "duplicate-lines"},
-    {MutationClass::kGarbageBytes, "garbage-bytes"},
-    {MutationClass::kClockSkew, "clock-skew"},
-    {MutationClass::kInterleave, "interleave"},
-};
 
 void append_all(LogBundle& out, const std::string& stream,
                 const std::vector<std::string>& lines) {
@@ -375,6 +360,69 @@ LogBundle mutate_interleave(const LogBundle& input, Rng& rng) {
   return out;
 }
 
+// --- the class table -------------------------------------------------------
+
+using Mutation = LogBundle (*)(const LogBundle&, Rng&);
+
+/// One damage class: its name, the diagnostic kind its mutant must
+/// surface and its mutation (identity expects none and has none).
+struct ClassSpec {
+  MutationClass cls;
+  std::string_view name;
+  std::optional<DiagnosticKind> expects;
+  Mutation mutate;
+};
+
+constexpr ClassSpec kClasses[] = {
+    {MutationClass::kIdentity, "identity", std::nullopt, nullptr},
+    {MutationClass::kTruncateHead, "truncate-head",
+     DiagnosticKind::kTruncatedLine, &mutate_truncate_head},
+    {MutationClass::kTruncateTail, "truncate-tail",
+     DiagnosticKind::kTruncatedLine, &mutate_truncate_tail},
+    {MutationClass::kRotateSplit, "rotate-split", DiagnosticKind::kRotationGap,
+     &mutate_rotate_split},
+    {MutationClass::kDuplicateLines, "duplicate-lines",
+     DiagnosticKind::kTimestampRegression, &mutate_duplicate_lines},
+    {MutationClass::kGarbageBytes, "garbage-bytes",
+     DiagnosticKind::kBinaryGarbage, &mutate_garbage_bytes},
+    {MutationClass::kClockSkew, "clock-skew",
+     DiagnosticKind::kTimestampRegression, &mutate_clock_skew},
+    {MutationClass::kInterleave, "interleave",
+     DiagnosticKind::kTimestampRegression, &mutate_interleave},
+};
+
+// The rules the table keeps with the diagnostic vocabulary; a broken one
+// fails the build here, naming the rule.
+constexpr bool class_rows_valid() {
+  if (std::size(kClasses) != kMutationClassCount) {
+    throw "kClasses needs one row per MutationClass";
+  }
+  for (std::size_t i = 0; i < kMutationClassCount; ++i) {
+    if (static_cast<std::size_t>(kClasses[i].cls) != i) {
+      throw "kClasses rows must follow MutationClass order";
+    }
+  }
+  for (std::size_t k = 0; k < logging::kDiagnosticKindCount; ++k) {
+    const auto kind = static_cast<DiagnosticKind>(k);
+    bool expected = false;
+    for (const ClassSpec& row : kClasses) {
+      expected = expected || row.expects == kind;
+    }
+    if (!expected && !runtime_only_reason(kind)) {
+      throw "a kind no class expects needs a runtime_only_reason";
+    }
+    if (expected && runtime_only_reason(kind)) {
+      throw "a kind a class expects must have no runtime_only_reason";
+    }
+  }
+  return true;
+}
+static_assert(class_rows_valid());
+
+const ClassSpec& class_spec(MutationClass cls) {
+  return kClasses[static_cast<std::size_t>(cls)];
+}
+
 // --- the sweep -------------------------------------------------------------
 
 /// A fresh directory under the system temp dir, removed on scope exit
@@ -487,15 +535,12 @@ bool follow_drains_to(const LogBundle& mutant, const std::string& document) {
 }  // namespace
 
 std::string_view mutation_class_name(MutationClass cls) {
-  for (const ClassName& entry : kClassNames) {
-    if (entry.cls == cls) return entry.name;
-  }
-  return "?";
+  return class_spec(cls).name;
 }
 
 std::optional<MutationClass> mutation_class_from_name(std::string_view name) {
-  for (const ClassName& entry : kClassNames) {
-    if (entry.name == name) return entry.cls;
+  for (const ClassSpec& row : kClasses) {
+    if (row.name == name) return row.cls;
   }
   return std::nullopt;
 }
@@ -503,59 +548,20 @@ std::optional<MutationClass> mutation_class_from_name(std::string_view name) {
 std::vector<MutationClass> all_mutation_classes() {
   std::vector<MutationClass> out;
   out.reserve(kMutationClassCount);
-  for (const ClassName& entry : kClassNames) out.push_back(entry.cls);
+  for (const ClassSpec& row : kClasses) out.push_back(row.cls);
   return out;
 }
 
 std::optional<DiagnosticKind> expected_diagnostic(MutationClass cls) {
-  switch (cls) {
-    case MutationClass::kIdentity:
-      return std::nullopt;
-    case MutationClass::kTruncateHead:
-    case MutationClass::kTruncateTail:
-      return DiagnosticKind::kTruncatedLine;
-    case MutationClass::kRotateSplit:
-      return DiagnosticKind::kRotationGap;
-    case MutationClass::kDuplicateLines:
-    case MutationClass::kClockSkew:
-    case MutationClass::kInterleave:
-      return DiagnosticKind::kTimestampRegression;
-    case MutationClass::kGarbageBytes:
-      return DiagnosticKind::kBinaryGarbage;
-  }
-  return std::nullopt;
+  return class_spec(cls).expects;
 }
 
 std::vector<MutationClass> mutation_classes_for(logging::DiagnosticKind kind) {
   std::vector<MutationClass> out;
-  for (MutationClass cls : all_mutation_classes()) {
-    if (expected_diagnostic(cls) == kind) out.push_back(cls);
+  for (const ClassSpec& row : kClasses) {
+    if (row.expects == kind) out.push_back(row.cls);
   }
   return out;
-}
-
-std::optional<std::string_view> runtime_only_reason(
-    logging::DiagnosticKind kind) {
-  // Kinds here arise from I/O or cross-stream state the byte-level
-  // mutator cannot model; each names the mechanism that surfaces it.
-  // If a new mutation class starts covering one of these kinds, sdlint's
-  // diag.stale-exemption check fires until the row is deleted.
-  switch (kind) {
-    case logging::DiagnosticKind::kUnreadableFile:
-      return "filesystem permission/open failure; mutations rewrite bytes "
-             "of readable bundles";
-    case logging::DiagnosticKind::kUnparsableBurst:
-      return "emitted once per run of at least kUnparsableBurstMin (4) "
-             "consecutive unparsable lines; no class is keyed to it "
-             "(garbage-bytes' injected run also trips it, but that class "
-             "asserts binary-garbage), so miner and follow tests exercise "
-             "it directly";
-    case logging::DiagnosticKind::kUnboundStream:
-      return "requires a stream whose app binding never resolves; mutator "
-             "inputs are generated from bound scenario logs";
-    default:
-      return std::nullopt;
-  }
 }
 
 logging::LogBundle apply_mutation(const logging::LogBundle& input,
@@ -564,25 +570,8 @@ logging::LogBundle apply_mutation(const logging::LogBundle& input,
   // same seed.
   Rng root(seed);
   Rng rng = root.fork(static_cast<std::uint64_t>(cls) + 1);
-  switch (cls) {
-    case MutationClass::kIdentity:
-      return input;
-    case MutationClass::kTruncateHead:
-      return mutate_truncate_head(input, rng);
-    case MutationClass::kTruncateTail:
-      return mutate_truncate_tail(input, rng);
-    case MutationClass::kRotateSplit:
-      return mutate_rotate_split(input, rng);
-    case MutationClass::kDuplicateLines:
-      return mutate_duplicate_lines(input, rng);
-    case MutationClass::kGarbageBytes:
-      return mutate_garbage_bytes(input, rng);
-    case MutationClass::kClockSkew:
-      return mutate_clock_skew(input, rng);
-    case MutationClass::kInterleave:
-      return mutate_interleave(input, rng);
-  }
-  return input;
+  const Mutation mutate = class_spec(cls).mutate;
+  return mutate != nullptr ? mutate(input, rng) : input;
 }
 
 std::vector<FuzzCaseResult> fuzz_corpus(

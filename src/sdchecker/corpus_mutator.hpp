@@ -60,18 +60,31 @@ std::vector<MutationClass> all_mutation_classes();
 std::optional<logging::DiagnosticKind> expected_diagnostic(MutationClass cls);
 
 /// Inverse of `expected_diagnostic`: the mutation classes expected to
-/// surface `kind` (empty when no class models it).  sdlint's `diag.*`
-/// checks require every diagnostic kind to be either reachable this way
-/// or explicitly declared runtime-only below — a kind in neither set is
-/// a vocabulary hole the fuzz harness can never exercise.
+/// surface `kind` (empty when no class models it).
 std::vector<MutationClass> mutation_classes_for(logging::DiagnosticKind kind);
 
 /// Why a diagnostic kind is runtime-only (no byte-level mutation of a
 /// log bundle can surface it), or nullopt when the mutator covers it.
 /// Every runtime-only kind must still be exercised by a dedicated test;
-/// the reason names the mechanism.
-std::optional<std::string_view> runtime_only_reason(
-    logging::DiagnosticKind kind);
+/// the reason names the mechanism and the tests.  The build fails unless
+/// each kind has exactly one of a class that expects it and a reason (a
+/// kind in neither set is a hole the fuzz harness can never exercise; a
+/// kind in both, a stale reason).
+constexpr std::optional<std::string_view> runtime_only_reason(
+    logging::DiagnosticKind kind) {
+  using logging::DiagnosticKind;
+  if (kind == DiagnosticKind::kUnreadableFile) {
+    return "filesystem failure; exercised by directory-ingest tests";
+  }
+  if (kind == DiagnosticKind::kUnparsableBurst) {
+    return "no class is keyed to it — `garbage-bytes`' injected run also "
+           "trips it; exercised by miner and follow tests";
+  }
+  if (kind == DiagnosticKind::kUnboundStream) {
+    return "needs an unbound stream; exercised by incremental tests";
+  }
+  return std::nullopt;
+}
 
 /// Applies one mutation class.  Deterministic in (input, cls, seed).
 [[nodiscard]] logging::LogBundle apply_mutation(

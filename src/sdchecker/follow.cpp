@@ -65,7 +65,7 @@ DirHandle open_dir(const std::filesystem::path& dir) {
 FollowService::FollowService(std::filesystem::path dir, FollowOptions options)
     : dir_(std::move(dir)),
       options_(options),
-      analyzer_(options.parked_events_cap) {
+      analyzer_(kParkedEventsCap) {
   const std::size_t workers =
       AnalyzeOptions{.analyze_shards = options.analyze_shards}
           .effective_analyze_shards();

@@ -14,10 +14,10 @@
 // bounded: applications whose terminal transition has been mined are
 // retired after a quiet grace (timeline freed, decomposed row kept),
 // streams that never bind an application id park at most
-// `FollowOptions::parked_events_cap` events, and a fully read driver or
-// executor log of a retired application is parked — skipped by the
-// per-poll check and re-checked by one sweep before any poll may report
-// quiescence, and again in `finish()`.
+// `kParkedEventsCap` events, and a fully read driver or executor log of
+// a retired application is parked — skipped by the per-poll check and
+// re-checked by one sweep before any poll may report quiescence, and
+// again in `finish()`.
 //
 // Parity contract: once the writers stop and the service has drained
 // (`quiescent()`, then `finish()`), `snapshot()` returns an
@@ -48,9 +48,6 @@
 namespace sdc::checker {
 
 struct FollowOptions {
-  /// Events parked per stream that has not bound to an application id
-  /// (see `IncrementalAnalyzer`); 0 = unbounded.
-  std::size_t parked_events_cap = kParkedEventsCap;
   /// Workers of the pool the service keeps for snapshot finalize, 1 = no
   /// pool and 0 = one per hardware thread, as for
   /// `AnalyzeOptions::analyze_shards`.  Snapshots are byte-identical

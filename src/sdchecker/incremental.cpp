@@ -75,8 +75,7 @@ void IncrementalAnalyzer::resolve_or_park(StreamState& state,
     // always finds room.
     if (!state.parked) state.parked = std::make_unique<EventBatch>();
     ++events_pending_;
-    if (parked_events_cap_ > 0 &&
-        state.parked->size() >= parked_events_cap_) {
+    if (state.parked->size() >= parked_events_cap_) {
       if (state.parked_dropped++ == 0) {
         state.parked_dropped_first_line = state.cursor.line_no();
       }

@@ -38,7 +38,6 @@ class IncrementalAnalyzer {
   /// binds would otherwise grow its parked buffer forever in a
   /// long-running service; past the cap, further events are dropped,
   /// counted, and reported as one kUnboundStream diagnostic per stream.
-  /// 0 = unbounded.
   explicit IncrementalAnalyzer(
       std::size_t parked_events_cap = kParkedEventsCap)
       : parked_events_cap_(parked_events_cap) {}

@@ -40,9 +40,9 @@ SeverityRollup roll_up(const logging::DiagnosticCounts& counts) {
 }  // namespace
 
 FollowPublisher::FollowPublisher(Clock clock) : clock_(std::move(clock)) {
-  // A follow session with nothing ingested yet serves the empty-corpus
-  // analysis shape, not a 404: scrapers that start before the first poll
-  // still get a parseable document.
+  // A follow session that has published nothing yet serves `{}`, not a
+  // 404: scrapers that start before the first poll still get a parseable
+  // document.
   auto empty = std::make_shared<const std::string>("{}");
   const auto now = clock_();
   MutexLock lock(mu_);

@@ -1,166 +1,57 @@
 #include "sdlint/diag_check.hpp"
 
-#include <map>
-#include <string>
-
 #include "logging/diagnostics.hpp"
 #include "sdchecker/corpus_mutator.hpp"
-#include "sdlint/doc_sources.hpp"
 
 namespace sdc::lint {
-namespace {
 
-constexpr std::size_t kSeverityLevels = 3;  // 0 lost, 1 damaged, 2 suspect
-
-struct DocRow {
-  std::string severity;
-  std::string coverage;
-};
-
-void check_doc_parity(const DiagCheckInputs& inputs,
-                      std::vector<Finding>& findings) {
-  if (!inputs.doc_found) {
-    findings.push_back(make_finding(
-        "diag.doc-missing", "docs/INTERNALS.md",
-        "diagnostic-kind table (between the BEGIN/END markers) not found"));
-    return;
-  }
-  std::map<std::string, DocRow, std::less<>> documented;
-  for (const std::vector<std::string>& cells :
-       parse_markdown_table(inputs.doc_table)) {
-    if (cells.empty()) continue;
-    const std::string name = strip_backticks(cells[0]);
-    if (name == "kind") continue;  // header row
-    // Columns: kind | severity | trigger | fuzz coverage (trigger stays
-    // free prose; the other three are contract surfaces).
-    documented[name] = DocRow{cells.size() > 1 ? cells[1] : "",
-                              cells.size() > 3 ? cells[3] : ""};
-  }
-  for (const DiagKindRow& kind : inputs.kinds) {
-    const auto it = documented.find(kind.name);
-    if (it == documented.end()) {
-      findings.push_back(make_finding(
-          "diag.undocumented", kind.name,
-          "diagnostic kind has no docs/INTERNALS.md table row"));
-      continue;
-    }
-    if (it->second.severity != std::to_string(kind.severity)) {
-      findings.push_back(make_finding(
-          "diag.doc-drift", kind.name,
-          "doc severity column says '" + it->second.severity +
-              "', diagnostic_severity says " +
-              std::to_string(kind.severity)));
-    }
-    const std::string& coverage = it->second.coverage;
-    const bool doc_runtime_only =
-        coverage.find("runtime-only") != std::string::npos;
-    if (kind.runtime_only.has_value() != doc_runtime_only) {
-      findings.push_back(make_finding(
-          "diag.doc-drift", kind.name,
-          kind.runtime_only
-              ? "runtime-only in code but the doc coverage column does "
-                "not say so"
-              : "doc coverage column says runtime-only but the corpus "
-                "mutator covers this kind"));
-    }
-    for (const std::string& cls : kind.mutation_classes) {
-      if (coverage.find("`" + cls + "`") == std::string::npos) {
-        findings.push_back(make_finding(
-            "diag.doc-drift", kind.name,
-            "doc coverage column is missing mutation class `" + cls +
-                "`"));
+std::string render_diag_kind_table() {
+  std::string out =
+      "| kind | severity | trigger | fuzz coverage |\n"
+      "|---|---|---|---|\n";
+  for (const logging::DiagnosticKindSpec& row : logging::diagnostic_kinds()) {
+    out += "| `";
+    out += row.name;
+    out += "` | " + std::to_string(row.severity) + " | ";
+    out += row.trigger;
+    out += " | ";
+    if (const auto reason = checker::runtime_only_reason(row.kind)) {
+      out += "runtime-only (";
+      out += *reason;
+      out += ')';
+    } else {
+      const char* separator = "`";
+      for (const checker::MutationClass cls :
+           checker::mutation_classes_for(row.kind)) {
+        out += separator;
+        out += checker::mutation_class_name(cls);
+        separator = "`, `";
       }
+      out += '`';
     }
+    out += " |\n";
   }
-  for (const auto& [name, row] : documented) {
-    bool known = false;
-    for (const DiagKindRow& kind : inputs.kinds) {
-      if (kind.name == name) known = true;
-    }
-    if (!known) {
-      findings.push_back(make_finding(
-          "diag.stale-doc", name,
-          "doc table documents a diagnostic kind the code does not "
-          "declare"));
-    }
-  }
+  return out;
 }
 
-}  // namespace
-
-std::vector<Finding> check_diagnostics(const DiagCheckInputs& inputs) {
-  std::vector<Finding> findings;
-  for (std::size_t i = 0; i < inputs.kinds.size(); ++i) {
-    const DiagKindRow& kind = inputs.kinds[i];
-    if (kind.name.empty() || kind.name == "?") {
-      findings.push_back(make_finding(
-          "diag.unnamed", "kind " + std::to_string(i),
-          "diagnostic_kind_name falls through to the sentinel — add the "
-          "renderer branch"));
-    }
-    for (std::size_t j = i + 1; j < inputs.kinds.size(); ++j) {
-      if (!kind.name.empty() && kind.name != "?" &&
-          kind.name == inputs.kinds[j].name) {
-        findings.push_back(make_finding(
-            "diag.duplicate-name", kind.name,
-            "kinds " + std::to_string(i) + " and " + std::to_string(j) +
-                " share one short name"));
-      }
-    }
-    if (kind.severity >= kSeverityLevels) {
-      findings.push_back(make_finding(
-          "diag.bad-severity", kind.name,
-          "diagnostic_severity returns " + std::to_string(kind.severity) +
-              " (valid: 0 lost, 1 damaged, 2 suspect) — add the branch"));
-    }
-    if (kind.mutation_classes.empty() && !kind.runtime_only) {
-      findings.push_back(make_finding(
-          "diag.unmapped-kind", kind.name,
-          "no corpus-mutator damage class is expected to surface this "
-          "kind and it carries no runtime-only exemption — the fuzz "
-          "harness can never exercise it"));
-    }
-    if (!kind.mutation_classes.empty() && kind.runtime_only) {
-      findings.push_back(make_finding(
-          "diag.stale-exemption", kind.name,
-          "declared runtime-only but mutation class `" +
-              kind.mutation_classes.front() +
-              "` now surfaces it — delete the exemption"));
-    }
+std::vector<Finding> check_diagnostics(const DocSection& section) {
+  const std::string subject = "docs/INTERNALS.md";
+  if (!section.file_found || !section.section_found) {
+    return {make_finding(
+        "diag.doc-drift", subject,
+        "diagnostic-kind table (between the BEGIN/END markers) not found")};
   }
-  check_doc_parity(inputs, findings);
-  return findings;
-}
-
-std::vector<DiagKindRow> real_diag_kind_rows() {
-  std::vector<DiagKindRow> rows;
-  rows.reserve(logging::kDiagnosticKindCount);
-  for (std::size_t i = 0; i < logging::kDiagnosticKindCount; ++i) {
-    const auto kind = static_cast<logging::DiagnosticKind>(i);
-    DiagKindRow row;
-    row.name = std::string(logging::diagnostic_kind_name(kind));
-    row.severity = logging::diagnostic_severity(kind);
-    for (const checker::MutationClass cls :
-         checker::mutation_classes_for(kind)) {
-      row.mutation_classes.emplace_back(checker::mutation_class_name(cls));
-    }
-    if (const auto reason = checker::runtime_only_reason(kind)) {
-      row.runtime_only = std::string(*reason);
-    }
-    rows.push_back(std::move(row));
+  if (const auto difference =
+          first_line_difference("diagnostic-kind table", "the code",
+                                section.text, render_diag_kind_table())) {
+    return {make_finding("diag.doc-drift", subject, *difference)};
   }
-  return rows;
+  return {};
 }
 
 std::vector<Finding> check_real_diagnostics() {
-  const std::vector<DiagKindRow> rows = real_diag_kind_rows();
-  const DocSection section =
-      load_doc_section("INTERNALS.md", kDiagTableBegin, kDiagTableEnd);
-  DiagCheckInputs inputs;
-  inputs.kinds = rows;
-  inputs.doc_table = section.text;
-  inputs.doc_found = section.file_found && section.section_found;
-  return check_diagnostics(inputs);
+  return check_diagnostics(
+      load_doc_section("INTERNALS.md", kDiagTableBegin, kDiagTableEnd));
 }
 
 }  // namespace sdc::lint

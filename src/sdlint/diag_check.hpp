@@ -1,60 +1,43 @@
-// Check (f): the diagnostic-kind vocabulary is closed (ISSUE 8).
+// Check (f): the diagnostic-kind table in docs/INTERNALS.md is the
+// code's rendering of the kind vocabulary.
 //
-// Every logging::DiagnosticKind must (1) render — a real short name and
-// an in-range severity, i.e. no "?"/sentinel fallthrough branch left
-// unhandled; (2) be documented — one row in the marker-delimited kinds
-// table of docs/INTERNALS.md, with the severity and fuzz-coverage
-// columns matching the code; (3) be *reachable* — either some corpus-
-// mutator damage class is expected to surface it
-// (checker::mutation_classes_for), or it carries an explicit
-// runtime-only exemption (checker::runtime_only_reason).  A kind in
-// neither set is a vocabulary hole the fuzz harness can never exercise;
-// a kind in both is a stale exemption.
+// Each row comes from code: a kind's name, severity and trigger from
+// its `logging::DiagnosticKindSpec` row, and its fuzz coverage from the
+// corpus mutator (the classes `checker::mutation_classes_for` the kind,
+// or `checker::runtime_only_reason`).  The committed marker section
+// must equal that rendering byte for byte (diag.doc-drift, naming the
+// first line that differs, or the missing section).  The rules the
+// rows keep among themselves (one row per kind in enum order, distinct
+// names, severity 0-2, each kind fuzz-covered or runtime-only but not
+// both) are compile-time checks beside the rows, so a broken row fails
+// the build before sdlint runs.
 #pragma once
 
-#include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sdlint/doc_sources.hpp"
 #include "sdlint/findings.hpp"
 
 namespace sdc::lint {
 
 /// Marker lines bracketing the kinds table in docs/INTERNALS.md.
 inline constexpr std::string_view kDiagTableBegin =
-    "<!-- BEGIN DIAGNOSTIC KIND TABLE (checked by sdlint diag.*) -->";
+    "<!-- BEGIN DIAGNOSTIC KIND TABLE (rendered from code; checked by "
+    "sdlint diag.doc-drift) -->";
 inline constexpr std::string_view kDiagTableEnd =
     "<!-- END DIAGNOSTIC KIND TABLE -->";
 
-/// One diagnostic kind as the checks see it — fixtures seed broken rows.
-struct DiagKindRow {
-  /// diagnostic_kind_name ("?" models a missing renderer branch).
-  std::string name;
-  /// diagnostic_severity (the sentinel >= 3 models a missing branch).
-  std::size_t severity = 0;
-  /// Mutation-class names expected to surface this kind.
-  std::vector<std::string> mutation_classes;
-  /// Runtime-only exemption reason (nullopt = mutator must cover it).
-  std::optional<std::string> runtime_only;
-};
+/// The kinds table as markdown: `| kind | severity | trigger | fuzz
+/// coverage |`, one row per `logging::diagnostic_kinds()` row.
+std::string render_diag_kind_table();
 
-struct DiagCheckInputs {
-  std::span<const DiagKindRow> kinds;
-  /// The marker-delimited doc table (markdown).
-  std::string_view doc_table;
-  /// False turns every doc comparison into diag.doc-missing.
-  bool doc_found = true;
-};
+/// diag.doc-drift over a loaded marker section: missing, or not
+/// `render_diag_kind_table()` byte for byte.
+std::vector<Finding> check_diagnostics(const DocSection& section);
 
-std::vector<Finding> check_diagnostics(const DiagCheckInputs& inputs);
-
-/// check_diagnostics over the real DiagnosticKind enum, the corpus
-/// mutator's mappings and the committed docs/INTERNALS.md table.
+/// check_diagnostics over the committed docs/INTERNALS.md table.
 std::vector<Finding> check_real_diagnostics();
-
-/// The real kinds, one row per DiagnosticKind (exposed for tests).
-std::vector<DiagKindRow> real_diag_kind_rows();
 
 }  // namespace sdc::lint

@@ -37,6 +37,25 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+/// Takes the next line off `text`, its '\n' included ("" at the end).
+std::string_view take_line(std::string_view& text) {
+  const std::size_t eol = text.find('\n');
+  const std::size_t length = eol == std::string_view::npos ? text.size()
+                                                           : eol + 1;
+  const std::string_view line = text.substr(0, length);
+  text.remove_prefix(length);
+  return line;
+}
+
+std::string quote_line(std::string_view line) {
+  if (line.empty()) return "the end of the table";
+  if (line.back() == '\n') line.remove_suffix(1);
+  std::string quoted = "'";
+  quoted += line;
+  quoted += '\'';
+  return quoted;
+}
+
 }  // namespace
 
 DocSection load_doc_section(std::string_view file_name,
@@ -69,38 +88,21 @@ DocSection load_doc_section(std::string_view file_name,
   return section;  // end marker never seen: section_found stays false
 }
 
-std::vector<std::vector<std::string>> parse_markdown_table(
-    std::string_view text) {
-  std::vector<std::vector<std::string>> rows;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = trim(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    if (line.empty() || line.front() != '|') continue;
-    // Drop the |---|---| separator row.
-    if (line.find_first_not_of("|-: \t") == std::string_view::npos) continue;
-    std::vector<std::string> cells;
-    std::size_t cell_start = 1;  // past the leading '|'
-    while (cell_start <= line.size()) {
-      std::size_t bar = line.find('|', cell_start);
-      if (bar == std::string_view::npos) break;
-      cells.emplace_back(trim(line.substr(cell_start, bar - cell_start)));
-      cell_start = bar + 1;
-    }
-    if (!cells.empty()) rows.push_back(std::move(cells));
+std::optional<std::string> first_line_difference(std::string_view table,
+                                                 std::string_view source,
+                                                 std::string_view doc,
+                                                 std::string_view rendered) {
+  for (std::size_t line = 1; !doc.empty() || !rendered.empty(); ++line) {
+    const std::string_view have = take_line(doc);
+    const std::string_view want = take_line(rendered);
+    if (have == want) continue;
+    std::string out(table);
+    out += " line " + std::to_string(line) + " is " + quote_line(have) + ", ";
+    out += source;
+    out += " renders " + quote_line(want);
+    return out;
   }
-  return rows;
-}
-
-std::string strip_backticks(std::string_view cell) {
-  const std::string_view trimmed = trim(cell);
-  if (trimmed.size() >= 2 && trimmed.front() == '`' &&
-      trimmed.back() == '`') {
-    return std::string(trimmed.substr(1, trimmed.size() - 2));
-  }
-  return std::string(trimmed);
+  return std::nullopt;
 }
 
 }  // namespace sdc::lint

@@ -2,17 +2,18 @@
 //
 // The metric and diagnostic tables in docs/ are contract surfaces, not
 // prose: each lives between a BEGIN/END marker pair so sdlint can
-// extract exactly the checked region and compare it to what the code
-// declares.  The repo root is found by walking up from the working
-// directory (sdlint runs from build trees at arbitrary depth); the
-// `SDC_DOCS_DIR` environment variable overrides the search for
-// out-of-tree runs.  A missing file or marker pair is reported through
-// the flags here — callers turn it into a finding, never a silent skip.
+// extract exactly the checked region and compare it, byte for byte, to
+// the code's rendering of the table.  The repo root is found by walking
+// up from the working directory (sdlint runs from build trees at
+// arbitrary depth); the `SDC_DOCS_DIR` environment variable overrides
+// the search for out-of-tree runs.  A missing file or marker pair is
+// reported through the flags here — callers turn it into a finding,
+// never a silent skip.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace sdc::lint {
 
@@ -34,13 +35,13 @@ DocSection load_doc_section(std::string_view file_name,
                             std::string_view begin_marker,
                             std::string_view end_marker);
 
-/// Parses markdown-table rows out of `text`: every line starting with
-/// '|' becomes a vector of trimmed cell strings; the |---| separator
-/// row is dropped.  Backticks are kept — strip with `strip_backticks`.
-std::vector<std::vector<std::string>> parse_markdown_table(
-    std::string_view text);
-
-/// "`mine.lines`" -> "mine.lines" (no-op without surrounding backticks).
-std::string strip_backticks(std::string_view cell);
+/// Names the first line at which a committed table differs from the
+/// code's rendering of it: "<table> line N is '<doc line>', <source>
+/// renders '<rendered line>'", where a side that has ended reads "the end
+/// of the table".  nullopt when the two are equal byte for byte.
+std::optional<std::string> first_line_difference(std::string_view table,
+                                                 std::string_view source,
+                                                 std::string_view doc,
+                                                 std::string_view rendered);
 
 }  // namespace sdc::lint

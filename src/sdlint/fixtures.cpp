@@ -311,92 +311,23 @@ std::vector<Finding> run_prom_family_unlisted() {
   return check_prom(inputs);
 }
 
-// --- broken diagnostic vocabularies ------------------------------------------
-// One healthy kind row (plus per-fixture damage) and the doc table that
-// matches it.
+// --- broken diagnostic-kind tables -------------------------------------------
+// The real rendering with one cell edited, and no table at all.
 
-const DiagKindRow kHealthyKind{"fixture-garbage", 1, {"garbage-bytes"}, {}};
-constexpr std::string_view kHealthyDiagDoc =
-    "| kind | severity | trigger | fuzz coverage |\n"
-    "|---|---|---|---|\n"
-    "| `fixture-garbage` | 1 | seeded garbage | `garbage-bytes` |\n";
-
-std::vector<Finding> check_diag_rows(std::span<const DiagKindRow> rows,
-                                     std::string_view doc_table,
-                                     bool doc_found = true) {
-  DiagCheckInputs inputs;
-  inputs.kinds = rows;
-  inputs.doc_table = doc_table;
-  inputs.doc_found = doc_found;
-  return check_diagnostics(inputs);
-}
-
-/// A kind whose renderer falls through to the "?" sentinel.
-std::vector<Finding> run_diag_unnamed() {
-  const DiagKindRow rows[] = {kHealthyKind, {"?", 1, {"clock-skew"}, {}}};
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// Two kinds sharing one short name.
-std::vector<Finding> run_diag_duplicate_name() {
-  const DiagKindRow rows[] = {kHealthyKind, kHealthyKind};
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// diagnostic_severity falling through to the sentinel.
-std::vector<Finding> run_diag_bad_severity() {
-  const DiagKindRow rows[] = {
-      kHealthyKind,
-      {"fixture-odd", 3, {"clock-skew"}, {}},
-  };
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// A kind no mutation class surfaces and no exemption covers (the
-/// acceptance fixture: an unmapped diagnostic kind must make sdlint
-/// exit nonzero).
-std::vector<Finding> run_diag_unmapped_kind() {
-  const DiagKindRow rows[] = {kHealthyKind, {"fixture-orphan", 1, {}, {}}};
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// A runtime-only exemption the mutator has since made stale.
-std::vector<Finding> run_diag_stale_exemption() {
-  const DiagKindRow rows[] = {
-      kHealthyKind,
-      {"fixture-covered", 1, {"clock-skew"}, "legacy exemption"},
-  };
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// A kind missing its doc table row.
-std::vector<Finding> run_diag_undocumented() {
-  const DiagKindRow rows[] = {
-      kHealthyKind,
-      {"fixture-undocumented", 1, {"clock-skew"}, {}},
-  };
-  return check_diag_rows(rows, kHealthyDiagDoc);
-}
-
-/// A doc row for a kind the code does not declare.
-std::vector<Finding> run_diag_stale_doc() {
-  const DiagKindRow rows[] = {kHealthyKind};
-  const std::string doc =
-      std::string(kHealthyDiagDoc) +
-      "| `fixture-ghost` | 1 | documented but undeclared | `clock-skew` |\n";
-  return check_diag_rows(rows, doc);
-}
-
-/// Doc severity column drifted from diagnostic_severity.
+/// A committed table whose severity cell drifted from the code.
 std::vector<Finding> run_diag_doc_drift() {
-  const DiagKindRow rows[] = {{"fixture-garbage", 2, {"garbage-bytes"}, {}}};
-  return check_diag_rows(rows, kHealthyDiagDoc);
+  constexpr std::string_view kRow = "| `rotation-gap` | 2 |";
+  std::string table = render_diag_kind_table();
+  table.replace(table.find(kRow), kRow.size(), "| `rotation-gap` | 1 |");
+  DocSection section;
+  section.file_found = section.section_found = true;
+  section.text = table;
+  return check_diagnostics(section);
 }
 
 /// The doc table cannot be located at all.
 std::vector<Finding> run_diag_doc_missing() {
-  const DiagKindRow rows[] = {kHealthyKind};
-  return check_diag_rows(rows, {}, /*doc_found=*/false);
+  return check_diagnostics(DocSection{});
 }
 
 // --- fixture table -----------------------------------------------------------
@@ -470,17 +401,8 @@ constexpr Fixture kFixtures[] = {
     {"prom-suffix-unsafe", "prom.suffix-unsafe", &run_prom_suffix_unsafe},
     {"prom-family-unlisted", "prom.family-unlisted",
      &run_prom_family_unlisted},
-    {"diag-unnamed", "diag.unnamed", &run_diag_unnamed},
-    {"diag-duplicate-name", "diag.duplicate-name",
-     &run_diag_duplicate_name},
-    {"diag-bad-severity", "diag.bad-severity", &run_diag_bad_severity},
-    {"diag-unmapped-kind", "diag.unmapped-kind", &run_diag_unmapped_kind},
-    {"diag-stale-exemption", "diag.stale-exemption",
-     &run_diag_stale_exemption},
-    {"diag-undocumented", "diag.undocumented", &run_diag_undocumented},
-    {"diag-stale-doc", "diag.stale-doc", &run_diag_stale_doc},
     {"diag-doc-drift", "diag.doc-drift", &run_diag_doc_drift},
-    {"diag-doc-missing", "diag.doc-missing", &run_diag_doc_missing},
+    {"diag-doc-missing", "diag.doc-drift", &run_diag_doc_missing},
 };
 
 }  // namespace

@@ -44,25 +44,6 @@ void check_instrument(std::span<const obs::MetricSpec> catalog,
   }
 }
 
-/// Takes the next line off `text`, its '\n' included ("" at the end).
-std::string_view take_line(std::string_view& text) {
-  const std::size_t eol = text.find('\n');
-  const std::size_t length = eol == std::string_view::npos ? text.size()
-                                                           : eol + 1;
-  const std::string_view line = text.substr(0, length);
-  text.remove_prefix(length);
-  return line;
-}
-
-std::string quote_line(std::string_view line) {
-  if (line.empty()) return "the end of the table";
-  if (line.back() == '\n') line.remove_suffix(1);
-  std::string quoted = "'";
-  quoted += line;
-  quoted += '\'';
-  return quoted;
-}
-
 /// The committed doc table must be the catalog's rendering, byte for
 /// byte; a difference is reported at its first line.
 void check_doc_table(const MetricsCheckInputs& inputs,
@@ -77,19 +58,11 @@ void check_doc_table(const MetricsCheckInputs& inputs,
             regenerate));
     return;
   }
-  const std::string rendered = obs::render_metric_table(inputs.catalog);
-  std::string_view doc = inputs.doc_table;
-  std::string_view want = rendered;
-  for (std::size_t line = 1; !doc.empty() || !want.empty(); ++line) {
-    const std::string_view have = take_line(doc);
-    const std::string_view expected = take_line(want);
-    if (have == expected) continue;
-    findings.push_back(make_finding(
-        "metrics.doc-drift", subject,
-        "metric table line " + std::to_string(line) + " is " +
-            quote_line(have) + ", the catalog renders " +
-            quote_line(expected) + regenerate));
-    return;
+  if (const auto difference =
+          first_line_difference("metric table", "the catalog", inputs.doc_table,
+                                obs::render_metric_table(inputs.catalog))) {
+    findings.push_back(
+        make_finding("metrics.doc-drift", subject, *difference + regenerate));
   }
 }
 

@@ -127,9 +127,9 @@ std::vector<Finding> check_real_prom() {
     std::vector<FamilySuffixes> out;
 
     FamilySuffixes diag{"mine.diagnostics.<kind>", {}};
-    for (std::size_t i = 0; i < logging::kDiagnosticKindCount; ++i) {
-      diag.suffixes.emplace_back(logging::diagnostic_kind_name(
-          static_cast<logging::DiagnosticKind>(i)));
+    for (const logging::DiagnosticKindSpec& kind :
+         logging::diagnostic_kinds()) {
+      diag.suffixes.emplace_back(kind.name);
     }
     out.push_back(std::move(diag));
 

@@ -421,7 +421,7 @@ TEST(RangeReader, EveryDamageClassMinesLikeBundle) {
   fs::remove_all(dir);
 }
 
-TEST(LogView, FromBufferSplitsLikeGetline) {
+TEST(RangeReader, SplitsLinesLikeGetline) {
   // The reader hands out the bytes between newlines, the unterminated
   // tail included; the '\r' goes at the cursor, not here.
   const fs::path dir = scratch_dir("sdc_range_getline");
@@ -435,7 +435,7 @@ TEST(LogView, FromBufferSplitsLikeGetline) {
   fs::remove_all(dir);
 }
 
-TEST(LogView, EmptyBuffer) {
+TEST(RangeReader, EmptyFile) {
   const fs::path dir = scratch_dir("sdc_range_empty");
   write_bytes(dir / "empty.log", "");
   const RangeRead read = read_range(dir / "empty.log", 0, 0, 64);
@@ -448,7 +448,7 @@ TEST(LogView, EmptyBuffer) {
   fs::remove_all(dir);
 }
 
-TEST(LogView, FromFileMatchesBundleRead) {
+TEST(DirectoryMine, MatchesBundleRead) {
   const fs::path dir = scratch_dir("sdc_log_view_test");
   write_bytes(dir / "a.log", "line one\nline two\r\nline three");
   write_bytes(dir / "empty.log", "");
@@ -462,7 +462,7 @@ TEST(LogView, FromFileMatchesBundleRead) {
   fs::remove_all(dir);
 }
 
-TEST(BundleView, FromBundleIsZeroCopy) {
+TEST(BundleMine, CountsBytesLikeAFile) {
   // An in-memory plan mines the bundle's own lines, planned and counted
   // in bytes like a file's: each line with one newline.
   logging::LogBundle bundle;
@@ -478,7 +478,7 @@ TEST(BundleView, FromBundleIsZeroCopy) {
   EXPECT_EQ(expected.value() - expected_before, 20);
 }
 
-TEST(BundleView, MmapDirectoryMinesIdenticallyToBundle) {
+TEST(DirectoryMine, GoldenCorpusMinesLikeBundle) {
   const auto dir = golden_small_dir();
   const MinedCorpus via_bundle =
       mine(logging::LogBundle::read_from_directory(dir), MinerOptions{1});

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/log_contract.hpp"
+#include "logging/diagnostics.hpp"
 #include "mine_helpers.hpp"
 #include "obs/metric_catalog.hpp"
 #include "sdchecker/corpus_mutator.hpp"
@@ -155,31 +156,33 @@ TEST(SdlintMetrics, DuplicateSpecFires) {
                                     "metrics.duplicate-spec"));
 }
 
-/// The detail of a doc fixture's metrics.doc-drift finding, which names
-/// the first table line that differs from the rendered catalog.
-std::string doc_drift_detail(std::string_view fixture) {
+/// The detail of a doc fixture's `check` finding (metrics.doc-drift or
+/// diag.doc-drift), which names the first table line that differs from
+/// the code's rendering.
+std::string doc_drift_detail(std::string_view fixture,
+                             std::string_view check) {
   for (const Finding& finding : run_fixture(fixture)) {
-    if (finding.check == "metrics.doc-drift") return finding.detail;
+    if (finding.check == check) return finding.detail;
   }
-  ADD_FAILURE() << fixture << " raised no metrics.doc-drift";
+  ADD_FAILURE() << fixture << " raised no " << check;
   return {};
 }
 
 TEST(SdlintMetrics, UndocumentedCatalogRowFires) {
-  EXPECT_NE(doc_drift_detail("metrics-undocumented")
+  EXPECT_NE(doc_drift_detail("metrics-undocumented", "metrics.doc-drift")
                 .find("line 4 is the end of the table, the catalog renders "
                       "'| `sdc.delay.<component>` |"),
             std::string::npos);
 }
 
 TEST(SdlintMetrics, StaleDocRowFires) {
-  EXPECT_NE(doc_drift_detail("metrics-stale-doc")
+  EXPECT_NE(doc_drift_detail("metrics-stale-doc", "metrics.doc-drift")
                 .find("line 5 is '| `fixture.ghost` |"),
             std::string::npos);
 }
 
 TEST(SdlintMetrics, DocDriftFires) {
-  EXPECT_NE(doc_drift_detail("metrics-doc-drift")
+  EXPECT_NE(doc_drift_detail("metrics-doc-drift", "metrics.doc-drift")
                 .find("line 3 is '| `fixture.lines` | gauge |"),
             std::string::npos);
 }
@@ -201,7 +204,8 @@ TEST(SdlintMetrics, DelayUnboundFires) {
 }
 
 TEST(SdlintMetrics, MissingDocFires) {
-  EXPECT_NE(doc_drift_detail("metrics-doc-missing").find("not found"),
+  EXPECT_NE(doc_drift_detail("metrics-doc-missing", "metrics.doc-drift")
+                .find("not found"),
             std::string::npos);
 }
 
@@ -234,58 +238,36 @@ TEST(SdlintMetrics, CatalogRegistrationRejectsKindMismatch) {
                std::logic_error);  // family registered without a suffix
 }
 
-// --- one assertion per diag check --------------------------------------------
-
-TEST(SdlintDiag, UnnamedKindFires) {
-  EXPECT_TRUE(
-      lint::any_with_prefix(run_fixture("diag-unnamed"), "diag.unnamed"));
-}
-
-TEST(SdlintDiag, DuplicateNameFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-duplicate-name"),
-                                    "diag.duplicate-name"));
-}
-
-TEST(SdlintDiag, BadSeverityFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-bad-severity"),
-                                    "diag.bad-severity"));
-}
-
-TEST(SdlintDiag, UnmappedKindFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-unmapped-kind"),
-                                    "diag.unmapped-kind"));
-}
-
-TEST(SdlintDiag, StaleExemptionFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-stale-exemption"),
-                                    "diag.stale-exemption"));
-}
-
-TEST(SdlintDiag, UndocumentedKindFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-undocumented"),
-                                    "diag.undocumented"));
-}
-
-TEST(SdlintDiag, StaleDocRowFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-stale-doc"),
-                                    "diag.stale-doc"));
-}
+// --- the diag check ----------------------------------------------------------
 
 TEST(SdlintDiag, DocDriftFires) {
-  EXPECT_TRUE(
-      lint::any_with_prefix(run_fixture("diag-doc-drift"), "diag.doc-drift"));
+  EXPECT_NE(doc_drift_detail("diag-doc-drift", "diag.doc-drift")
+                .find("line 6 is '| `rotation-gap` | 1 |"),
+            std::string::npos);
 }
 
 TEST(SdlintDiag, MissingDocFires) {
-  EXPECT_TRUE(lint::any_with_prefix(run_fixture("diag-doc-missing"),
-                                    "diag.doc-missing"));
+  EXPECT_NE(doc_drift_detail("diag-doc-missing", "diag.doc-drift")
+                .find("not found"),
+            std::string::npos);
+}
+
+TEST(SdlintDiag, CommittedDocTableIsExactlyTheRenderedTable) {
+  // The kinds table is rendered from code, not hand-maintained: the
+  // committed text between the markers must be byte-identical to it.
+  const lint::DocSection section = lint::load_doc_section(
+      "INTERNALS.md", lint::kDiagTableBegin, lint::kDiagTableEnd);
+  ASSERT_TRUE(section.file_found);
+  ASSERT_TRUE(section.section_found);
+  EXPECT_EQ(section.text, lint::render_diag_kind_table());
 }
 
 TEST(SdlintDiag, EveryRealKindIsMutatorCoveredOrExempt) {
-  // The positive form of diag.unmapped-kind over the real enum: each of
-  // the seven kinds is reachable by fuzzing or carries a reason why not.
-  for (const lint::DiagKindRow& row : lint::real_diag_kind_rows()) {
-    EXPECT_NE(row.mutation_classes.empty(), !row.runtime_only.has_value())
+  // The build checks this beside the class table; the runtime form pins
+  // the two public lookups to it.
+  for (const logging::DiagnosticKindSpec& row : logging::diagnostic_kinds()) {
+    EXPECT_NE(checker::mutation_classes_for(row.kind).empty(),
+              !checker::runtime_only_reason(row.kind).has_value())
         << row.name;
   }
 }
@@ -300,21 +282,7 @@ TEST(SdlintDiag, MutationClassesForInvertsExpectedDiagnostic) {
   }
 }
 
-// --- doc_sources parsing -----------------------------------------------------
-
-TEST(SdlintDocSources, ParseMarkdownTableDropsSeparatorAndTrims) {
-  const auto rows = lint::parse_markdown_table(
-      "prose before\n"
-      "| a | b |\n"
-      "|---|---|\n"
-      "| `x` |  y  |\n"
-      "not a row\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"`x`", "y"}));
-  EXPECT_EQ(lint::strip_backticks(rows[1][0]), "x");
-  EXPECT_EQ(lint::strip_backticks("plain"), "plain");
-}
+// --- doc_sources -------------------------------------------------------------
 
 TEST(SdlintDocSources, MissingMarkersReportedNotSilent) {
   const lint::DocSection section = lint::load_doc_section(

@@ -81,9 +81,8 @@ int usage() {
                "  sdchecker follow <log_dir> [--watch] [--interval S] "
                "[--poll-ms MS]\n"
                "            [--exit-quiescent N] [--max-polls N] "
-               "[--json FILE] [--parked-cap N]\n"
-               "            [--retire-quiet N] [--no-retire] "
-               "[--analyze-shards N]\n"
+               "[--json FILE] [--retire-quiet N]\n"
+               "            [--no-retire] [--analyze-shards N]\n"
                "            [--serve [ADDR:PORT]] [--serve-stall-ms MS] "
                "[--stall-polls-after N]\n"
                "  sdchecker followcheck <watch_ndjson>\n"
@@ -522,7 +521,6 @@ int cmd_follow(std::vector<std::string> args) {
       !take_count(args, "--poll-ms", poll_ms) ||
       !take_count(args, "--exit-quiescent", exit_quiescent) ||
       !take_count(args, "--max-polls", max_polls) ||
-      !take_count(args, "--parked-cap", options.parked_events_cap) ||
       !take_count(args, "--retire-quiet", retire_quiet) ||
       !take_count(args, "--serve-stall-ms", serve_stall_ms) ||
       !take_count(args, "--stall-polls-after", stall_polls_after)) {
@@ -540,8 +538,8 @@ int cmd_follow(std::vector<std::string> args) {
   const auto positionals = finish_args(
       std::move(args), {"log_dir"},
       {"--interval", "--poll-ms", "--exit-quiescent", "--max-polls",
-       "--json", "--parked-cap", "--retire-quiet", "--analyze-shards",
-       "--serve", "--serve-stall-ms", "--stall-polls-after"});
+       "--json", "--retire-quiet", "--analyze-shards", "--serve",
+       "--serve-stall-ms", "--stall-polls-after"});
   if (!positionals) return usage();
   const std::string& dir = (*positionals)[0];
   if (!std::filesystem::is_directory(dir)) {
@@ -991,14 +989,21 @@ int cmd_simulate(std::vector<std::string> args) {
       !take_decimal(args, "--input-mb", input_mb)) {
     return usage();
   }
-  const auto scheduler_flag = flag_value(args, "--scheduler");
+  const std::string scheduler =
+      flag_value(args, "--scheduler").value_or("capacity");
+  if (scheduler != "capacity" && scheduler != "opportunistic") {
+    std::fprintf(stderr,
+                 "sdchecker: --scheduler expects capacity or opportunistic, "
+                 "got '%s'\n",
+                 scheduler.c_str());
+    return usage();
+  }
   const auto positionals =
       finish_args(std::move(args), {"out_dir"},
                   {"--jobs", "--seed", "--executors", "--input-mb",
                    "--scheduler"});
   if (!positionals) return usage();
   const std::string& out_dir = (*positionals)[0];
-  const std::string scheduler = scheduler_flag.value_or("capacity");
 
   harness::ScenarioConfig scenario;
   scenario.seed = seed;
